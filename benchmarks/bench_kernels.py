@@ -26,7 +26,8 @@ def _timed(fn, *args, repeat=3):
 
 
 def bench_scan_matching():
-    n = 6
+    # the matching check: packing scan with r = 2, floors d = 1..n/2-1
+    n, r, d_lo = 6, 2, 1
     d_max = n // 2 - 1
     f2v = np.array([0, 9, 9], np.int64)
     total = 1 << comb(n, 2)
@@ -38,11 +39,11 @@ def bench_scan_matching():
         max_e = np.zeros(d_max + 1, np.int64)
         arg = np.zeros(d_max + 1, np.int64)
         viol = np.zeros(4096, np.int64)
-        res = fn(n, d_max, f2v, 0, total, 10**9, adj, cand, chosen, comm,
-                 found, max_e, arg, viol)
+        res = fn(n, r, d_lo, d_max, f2v, 0, 0, total, 10**9, adj, cand, chosen,
+                 comm, found, max_e, arg, viol)
         return res, tuple(max_e)
 
-    return "matching scan, all 2^15 graphs n=6", run
+    return "packing scan at r=2 (matching), all 2^15 graphs n=6", K.scan_pack_threshold, run
 
 
 def bench_chvatal():
@@ -56,7 +57,7 @@ def bench_chvatal():
         viol = np.zeros(4096, np.int64)
         return fn(n, lo, hi, adj, dp, degs, viol)
 
-    return "Hamilton-path condition scan, 2^17 graphs n=7", run
+    return "Hamilton-path condition scan, 2^17 graphs n=7", K.scan_chvatal, run
 
 
 def bench_batch_packing():
@@ -74,7 +75,7 @@ def bench_batch_packing():
         fn(adjs, n, r, 10**9, cand, chosen, comm, out)
         return tuple(out)
 
-    return "batch packing decisions, 256 random graphs n=12 r=3", run
+    return "batch packing decisions, 256 random graphs n=12 r=3", K.batch_packable, run
 
 
 def main():
@@ -83,12 +84,7 @@ def main():
         return
     benches = [bench_scan_matching(), bench_chvatal(), bench_batch_packing()]
     rows = []
-    for label, run in benches:
-        jit_fn = {
-            "matching scan, all 2^15 graphs n=6": K.scan_matching,
-            "Hamilton-path condition scan, 2^17 graphs n=7": K.scan_chvatal,
-            "batch packing decisions, 256 random graphs n=12 r=3": K.batch_packable,
-        }[label]
+    for label, jit_fn, run in benches:
         run(lambda *a: jit_fn(*a))  # warm up the compiled path
         res_jit, t_jit = _timed(lambda: run(jit_fn))
         res_pure, t_pure = _timed(lambda: run(K.pure(jit_fn)), repeat=1)

@@ -1,11 +1,12 @@
 """Bitmask search kernels shared by the solvers and the verification scans.
 
-Every kernel is written once as a plain Python function over ``int64`` numpy
-arrays and wrapped with ``numba.njit`` when compilation is available.  Setting
-``PACKLAB_NO_NUMBA=1`` (or failing to import numba) selects the uncompiled
-pure-Python path; both paths run the identical code, so node counts, witness
-masks and reports are bit-for-bit the same.  ``pure(fn)`` returns the
-uncompiled version of a kernel, which the benchmark uses to time both paths.
+Every search kernel is written once as a plain Python function over ``int64``
+numpy arrays and wrapped with ``numba.njit`` when compilation is available.
+Setting ``PACKLAB_NO_NUMBA=1`` (or failing to import numba) selects the
+uncompiled pure-Python path; both paths run the identical code, so node
+counts, witness masks and reports are bit-for-bit the same.  ``pure(fn)``
+returns the uncompiled version of a kernel, which the benchmark uses to time
+both paths.
 
 Graphs are encoded as one ``int64`` neighbour bitmask per vertex (bit ``j`` of
 ``adj[i]`` set iff ``ij`` is an edge), which caps kernel inputs at
@@ -13,6 +14,12 @@ Graphs are encoded as one ``int64`` neighbour bitmask per vertex (bit ``j`` of
 integer whose bit ``s`` is edge slot ``s``; slots order pairs ``(i, j)`` with
 ``i < j`` by ``s = j*(j-1)//2 + i``, the same column-major upper-triangle
 order graph6 uses, so witness masks and graph6 strings agree bit for bit.
+
+Two expanders turn edge slots into neighbour masks.  The exhaustive scans
+expand one mask at a time inside the kernel with ``_adj_from_mask``, so a
+chunk of masks never exists as an array.  Both samplers hand a batch of
+64-bit edge words to ``words_to_adj``, plain numpy with one vector operation
+per edge slot, and decide the rows with ``batch_packable``.
 """
 
 from __future__ import annotations
@@ -91,10 +98,7 @@ def _pack_decide(adj, n, r, node_cap, cand, chosen, comm):
         return 1, 0
     full = (1 << n) - 1
     # root prune: an r-clique needs r-1 neighbours at every vertex
-    m = full
-    while m:
-        w = _low_bit_index(m & -m)
-        m &= m - 1
+    for w in range(n):
         if _bit_count(int(adj[w])) < r - 1:
             return 0, 0
     covered = 0
@@ -317,119 +321,39 @@ def _adj_from_mask(mask, n, adj):
 
 
 @_jit
-def scan_matching(n, d_max, f2_val, lo, hi, node_cap, adj, cand, chosen, comm,
-                  found_any, max_e, arg_mask, viol):
-    """Exhaustive matching-threshold scan over edge masks in [lo, hi).
-
-    For every graph: min degree and exact perfect-matchability.  For each
-    d in 1..d_max the family is "min degree >= d"; per d the kernel tracks the
-    maximum edge count among non-matchable members (first mask wins ties) in
-    ``max_e``/``arg_mask``/``found_any`` and records any graph exceeding
-    ``f2_val[d]`` as a violation.  Returns (examined, nviol, aborted).
-    """
-    examined = 0
-    nviol = 0
-    for mask in range(lo, hi):
-        _adj_from_mask(mask, n, adj)
-        mindeg = n
-        e = 0
-        for i in range(n):
-            dg = _bit_count(int(adj[i]))
-            e += dg
-            if dg < mindeg:
-                mindeg = dg
-        e //= 2
-        examined += 1
-        if mindeg < 1:
-            continue
-        st, _ = _pack_decide(adj, n, 2, node_cap, cand, chosen, comm)
-        if st == -1:
-            return examined, nviol, 1
-        if st == 1:
-            continue
-        top = mindeg if mindeg < d_max else d_max
-        bad = False
-        for d in range(1, top + 1):
-            if int(found_any[d]) == 0 or e > int(max_e[d]):
-                found_any[d] = 1
-                max_e[d] = e
-                arg_mask[d] = mask
-            if e > int(f2_val[d]):
-                bad = True
-        if bad:
-            if nviol < viol.shape[0]:
-                viol[nviol] = mask
-            nviol += 1
-    return examined, nviol, 0
+def _sorted_degrees(adj, n, degs):
+    """Degrees of ``adj`` into ``degs``, ascending (insertion sort)."""
+    for i in range(n):
+        degs[i] = _bit_count(int(adj[i]))
+    for i in range(1, n):
+        key = int(degs[i])
+        j = i - 1
+        while j >= 0 and int(degs[j]) > key:
+            degs[j + 1] = degs[j]
+            j -= 1
+        degs[j + 1] = key
+    return 0
 
 
 @_jit
-def scan_colour_threshold(n, r, d_lo, d_hi, f_val, lo, hi, node_cap,
-                          adj, adjc, cand, chosen, comm,
-                          found_any, min_e, arg_mask, viol):
-    """Exhaustive colouring-threshold scan over edge masks in [lo, hi).
-
-    For every graph with max degree <= d_hi the kernel decides equitable
-    (n/r)-colourability exactly (clique partition of the complement).  For
-    each D in d_lo..d_hi the family is "max degree <= D"; per D it tracks the
-    minimum edge count among non-colourable members and flags any with fewer
-    than ``f_val[D]`` edges as violations.  Returns (examined, nviol, aborted).
-    """
-    full = (1 << n) - 1
-    examined = 0
-    nviol = 0
-    for mask in range(lo, hi):
-        _adj_from_mask(mask, n, adj)
-        maxdeg = 0
-        e = 0
-        for i in range(n):
-            dg = _bit_count(int(adj[i]))
-            e += dg
-            if dg > maxdeg:
-                maxdeg = dg
-        e //= 2
-        examined += 1
-        if maxdeg > d_hi:
-            continue
-        for i in range(n):
-            adjc[i] = full & ~int(adj[i]) & ~(1 << i)
-        st, _ = _pack_decide(adjc, n, r, node_cap, cand, chosen, comm)
-        if st == -1:
-            return examined, nviol, 1
-        if st == 1:
-            continue
-        dstart = maxdeg if maxdeg > d_lo else d_lo
-        bad = False
-        for dd in range(dstart, d_hi + 1):
-            if int(found_any[dd]) == 0 or e < int(min_e[dd]):
-                found_any[dd] = 1
-                min_e[dd] = e
-                arg_mask[dd] = mask
-            if e < int(f_val[dd]):
-                bad = True
-        if bad:
-            if nviol < viol.shape[0]:
-                viol[nviol] = mask
-            nviol += 1
-    return examined, nviol, 0
-
-
-@_jit
-def scan_pack_threshold(n, r, d_lo, d_hi, g_val, lo, hi, node_cap,
+def scan_pack_threshold(n, r, d_lo, d_hi, g_val, flip, lo, hi, node_cap,
                         adj, cand, chosen, comm,
                         found_any, max_e, arg_mask, viol):
     """Exhaustive packing-threshold scan over edge masks in [lo, hi).
 
-    Dual of ``scan_colour_threshold``: families are "min degree >= D" for D in
-    d_lo..d_hi, the decision is a perfect r-clique packing of the graph
-    itself, the tracked extremal is the maximum edge count among non-packable
-    members, and members exceeding ``g_val[D]`` edges are violations.
-    Returns (examined, nviol, aborted).
+    Each mask is expanded as ``mask ^ flip``: ``flip = 0`` decides the graph
+    itself, ``flip`` = all C(n,2) slot bits decides its complement (the
+    colouring side, by complement packing).  Families are "min degree >= D"
+    for D in d_lo..d_hi of the decided graph; per D the kernel tracks the
+    maximum edge count among its non-packable members (first mask wins ties)
+    in ``found_any``/``max_e``/``arg_mask`` and flags members exceeding
+    ``g_val[D]`` edges as violations.  Recorded masks are the enumerated
+    ones, before the flip.  Returns (examined, nviol, aborted).
     """
     examined = 0
     nviol = 0
     for mask in range(lo, hi):
-        _adj_from_mask(mask, n, adj)
+        _adj_from_mask(mask ^ flip, n, adj)
         mindeg = n
         e = 0
         for i in range(n):
@@ -476,15 +400,7 @@ def scan_chvatal(n, lo, hi, adj, dp, degs, viol):
     nviol = 0
     for mask in range(lo, hi):
         _adj_from_mask(mask, n, adj)
-        for i in range(n):
-            degs[i] = _bit_count(int(adj[i]))
-        for i in range(1, n):
-            key = int(degs[i])
-            j = i - 1
-            while j >= 0 and int(degs[j]) > key:
-                degs[j + 1] = degs[j]
-                j -= 1
-            degs[j + 1] = key
+        _sorted_degrees(adj, n, degs)
         examined += 1
         ok = True
         for i in range(1, n // 2 + 1):
@@ -519,15 +435,7 @@ def scan_degree_condition(n, r, variant, lo, hi, node_cap,
     nviol = 0
     for mask in range(lo, hi):
         _adj_from_mask(mask, n, adj)
-        for i in range(n):
-            degs[i] = _bit_count(int(adj[i]))
-        for i in range(1, n):
-            key = int(degs[i])
-            j = i - 1
-            while j >= 0 and int(degs[j]) > key:
-                degs[j + 1] = degs[j]
-                j -= 1
-            degs[j + 1] = key
+        _sorted_degrees(adj, n, degs)
         examined += 1
         ok = True
         if variant == 0:
@@ -555,39 +463,21 @@ def scan_degree_condition(n, r, variant, lo, hi, node_cap,
     return examined, cond_true, nviol, 0
 
 
-@_jit
 def words_to_adj(words, n, adjs):
-    """Expand packed random edge bits into per-vertex masks, one row per graph.
+    """Expand packed edge bits into per-vertex masks, one row per graph.
 
-    Edge slot s reads bit ``s & 63`` of ``words[b, s >> 6]``.
+    Edge slot s reads bit ``s & 63`` of ``words[b, s >> 6]``; bits past the
+    last slot are ignored.  Plain numpy: one vector operation per slot over
+    all rows.
     """
-    nb = words.shape[0]
-    for b in range(nb):
-        for i in range(n):
-            adjs[b, i] = 0
-        s = 0
-        for j in range(1, n):
-            for i in range(j):
-                if (int(words[b, s >> 6]) >> (s & 63)) & 1:
-                    adjs[b, i] |= 1 << j
-                    adjs[b, j] |= 1 << i
-                s += 1
-    return 0
-
-
-@_jit
-def slots_to_adj(slots, counts, pair_i, pair_j, n, adjs):
-    """Expand explicit edge-slot lists into per-vertex masks, one row per graph."""
-    nb = slots.shape[0]
-    for b in range(nb):
-        for i in range(n):
-            adjs[b, i] = 0
-        for t in range(int(counts[b])):
-            s = int(slots[b, t])
-            i = int(pair_i[s])
-            j = int(pair_j[s])
-            adjs[b, i] |= 1 << j
-            adjs[b, j] |= 1 << i
+    adjs[:] = 0
+    s = 0
+    for j in range(1, n):
+        for i in range(j):
+            bit = (words[:, s >> 6] >> (s & 63)) & 1
+            adjs[:, i] |= bit << j
+            adjs[:, j] |= bit << i
+            s += 1
     return 0
 
 
@@ -606,25 +496,6 @@ def batch_packable(adjs, n, r, node_cap, cand, chosen, comm, out):
     return 0
 
 
-@_jit
-def batch_colourable(adjs, n, r, node_cap, adjc, cand, chosen, comm, out):
-    """Exact equitable (n/r)-colourability per row, via the complement."""
-    full = (1 << n) - 1
-    nb = adjs.shape[0]
-    for b in range(nb):
-        for i in range(n):
-            adjc[i] = full & ~int(adjs[b, i]) & ~(1 << i)
-        st, _ = _pack_decide(adjc, n, r, node_cap, cand, chosen, comm)
-        out[b] = st
-        if st == -1:
-            return 1
-    return 0
-
-
 def pack_work_arrays(n: int):
     """Allocate the three int64 work arrays the packing search needs."""
-    return (
-        np.zeros(max(n, 1), np.int64),
-        np.zeros(max(n, 1), np.int64),
-        np.zeros(max(n, 1), np.int64),
-    )
+    return tuple(np.zeros(max(n, 1), np.int64) for _ in range(3))

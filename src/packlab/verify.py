@@ -14,8 +14,10 @@ requested, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb
 from time import perf_counter
 
@@ -42,6 +44,7 @@ GENERATOR_ID = "splitmix64"
 SAMPLE_BATCH = 4096
 PROPOSAL_LIMIT_FACTOR = 1000
 _HUGE = 1 << 60
+_WORD = (1 << 64) - 1
 
 
 class SplitMix64:
@@ -104,9 +107,12 @@ class VerificationReport:
     """Outcome of one verification task.
 
     ``violations`` hold graph6 witnesses in ascending edge-mask order; every
-    witness was re-decoded and re-solved before the report was built.  The
-    ``per_d`` breakdown, ``condition_count`` and ``problems`` are programmatic
-    extras and do not enter the serialized schema.
+    witness was re-decoded and re-solved before the report was built.
+    ``problems`` says why a status is not ``pass`` where the violations alone
+    do not: a witness that failed its re-check, more violations than the
+    report keeps, a starved sampler, or a failed claim.  The ``per_d``
+    breakdown, ``condition_count`` and ``problems`` are programmatic extras
+    and do not enter the serialized schema.
     """
 
     task: EnumerationTask
@@ -136,6 +142,14 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _task(predicate, n, mode, r=None, d=None, seed=None, samples=None) -> EnumerationTask:
+    sampled = mode == "sampled"
+    return EnumerationTask(
+        predicate, n, mode, r=r, d=d, samples=samples if sampled else None,
+        seed=seed if sampled else None, generator=GENERATOR_ID if sampled else None,
+    )
+
+
 def _elapsed_ms(t0: float, timing: bool) -> int:
     return int((perf_counter() - t0) * 1000) if timing else 0
 
@@ -152,12 +166,7 @@ def _check_exhaustive(n: int, n_cap: int) -> None:
 
 
 def _run_chunks(total: int, workers: int, run_one):
-    bounds = []
-    lo = 0
-    while lo < total:
-        hi = min(lo + CHUNK_MASKS, total)
-        bounds.append((lo, hi))
-        lo = hi
+    bounds = [(lo, min(lo + CHUNK_MASKS, total)) for lo in range(0, total, CHUNK_MASKS)]
     if workers <= 1 or len(bounds) <= 1:
         return [run_one(b) for b in bounds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -165,18 +174,29 @@ def _run_chunks(total: int, workers: int, run_one):
         return [f.result() for f in futures]
 
 
-def _merge_extrema(parts, width: int, prefer_larger: bool):
-    """Merge per-d (found, value, mask) triples in chunk order; strict
+def _kept_violations(chunks, problems: list[str]) -> list[int]:
+    """Violation masks of (count, stored masks) chunk results, in mask order.
+
+    A scan stores at most ``VIOLATION_BUFFER`` masks per chunk and counts the
+    rest; past that many in total the first ones are kept and the full count
+    is recorded in ``problems``.
+    """
+    total = sum(count for count, _ in chunks)
+    masks = [m for _, stored in chunks for m in stored][:VIOLATION_BUFFER]
+    if total > len(masks):
+        problems.append(f"{total} violations found; the report keeps the first {len(masks)}")
+    return masks
+
+
+def _merge_extrema(parts, width: int):
+    """Merge per-d (found, max edges, mask) triples in chunk order; strict
     comparison keeps the earliest (lowest-mask) attaining graph on ties."""
     found = [False] * width
     value = [0] * width
     mask = [0] * width
     for pf, pv, pm in parts:
         for dd in range(width):
-            if not pf[dd]:
-                continue
-            better = (pv[dd] > value[dd]) if prefer_larger else (pv[dd] < value[dd])
-            if not found[dd] or better:
+            if pf[dd] and (not found[dd] or pv[dd] > value[dd]):
                 found[dd] = True
                 value[dd] = int(pv[dd])
                 mask[dd] = int(pm[dd])
@@ -187,17 +207,12 @@ def _witness(n: int, mask: int) -> str:
     return encode_graph6(Graph.from_edge_mask(n, mask))
 
 
-def _per_d_table(n, armed, thresholds, found, value, mask):
-    table = {}
-    for dd in armed:
-        table[dd] = {
-            "found": found[dd],
-            "edges": value[dd] if found[dd] else None,
-            "graph6": _witness(n, mask[dd]) if found[dd] else None,
-            "mask": mask[dd] if found[dd] else None,
-            "threshold": thresholds[dd],
-        }
-    return table
+def _recheck(violations, holds, problems: list[str]) -> None:
+    """Re-decode every graph6 witness and record in ``problems`` each one
+    for which the independent re-check ``holds(graph)`` is false."""
+    for g6 in violations:
+        if not holds(decode_graph6(g6)):
+            problems.append(f"witness {g6} failed re-validation")
 
 
 def _status(aborted: bool, ok: bool) -> str:
@@ -210,49 +225,18 @@ def _status(aborted: bool, ok: bool) -> str:
 # sampling plumbing
 
 
-def _slot_pairs(n: int):
-    e = comb(n, 2)
-    pi = np.zeros(e, np.int64)
-    pj = np.zeros(e, np.int64)
-    s = 0
-    for j in range(1, n):
-        for i in range(j):
-            pi[s] = i
-            pj[s] = j
-            s += 1
-    return pi, pj
+def _slot_pairs(n: int) -> list[tuple[int, int]]:
+    """The vertex pair (i, j) of every edge slot, in slot order."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def _floyd_sample(rng: SplitMix64, m: int, total: int) -> list[int]:
+def _floyd_sample(rng: SplitMix64, m: int, total: int) -> set[int]:
     """m distinct slots out of range(total), uniformly (Floyd's algorithm)."""
     chosen: set[int] = set()
     for t in range(total - m, total):
         x = rng.next_below(t + 1)
         chosen.add(t if x in chosen else x)
-    return sorted(chosen)
-
-
-def _edge_count_sampler(e_total: int, m_lo: int, m_hi: int):
-    """Cumulative table for drawing an edge count m in [m_lo, m_hi] with
-    probability proportional to the number of labeled graphs with m edges."""
-    cum = []
-    total = 0
-    for m in range(m_lo, m_hi + 1):
-        total += comb(e_total, m)
-        cum.append(total)
-    return cum, total
-
-
-def _draw_edge_count(rng: SplitMix64, cum, total, m_lo: int) -> int:
-    u = rng.next_below(total)
-    lo, hi = 0, len(cum) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if u < cum[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return m_lo + lo
+    return chosen
 
 
 def _sample_filtered_window(
@@ -265,57 +249,249 @@ def _sample_filtered_window(
 ):
     """First-`samples`-accepted uniform draws from the graphs with edge count
     in [m_lo, m_hi] passing ``degree_filter`` (a predicate on the degree
-    list).  Yields (mask, slots) pairs; raises CapExceededError-style abort by
-    returning fewer rows only if the proposal budget runs out."""
+    list).  Returns (masks, proposals, starved); starved means the proposal
+    budget ran out before `samples` draws were accepted."""
     e_total = comb(n, 2)
-    cum, total = _edge_count_sampler(e_total, m_lo, m_hi)
-    if total == 0:
+    # edge counts m in [m_lo, m_hi] are drawn with probability proportional
+    # to the number of labeled graphs with m edges
+    cum = list(accumulate(comb(e_total, m) for m in range(m_lo, m_hi + 1)))
+    if not cum:
         return [], 0, False
+    pairs = _slot_pairs(n)
     limit = PROPOSAL_LIMIT_FACTOR * samples + 1000
     out = []
     proposals = 0
     while len(out) < samples and proposals < limit:
         proposals += 1
-        m = _draw_edge_count(rng, cum, total, m_lo)
-        slots = _floyd_sample(rng, m, e_total)
+        m = m_lo + bisect_right(cum, rng.next_below(cum[-1]))
         degs = [0] * n
         mask = 0
-        for s in slots:
+        for s in _floyd_sample(rng, m, e_total):
             mask |= 1 << s
-        g = Graph.from_edge_mask(n, mask)
-        if degree_filter(g.degrees()):
-            out.append((mask, slots))
+            i, j = pairs[s]
+            degs[i] += 1
+            degs[j] += 1
+        if degree_filter(degs):
+            out.append(mask)
     return out, proposals, len(out) < samples
 
 
-def _rows_to_adjs(n: int, rows) -> np.ndarray:
-    """Per-vertex adjacency masks, one row per sampled (mask, slots) pair."""
-    pi, pj = _slot_pairs(n)
-    width = max((len(s) for _, s in rows), default=0)
-    slots = np.zeros((len(rows), max(width, 1)), np.int64)
-    counts = np.zeros(len(rows), np.int64)
-    for b, (_, ss) in enumerate(rows):
-        counts[b] = len(ss)
-        slots[b, : len(ss)] = ss
+def _expand_words(n: int, rows) -> np.ndarray:
+    """Neighbour masks, one row per graph, from rows of unsigned 64-bit edge
+    words (slot s is bit s & 63 of word s >> 6)."""
+    words = np.array(rows, dtype=np.uint64).reshape(len(rows), -1).view(np.int64)
     adjs = np.zeros((len(rows), n), np.int64)
-    K.slots_to_adj(slots, counts, pi, pj, n, adjs)
+    K.words_to_adj(words, n, adjs)
     return adjs
 
 
-def _decide_rows_packable(n: int, r: int, rows, node_cap: int):
-    """Exact packing decision for each sampled row; (decisions, aborted)."""
-    if not rows:
+def _decide_masks(n: int, r: int, masks, node_cap: int, complement: bool):
+    """Exact packing decision for each sampled mask, or for its complement;
+    returns (decisions, aborted), decisions stopping at the first abort."""
+    if not masks:
         return [], False
-    adjs = _rows_to_adjs(n, rows)
+    nwords = (comb(n, 2) + 63) // 64
+    adjs = _expand_words(n, [[(m >> (64 * w)) & _WORD for w in range(nwords)] for m in masks])
+    if complement:
+        adjs = ((1 << n) - 1) & ~adjs & ~(1 << np.arange(n, dtype=np.int64))
     cand, chosen, comm = K.pack_work_arrays(n)
-    out = np.zeros(len(rows), np.int64)
+    out = np.zeros(len(masks), np.int64)
     aborted = bool(K.batch_packable(adjs, n, r, node_cap, cand, chosen, comm, out))
-    stop = int(np.flatnonzero(out == -1)[0]) if aborted else len(rows)
+    stop = int(np.flatnonzero(out == -1)[0]) if aborted else len(masks)
     return [bool(x == 1) for x in out[:stop]], aborted
 
 
 # ---------------------------------------------------------------------------
 # threshold verifiers
+
+
+@dataclass(frozen=True)
+class ThresholdSpec:
+    """One edge-threshold check, phrased as a perfect r-clique packing scan.
+
+    ``thresholds`` maps each armed degree parameter D, ascending, to its
+    closed-form threshold.  With ``complement`` false the family is "min
+    degree >= D" and every member with more edges than the threshold must
+    have a perfect r-clique packing.  With it true the family is "max degree
+    <= D" and every member with fewer edges must be equitably
+    (n/r)-colourable, which the scan decides as packing on the complement:
+    min degree >= n-1-D and more than C(n,2) - threshold edges.  ``dual``
+    cross-checks an exhaustive run against the colouring-side scan and each
+    sample against a direct colouring search.
+    """
+
+    predicate: str
+    n: int
+    r: int
+    complement: bool
+    thresholds: dict
+    dual: bool = False
+
+    def packing_bounds(self) -> dict:
+        """{degree floor: edge bound} of the packing scan."""
+        if not self.complement:
+            return dict(self.thresholds)
+        half = comb(self.n, 2)
+        return {self.n - 1 - dd: half - t for dd, t in self.thresholds.items()}
+
+    def refuted_by(self, g: Graph, cap: int) -> bool:
+        """Re-check a witness with the solvers: ``g`` lies in an armed family
+        on the wrong side of its threshold and is not packable (colourable)."""
+        degs, e = g.degrees(), g.edge_count
+        if self.complement:
+            beyond = any(max(degs) <= dd and e < t for dd, t in self.thresholds.items())
+            return beyond and not equitable_colouring(g, self.n // self.r, cap).decision
+        beyond = any(min(degs) >= dd and e > t for dd, t in self.thresholds.items())
+        return beyond and not perfect_kr_packing(g, self.r, cap).decision
+
+
+def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, problems):
+    """All 2^C(n,2) graphs through ``K.scan_pack_threshold``; returns
+    (examined, violation masks, aborted, per-D table)."""
+    n = spec.n
+    _check_exhaustive(n, n_cap)
+    bounds = spec.packing_bounds()
+    d_lo, d_hi = min(bounds), max(bounds)
+    g_val = np.array([bounds.get(dd, _HUGE) for dd in range(d_hi + 1)], np.int64)
+    slots = comb(n, 2)
+    flip = (1 << slots) - 1 if spec.complement else 0
+
+    def run_one(chunk):
+        lo, hi = chunk
+        adj = np.zeros(n, np.int64)
+        cand, chosen, comm = K.pack_work_arrays(n)
+        found, max_e, arg = (np.zeros(d_hi + 1, np.int64) for _ in range(3))
+        viol = np.zeros(VIOLATION_BUFFER, np.int64)
+        examined, nviol, aborted = K.scan_pack_threshold(
+            n, spec.r, d_lo, d_hi, g_val, flip, lo, hi, cap,
+            adj, cand, chosen, comm, found, max_e, arg, viol,
+        )
+        return examined, (nviol, viol[:nviol].tolist()), aborted, (found, max_e, arg)
+
+    parts = _run_chunks(1 << slots, workers, run_one)
+    masks = _kept_violations([p[1] for p in parts], problems)
+    found, value, mask = _merge_extrema([p[3] for p in parts], d_hi + 1)
+    per_d = {}
+    for dd, threshold in spec.thresholds.items():
+        k = n - 1 - dd if spec.complement else dd
+        per_d[dd] = {
+            "found": found[k],
+            "edges": (slots - value[k] if spec.complement else value[k]) if found[k] else None,
+            "graph6": _witness(n, mask[k]) if found[k] else None,
+            "mask": mask[k] if found[k] else None,
+            "threshold": threshold,
+        }
+    return sum(p[0] for p in parts), masks, any(p[2] for p in parts), per_d
+
+
+def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, problems):
+    """Uniform samples from the single armed family past its threshold;
+    returns (examined, violation masks, aborted, cross-check ok)."""
+    n = spec.n
+    ((dd, threshold),) = spec.thresholds.items()
+    if spec.complement:
+        window, keep = (0, threshold - 1), lambda degs: max(degs, default=0) <= dd
+    else:
+        window, keep = (threshold + 1, comb(n, 2)), lambda degs: min(degs) >= dd
+    masks, proposals, starved = _sample_filtered_window(
+        n, SplitMix64(seed), samples, *window, keep
+    )
+    if starved:
+        problems.append(
+            f"sampler starved: {len(masks)} of {samples} samples after {proposals} proposals"
+        )
+    decisions, aborted = _decide_masks(n, spec.r, masks, cap, spec.complement)
+    # duality cross-check per sample: an independent direct-colouring search
+    # on the complement must agree with the packing decision
+    ok = not spec.dual or all(
+        equitable_colouring(
+            Graph.from_edge_mask(n, m).complement(), n // spec.r, cap, method="direct"
+        ).decision == dec
+        for m, dec in zip(masks, decisions)
+    )
+    viol_masks = sorted({masks[i] for i, dec in enumerate(decisions) if not dec})
+    return len(decisions), viol_masks, aborted or starved, ok
+
+
+def _dual_agrees(spec, task, examined, violations, per_d, workers, node_cap, n_cap, cap):
+    """The colouring-side cross-check of ``verify_mainthm1_threshold``'s
+    exhaustive mode; returns (agrees, dual run aborted)."""
+    n, r = spec.n, spec.r
+    big_d = None if task.d is None else n - 1 - task.d
+    dual = verify_t1_threshold(n, r, big_d, workers=workers, node_cap=node_cap, n_cap=n_cap)
+    ok = dual.examined == examined
+    dual_viols = sorted(
+        encode_graph6(decode_graph6(g6).complement()) for g6 in dual.violations
+    )
+    ok = ok and dual_viols == sorted(violations)
+    half = comb(n, 2)
+    for dd, row in per_d.items():
+        drow = dual.per_d[n - 1 - dd]
+        if not (row["found"] and drow["found"]):
+            ok = False
+            continue
+        comp = decode_graph6(row["graph6"]).complement()
+        ok = (
+            ok
+            and row["edges"] + drow["edges"] == half
+            and max(comp.degrees()) <= n - 1 - dd
+            and comp.edge_count == drow["edges"]
+            and not equitable_colouring(comp, n // r, cap).decision
+        )
+    return ok, dual.status == "aborted"
+
+
+def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, workers: int,
+                      node_cap: int | None, n_cap: int, timing: bool) -> VerificationReport:
+    """Run ``spec`` in ``task.mode`` and build its report."""
+    cap = resolve_node_cap(node_cap)
+    t0 = perf_counter()
+    problems: list[str] = []
+    per_d = extremal = None
+    if task.mode == "exhaustive":
+        examined, masks, aborted, per_d = _scan_threshold(spec, workers, cap, n_cap, problems)
+        ok = all(row["found"] and row["edges"] == row["threshold"] for row in per_d.values())
+        extremal = _pick_boundary(per_d, prefer_larger=not spec.complement)
+    elif task.mode == "sampled":
+        if task.d is None or task.seed is None or not task.samples:
+            name = "d" if task.r is None else "D"
+            raise ParameterRangeError(f"sampled mode needs {name}, seed and samples")
+        examined, masks, aborted, ok = _sample_threshold(
+            spec, task.seed, task.samples, cap, problems
+        )
+    else:
+        raise ParameterRangeError(f"unknown mode {task.mode!r}")
+    violations = tuple(_witness(spec.n, m) for m in masks)
+    _recheck(violations, lambda g: spec.refuted_by(g, cap), problems)
+    if spec.dual and per_d is not None:
+        dual_ok, dual_aborted = _dual_agrees(
+            spec, task, examined, violations, per_d, workers, node_cap, n_cap, cap
+        )
+        ok, aborted = ok and dual_ok, aborted or dual_aborted
+    return VerificationReport(
+        task, examined, violations, extremal,
+        _status(aborted, ok and not violations and not problems),
+        _elapsed_ms(t0, timing), per_d, problems=tuple(problems),
+    )
+
+
+def _pick_boundary(per_d, prefer_larger: bool):
+    """(edges, graph6) of the most extreme found row; lowest mask on ties."""
+    rows = [row for row in per_d.values() if row["found"]]
+    if not rows:
+        return None
+    sign = -1 if prefer_larger else 1
+    best = min(rows, key=lambda row: (sign * row["edges"], row["mask"]))
+    return best["edges"], best["graph6"]
+
+
+def _armed(single: int | None, lo: int, hi: int, message: str) -> list[int]:
+    """[single] when a single degree parameter is given, else lo..hi."""
+    if single is None:
+        return list(range(lo, hi + 1))
+    if not lo <= single <= hi:
+        raise ParameterRangeError(message)
+    return [single]
 
 
 def verify_matching_threshold(
@@ -340,114 +516,12 @@ def verify_matching_threshold(
     """
     if n < 4 or n % 2:
         raise ParameterRangeError("need n >= 4 even")
-    d_hi = n // 2 - 1
-    if d is not None and not 1 <= d <= d_hi:
-        raise ParameterRangeError("need 1 <= d <= n/2 - 1")
-    armed = [d] if d is not None else list(range(1, d_hi + 1))
-    thresholds = {dd: matching_threshold(n, dd).value for dd in armed}
-    cap = resolve_node_cap(node_cap)
-    task = EnumerationTask(
-        predicate="matching",
-        n=n,
-        mode=mode,
-        d=d,
-        samples=samples if mode == "sampled" else None,
-        seed=seed if mode == "sampled" else None,
-        generator=GENERATOR_ID if mode == "sampled" else None,
+    armed = _armed(d, 1, n // 2 - 1, "need 1 <= d <= n/2 - 1")
+    spec = ThresholdSpec(
+        "matching", n, 2, False, {dd: matching_threshold(n, dd).value for dd in armed}
     )
-    t0 = perf_counter()
-    if mode == "exhaustive":
-        _check_exhaustive(n, n_cap)
-        f2v = np.full(d_hi + 1, _HUGE, np.int64)
-        for dd in armed:
-            f2v[dd] = thresholds[dd]
-        total = 1 << comb(n, 2)
-
-        def run_one(bounds):
-            lo, hi = bounds
-            adj = np.zeros(n, np.int64)
-            cand, chosen, comm = K.pack_work_arrays(n)
-            found = np.zeros(d_hi + 1, np.int64)
-            max_e = np.zeros(d_hi + 1, np.int64)
-            arg = np.zeros(d_hi + 1, np.int64)
-            viol = np.zeros(VIOLATION_BUFFER, np.int64)
-            examined, nviol, aborted = K.scan_matching(
-                n, d_hi, f2v, lo, hi, cap, adj, cand, chosen, comm,
-                found, max_e, arg, viol,
-            )
-            if nviol > VIOLATION_BUFFER:
-                raise RuntimeError("violation buffer overflow")
-            return examined, [int(viol[i]) for i in range(nviol)], aborted, (found, max_e, arg)
-
-        parts = _run_chunks(total, workers, run_one)
-        examined = sum(p[0] for p in parts)
-        viol_masks = [m for p in parts for m in p[1]]
-        aborted = any(p[2] for p in parts)
-        found, value, mask = _merge_extrema([p[3] for p in parts], d_hi + 1, True)
-        per_d = _per_d_table(n, armed, thresholds, found, value, mask)
-        ok = all(
-            row["found"] and row["edges"] == row["threshold"] for row in per_d.values()
-        )
-        violations = tuple(_witness(n, m) for m in viol_masks)
-        for g6 in violations:
-            g = decode_graph6(g6)
-            mindeg = min(g.degrees())
-            assert any(
-                dd <= mindeg and g.edge_count > thresholds[dd] for dd in armed
-            ) and not perfect_kr_packing(g, 2, cap).decision, "witness failed re-validation"
-        extremal = _pick_boundary(per_d, prefer_larger=True)
-        return VerificationReport(
-            task, examined, violations, extremal,
-            _status(aborted, ok and not violations), _elapsed_ms(t0, timing), per_d,
-        )
-    if mode != "sampled":
-        raise ParameterRangeError(f"unknown mode {mode!r}")
-    if d is None or seed is None or not samples:
-        raise ParameterRangeError("sampled mode needs d, seed and samples")
-    e_total = comb(n, 2)
-    rng = SplitMix64(seed)
-    rows, _, starved = _sample_filtered_window(
-        n, rng, samples, thresholds[d] + 1, e_total,
-        lambda degs: min(degs) >= d,
-    )
-    decisions, aborted = _decide_rows_packable(n, 2, rows, cap)
-    viol_masks = sorted({rows[i][0] for i, dec in enumerate(decisions) if not dec})
-    violations = tuple(_witness(n, m) for m in viol_masks)
-    for g6 in violations:
-        g = decode_graph6(g6)
-        assert min(g.degrees()) >= d and g.edge_count > thresholds[d]
-        assert not perfect_kr_packing(g, 2, cap).decision
-    return VerificationReport(
-        task, len(decisions), violations, None,
-        _status(aborted or starved, not violations), _elapsed_ms(t0, timing),
-    )
-
-
-def _pick_boundary(per_d, prefer_larger: bool):
-    best = None
-    for row in per_d.values():
-        if not row["found"]:
-            continue
-        cand = (row["edges"], row["mask"], row["graph6"])
-        if best is None:
-            best = cand
-            continue
-        if cand[0] == best[0]:
-            if cand[1] < best[1]:
-                best = cand
-        elif (cand[0] > best[0]) == prefer_larger:
-            best = cand
-    return None if best is None else (best[0], best[2])
-
-
-def _t1_ranges(n: int, r: int, big_d: int | None):
-    if r < 3 or n % r or n < 2 * r:
-        raise ParameterRangeError("need r >= 3 and r | n with n >= 2r")
-    d_lo, d_hi = n // r, n - r
-    if big_d is not None and not d_lo <= big_d <= d_hi:
-        raise ParameterRangeError("need n/r <= D <= n - r")
-    armed = [big_d] if big_d is not None else list(range(d_lo, d_hi + 1))
-    return d_lo, d_hi, armed
+    task = _task(spec.predicate, n, mode, d=d, seed=seed, samples=samples)
+    return _verify_threshold(spec, task, workers, node_cap, n_cap, timing)
 
 
 def verify_t1_threshold(
@@ -471,94 +545,14 @@ def verify_t1_threshold(
     extremal).  Sampled mode draws uniformly from {max degree <= D, edges <
     threshold} and re-decides colourability.
     """
-    d_lo, d_hi, armed = _t1_ranges(n, r, big_d)
-    thresholds = {dd: colouring_threshold(n, r, dd).value for dd in armed}
-    cap = resolve_node_cap(node_cap)
-    task = EnumerationTask(
-        predicate="t1",
-        n=n,
-        mode=mode,
-        r=r,
-        d=big_d,
-        samples=samples if mode == "sampled" else None,
-        seed=seed if mode == "sampled" else None,
-        generator=GENERATOR_ID if mode == "sampled" else None,
+    if r < 3 or n % r or n < 2 * r:
+        raise ParameterRangeError("need r >= 3 and r | n with n >= 2r")
+    armed = _armed(big_d, n // r, n - r, "need n/r <= D <= n - r")
+    spec = ThresholdSpec(
+        "t1", n, r, True, {dd: colouring_threshold(n, r, dd).value for dd in armed}
     )
-    t0 = perf_counter()
-    if mode == "exhaustive":
-        _check_exhaustive(n, n_cap)
-        fv = np.full(d_hi + 1, -1, np.int64)
-        for dd in armed:
-            fv[dd] = thresholds[dd]
-        total = 1 << comb(n, 2)
-
-        def run_one(bounds):
-            lo, hi = bounds
-            adj = np.zeros(n, np.int64)
-            adjc = np.zeros(n, np.int64)
-            cand, chosen, comm = K.pack_work_arrays(n)
-            found = np.zeros(d_hi + 1, np.int64)
-            min_e = np.zeros(d_hi + 1, np.int64)
-            arg = np.zeros(d_hi + 1, np.int64)
-            viol = np.zeros(VIOLATION_BUFFER, np.int64)
-            examined, nviol, aborted = K.scan_colour_threshold(
-                n, r, d_lo, d_hi, fv, lo, hi, cap, adj, adjc, cand, chosen,
-                comm, found, min_e, arg, viol,
-            )
-            if nviol > VIOLATION_BUFFER:
-                raise RuntimeError("violation buffer overflow")
-            return examined, [int(viol[i]) for i in range(nviol)], aborted, (found, min_e, arg)
-
-        parts = _run_chunks(total, workers, run_one)
-        examined = sum(p[0] for p in parts)
-        viol_masks = [m for p in parts for m in p[1]]
-        aborted = any(p[2] for p in parts)
-        found, value, mask = _merge_extrema([p[3] for p in parts], d_hi + 1, False)
-        per_d = _per_d_table(n, armed, thresholds, found, value, mask)
-        ok = all(
-            row["found"] and row["edges"] == row["threshold"] for row in per_d.values()
-        )
-        violations = tuple(_witness(n, m) for m in viol_masks)
-        for g6 in violations:
-            g = decode_graph6(g6)
-            maxdeg = max(g.degrees())
-            assert any(
-                maxdeg <= dd and g.edge_count < thresholds[dd] for dd in armed
-            ) and not equitable_colouring(g, n // r, cap).decision, "witness failed re-validation"
-        extremal = _pick_boundary(per_d, prefer_larger=False)
-        return VerificationReport(
-            task, examined, violations, extremal,
-            _status(aborted, ok and not violations), _elapsed_ms(t0, timing), per_d,
-        )
-    if mode != "sampled":
-        raise ParameterRangeError(f"unknown mode {mode!r}")
-    if big_d is None or seed is None or not samples:
-        raise ParameterRangeError("sampled mode needs D, seed and samples")
-    rng = SplitMix64(seed)
-    rows, _, starved = _sample_filtered_window(
-        n, rng, samples, 0, thresholds[big_d] - 1,
-        lambda degs: max(degs, default=0) <= big_d,
-    )
-    if rows:
-        adjs = _rows_to_adjs(n, rows)
-        cand, chosen, comm = K.pack_work_arrays(n)
-        adjc = np.zeros(n, np.int64)
-        out = np.zeros(len(rows), np.int64)
-        aborted = bool(K.batch_colourable(adjs, n, r, cap, adjc, cand, chosen, comm, out))
-        stop = int(np.flatnonzero(out == -1)[0]) if aborted else len(rows)
-        decisions = [bool(x == 1) for x in out[:stop]]
-    else:
-        decisions, aborted = [], False
-    viol_masks = sorted({rows[i][0] for i, dec in enumerate(decisions) if not dec})
-    violations = tuple(_witness(n, m) for m in viol_masks)
-    for g6 in violations:
-        g = decode_graph6(g6)
-        assert max(g.degrees()) <= big_d and g.edge_count < thresholds[big_d]
-        assert not equitable_colouring(g, n // r, cap).decision
-    return VerificationReport(
-        task, len(decisions), violations, None,
-        _status(aborted or starved, not violations), _elapsed_ms(t0, timing),
-    )
+    task = _task(spec.predicate, n, mode, r=r, d=big_d, seed=seed, samples=samples)
+    return _verify_threshold(spec, task, workers, node_cap, n_cap, timing)
 
 
 def verify_mainthm1_threshold(
@@ -585,124 +579,13 @@ def verify_mainthm1_threshold(
     """
     if r < 3 or n % r or n < 2 * r:
         raise ParameterRangeError("need r >= 3 and r | n with n >= 2r")
-    d_lo, d_hi = r - 1, n - 1 - n // r
-    if big_d is not None and not d_lo <= big_d <= d_hi:
-        raise ParameterRangeError("need r - 1 <= D <= n - 1 - n/r")
-    armed = [big_d] if big_d is not None else list(range(d_lo, d_hi + 1))
-    thresholds = {dd: packing_threshold(n, r, dd).value for dd in armed}
-    cap = resolve_node_cap(node_cap)
-    task = EnumerationTask(
-        predicate="mainthm1",
-        n=n,
-        mode=mode,
-        r=r,
-        d=big_d,
-        samples=samples if mode == "sampled" else None,
-        seed=seed if mode == "sampled" else None,
-        generator=GENERATOR_ID if mode == "sampled" else None,
+    armed = _armed(big_d, r - 1, n - 1 - n // r, "need r - 1 <= D <= n - 1 - n/r")
+    spec = ThresholdSpec(
+        "mainthm1", n, r, False,
+        {dd: packing_threshold(n, r, dd).value for dd in armed}, dual=True,
     )
-    t0 = perf_counter()
-    if mode == "exhaustive":
-        _check_exhaustive(n, n_cap)
-        gv = np.full(d_hi + 1, _HUGE, np.int64)
-        for dd in armed:
-            gv[dd] = thresholds[dd]
-        total = 1 << comb(n, 2)
-
-        def run_one(bounds):
-            lo, hi = bounds
-            adj = np.zeros(n, np.int64)
-            cand, chosen, comm = K.pack_work_arrays(n)
-            found = np.zeros(d_hi + 1, np.int64)
-            max_e = np.zeros(d_hi + 1, np.int64)
-            arg = np.zeros(d_hi + 1, np.int64)
-            viol = np.zeros(VIOLATION_BUFFER, np.int64)
-            examined, nviol, aborted = K.scan_pack_threshold(
-                n, r, d_lo, d_hi, gv, lo, hi, cap, adj, cand, chosen, comm,
-                found, max_e, arg, viol,
-            )
-            if nviol > VIOLATION_BUFFER:
-                raise RuntimeError("violation buffer overflow")
-            return examined, [int(viol[i]) for i in range(nviol)], aborted, (found, max_e, arg)
-
-        parts = _run_chunks(total, workers, run_one)
-        examined = sum(p[0] for p in parts)
-        viol_masks = [m for p in parts for m in p[1]]
-        aborted = any(p[2] for p in parts)
-        found, value, mask = _merge_extrema([p[3] for p in parts], d_hi + 1, True)
-        per_d = _per_d_table(n, armed, thresholds, found, value, mask)
-        ok = all(
-            row["found"] and row["edges"] == row["threshold"] for row in per_d.values()
-        )
-        violations = tuple(_witness(n, m) for m in viol_masks)
-        for g6 in violations:
-            g = decode_graph6(g6)
-            mindeg = min(g.degrees())
-            assert any(
-                dd <= mindeg and g.edge_count > thresholds[dd] for dd in armed
-            ) and not perfect_kr_packing(g, r, cap).decision, "witness failed re-validation"
-        # duality cross-check against the colouring-side scan
-        dual = verify_t1_threshold(
-            n, r,
-            big_d=(n - 1 - big_d) if big_d is not None else None,
-            mode="exhaustive", workers=workers, node_cap=node_cap,
-            n_cap=n_cap, timing=False,
-        )
-        cross_ok = dual.examined == examined
-        dual_viols = sorted(
-            encode_graph6(decode_graph6(g6).complement()) for g6 in dual.violations
-        )
-        cross_ok = cross_ok and dual_viols == sorted(violations)
-        half = comb(n, 2)
-        for dd in armed:
-            row, drow = per_d[dd], dual.per_d[n - 1 - dd]
-            if not (row["found"] and drow["found"]):
-                cross_ok = False
-                continue
-            cross_ok = cross_ok and row["edges"] + drow["edges"] == half
-            comp = decode_graph6(row["graph6"]).complement()
-            cross_ok = (
-                cross_ok
-                and max(comp.degrees()) <= n - 1 - dd
-                and comp.edge_count == drow["edges"]
-                and not equitable_colouring(comp, n // r, cap).decision
-            )
-        extremal = _pick_boundary(per_d, prefer_larger=True)
-        return VerificationReport(
-            task, examined, violations, extremal,
-            _status(aborted or dual.status == "aborted", ok and cross_ok and not violations),
-            _elapsed_ms(t0, timing), per_d,
-        )
-    if mode != "sampled":
-        raise ParameterRangeError(f"unknown mode {mode!r}")
-    if big_d is None or seed is None or not samples:
-        raise ParameterRangeError("sampled mode needs D, seed and samples")
-    e_total = comb(n, 2)
-    rng = SplitMix64(seed)
-    rows, _, starved = _sample_filtered_window(
-        n, rng, samples, thresholds[big_d] + 1, e_total,
-        lambda degs: min(degs) >= big_d,
-    )
-    decisions, aborted = _decide_rows_packable(n, r, rows, cap)
-    # duality cross-check per sample: independent direct-colouring search on
-    # the complement must agree with the packing decision
-    cross_ok = True
-    for (mask_int, _), dec in zip(rows, decisions):
-        comp = Graph.from_edge_mask(n, mask_int).complement()
-        dual_dec = equitable_colouring(comp, n // r, cap, method="direct").decision
-        if dual_dec != dec:
-            cross_ok = False
-    viol_masks = sorted({rows[i][0] for i, dec in enumerate(decisions) if not dec})
-    violations = tuple(_witness(n, m) for m in viol_masks)
-    for g6 in violations:
-        g = decode_graph6(g6)
-        assert min(g.degrees()) >= big_d and g.edge_count > thresholds[big_d]
-        assert not perfect_kr_packing(g, r, cap).decision
-    return VerificationReport(
-        task, len(decisions), violations, None,
-        _status(aborted or starved, cross_ok and not violations),
-        _elapsed_ms(t0, timing),
-    )
+    task = _task(spec.predicate, n, mode, r=r, d=big_d, seed=seed, samples=samples)
+    return _verify_threshold(spec, task, workers, node_cap, n_cap, timing)
 
 
 # ---------------------------------------------------------------------------
@@ -751,23 +634,17 @@ def _condition_search(
     node_cap: int | None,
     n_cap: int,
     timing: bool,
-):
+) -> VerificationReport:
+    """Counterexample search for a packing degree condition (variant 0:
+    banded, 1: disjunctive, with its sharpness check) and its report."""
     if r < 3 or n % r or n < r:
         raise ParameterRangeError("need r >= 3 and r | n with n >= r")
     cap = resolve_node_cap(node_cap)
-    task = EnumerationTask(
-        predicate=predicate,
-        n=n,
-        mode=mode,
-        r=r,
-        samples=samples if mode == "sampled" else None,
-        seed=seed if mode == "sampled" else None,
-        generator=GENERATOR_ID if mode == "sampled" else None,
-    )
+    task = _task(predicate, n, mode, r=r, seed=seed, samples=samples)
     t0 = perf_counter()
+    problems: list[str] = []
     if mode == "exhaustive":
         _check_exhaustive(n, n_cap)
-        total = 1 << comb(n, 2)
 
         def run_one(bounds):
             lo, hi = bounds
@@ -778,14 +655,12 @@ def _condition_search(
             examined, cond_true, nviol, aborted = K.scan_degree_condition(
                 n, r, variant, lo, hi, cap, adj, cand, chosen, comm, degs, viol,
             )
-            if nviol > VIOLATION_BUFFER:
-                raise RuntimeError("violation buffer overflow")
-            return examined, cond_true, [int(viol[i]) for i in range(nviol)], aborted
+            return examined, cond_true, (nviol, viol[:nviol].tolist()), aborted
 
-        parts = _run_chunks(total, workers, run_one)
+        parts = _run_chunks(1 << comb(n, 2), workers, run_one)
         examined = sum(p[0] for p in parts)
         cond_true = sum(p[1] for p in parts)
-        viol_masks = [m for p in parts for m in p[2]]
+        viol_masks = _kept_violations([p[2] for p in parts], problems)
         aborted = any(p[3] for p in parts)
     elif mode == "sampled":
         if seed is None or not samples:
@@ -803,15 +678,8 @@ def _condition_search(
         while remaining and not aborted:
             batch = min(SAMPLE_BATCH, remaining)
             remaining -= batch
-            words = np.zeros((batch, words_per), np.int64)
-            raw: list[list[int]] = []
-            for b in range(batch):
-                row = [rng.next_word() for _ in range(words_per)]
-                raw.append(row)
-                for w, x in enumerate(row):
-                    words[b, w] = x - (1 << 64) if x >= 1 << 63 else x
-            adjs = np.zeros((batch, n), np.int64)
-            K.words_to_adj(words, n, adjs)
+            raw = [[rng.next_word() for _ in range(words_per)] for _ in range(batch)]
+            adjs = _expand_words(n, raw)
             degs = np.sort(np.bitwise_count(adjs), axis=1).astype(np.int64)
             if variant == 0:
                 cond = degs[:, q] >= (r - 1) * q
@@ -832,23 +700,36 @@ def _condition_search(
                     aborted = True
                     break
                 if st == 0:
-                    mask = 0
-                    for w, x in enumerate(raw[b]):
-                        mask |= x << (64 * w)
+                    mask = sum(x << (64 * w) for w, x in enumerate(raw[b]))
                     viol_set.add(mask & ((1 << e_total) - 1))
         viol_masks = sorted(viol_set)
     else:
         raise ParameterRangeError(f"unknown mode {mode!r}")
     violations = tuple(_witness(n, m) for m in viol_masks)
-    for g6 in violations:
-        g = decode_graph6(g6)
-        if variant == 0:
-            fails, beta = banded_condition_profile(g, r)
-            assert not fails and beta
-        else:
-            assert not disjunctive_condition_failures(g, r)
-        assert not perfect_kr_packing(g, r, cap).decision
-    return task, examined, cond_true, violations, aborted, t0
+
+    if variant == 0:
+        condition = lambda g: banded_condition_profile(g, r) == ((), True)  # noqa: E731
+    else:
+        condition = lambda g: not disjunctive_condition_failures(g, r)  # noqa: E731
+    _recheck(
+        violations, lambda g: condition(g) and not perfect_kr_packing(g, r, cap).decision,
+        problems,
+    )
+    if variant == 1:
+        # sharpness of the disjunctive condition on the extremal2 family
+        for k in range(1, n // r + 1):
+            g = build_extremal2(n, r, k)
+            fails = disjunctive_condition_failures(g, r)
+            if fails != (k,):
+                problems.append(f"extremal2(k={k}) fails at {fails}, expected ({k},)")
+            d = degree_sequence(g)
+            if d[n - k * (r - 1)] != n - k - 1:
+                problems.append(f"extremal2(k={k}) boundary degree {d[n - k * (r - 1)]}")
+    return VerificationReport(
+        task, examined, violations, None,
+        _status(aborted, not violations and not problems), _elapsed_ms(t0, timing),
+        condition_count=cond_true, problems=tuple(problems),
+    )
 
 
 def conjecture1_search(
@@ -865,13 +746,8 @@ def conjecture1_search(
     """Search for a counterexample to the banded degree condition: a graph
     satisfying d_i >= (r-2)n/r + i for all i < n/r and d_{n/r+1} >= (r-1)n/r
     yet admitting no perfect r-clique packing.  Expected empty."""
-    task, examined, cond_true, violations, aborted, t0 = _condition_search(
+    return _condition_search(
         "conj1", 0, n, r, mode, seed, samples, workers, node_cap, n_cap, timing,
-    )
-    return VerificationReport(
-        task, examined, violations, None,
-        _status(aborted, not violations), _elapsed_ms(t0, timing),
-        condition_count=cond_true,
     )
 
 
@@ -888,24 +764,10 @@ def question1_search(
 ) -> VerificationReport:
     """Search for a counterexample to the disjunctive degree condition
     (d_i >= (r-2)n/r + i or d_{n-i(r-1)+1} >= n - i for all i <= n/r), and
-    assert the condition's sharpness: every extremal witness graph fails it at
+    check the condition's sharpness: every extremal witness graph fails it at
     exactly index k, with d_{n-k(r-1)+1} = n - k - 1."""
-    task, examined, cond_true, violations, aborted, t0 = _condition_search(
+    return _condition_search(
         "ques1", 1, n, r, mode, seed, samples, workers, node_cap, n_cap, timing,
-    )
-    problems = []
-    for k in range(1, n // r + 1):
-        g = build_extremal2(n, r, k)
-        fails = disjunctive_condition_failures(g, r)
-        if fails != (k,):
-            problems.append(f"extremal2(k={k}) fails at {fails}, expected ({k},)")
-        d = degree_sequence(g)
-        if d[n - k * (r - 1)] != n - k - 1:
-            problems.append(f"extremal2(k={k}) boundary degree {d[n - k * (r - 1)]}")
-    return VerificationReport(
-        task, examined, violations, None,
-        _status(aborted, not violations and not problems), _elapsed_ms(t0, timing),
-        condition_count=cond_true, problems=tuple(problems),
     )
 
 
@@ -922,7 +784,6 @@ def sweep_hampath_condition(
     if n < 2:
         raise ParameterRangeError("need n >= 2")
     _check_exhaustive(n, n_cap)
-    total = 1 << comb(n, 2)
 
     def run_one(bounds):
         lo, hi = bounds
@@ -935,7 +796,7 @@ def sweep_hampath_condition(
             raise RuntimeError("violation buffer overflow")
         return examined, cond_true, [int(viol[i]) for i in range(nviol)]
 
-    parts = _run_chunks(total, workers, run_one)
+    parts = _run_chunks(1 << comb(n, 2), workers, run_one)
     examined = sum(p[0] for p in parts)
     cond_true = sum(p[1] for p in parts)
     violations = tuple(_witness(n, m) for p in parts for m in p[2])
@@ -944,6 +805,9 @@ def sweep_hampath_condition(
 
 # ---------------------------------------------------------------------------
 # construction audit
+
+
+_PACKING_BLOCKERS = ("af_i", "af_ii", "t_star", "extremal1", "extremal2")
 
 
 def _solver_cap_for(token: str, params: dict, solver_cap: int) -> int:
@@ -985,22 +849,16 @@ def audit_instance(
     elif token in ("G1", "G2"):
         if within and equitable_colouring(g, n // params["r"], cap).decision:
             problems.append("unexpected equitable colouring")
-    elif token in ("af_i", "af_ii", "t_star"):
-        r = params["r"]
-        if token == "af_i" and r >= 3:
-            from .constructions import build_clique_plus_isolates
+    elif token == "af_i" and params["r"] >= 3:
+        from .constructions import build_clique_plus_isolates
 
-            if g.complement() != build_clique_plus_isolates(n, r):
-                problems.append("complement is not the clique-plus-isolates graph")
-        if within and perfect_kr_packing(g, r, cap).decision:
-            problems.append("unexpected perfect packing")
+        if g.complement() != build_clique_plus_isolates(n, params["r"]):
+            problems.append("complement is not the clique-plus-isolates graph")
     elif token == "extremal1":
         r, k = params["r"], params["k"]
         fails, beta_ok = banded_condition_profile(g, r)
         if fails != (k,) or not beta_ok:
             problems.append(f"banded condition fails at {fails} (beta {beta_ok})")
-        if within and perfect_kr_packing(g, r, cap).decision:
-            problems.append("unexpected perfect packing")
     elif token == "extremal2":
         r, k = params["r"], params["k"]
         fails = disjunctive_condition_failures(g, r)
@@ -1008,8 +866,6 @@ def audit_instance(
             problems.append(f"disjunctive condition fails at {fails}")
         if degree_sequence(g)[n - k * (r - 1)] != n - k - 1:
             problems.append("boundary degree differs from the claimed value")
-        if within and perfect_kr_packing(g, r, cap).decision:
-            problems.append("unexpected perfect packing")
     elif token == "square_cx":
         c = params["C"]
         third = n // 3
@@ -1023,6 +879,8 @@ def audit_instance(
             problems.append(f"degree band fails at indices {bad}")
         if 0 not in square_hamilton_obstructions(g):
             problems.append("vertex 0 not flagged by the square obstruction check")
+    if token in _PACKING_BLOCKERS and within and perfect_kr_packing(g, params["r"], cap).decision:
+        problems.append("unexpected perfect packing")
     return problems
 
 

@@ -110,62 +110,84 @@ def test_has_clique_brute_parity():
             assert (st == 1) == has_clique_brute(Graph.from_edge_mask(n, mask), q)
 
 
-def test_scan_matching_jit_pure_parity():
-    n = 4
-    d_max = n // 2 - 1
-    f2v = np.array([0, 3], np.int64)
-    args = lambda: (  # noqa: E731 - fresh buffers per run
+def _scan_args(n, d_hi):
+    """Fresh work and result buffers for one ``scan_pack_threshold`` run."""
+    return (
         np.zeros(n, np.int64),
         *K.pack_work_arrays(n),
-        np.zeros(d_max + 1, np.int64),
-        np.zeros(d_max + 1, np.int64),
-        np.zeros(d_max + 1, np.int64),
+        np.zeros(d_hi + 1, np.int64),
+        np.zeros(d_hi + 1, np.int64),
+        np.zeros(d_hi + 1, np.int64),
         np.zeros(64, np.int64),
     )
-    adj, cand, chosen, comm, f1, m1, a1, v1 = args()
-    out_jit = K.scan_matching(n, d_max, f2v, 0, 1 << 6, 10**7, adj, cand, chosen, comm, f1, m1, a1, v1)
-    adj, cand, chosen, comm, f2_, m2, a2, v2 = args()
-    out_pure = K.pure(K.scan_matching)(n, d_max, f2v, 0, 1 << 6, 10**7, adj, cand, chosen, comm, f2_, m2, a2, v2)
-    assert out_jit == out_pure
-    assert (f1 == f2_).all() and (m1 == m2).all() and (a1 == a2).all()
-    assert (v1 == v2).all()
-    assert out_jit[0] == 64 and out_jit[1] == 0
-    assert m1[1] == 3  # max edges, min degree >= 1, no perfect matching
 
 
-def test_words_and_slots_expansion_agree():
-    n = 9
-    e = n * (n - 1) // 2
-    nwords = (e + 63) // 64
-    batch = 16
-    raw = RNG.integers(0, 1 << 63, size=(batch, nwords))
-    words = raw.astype(np.int64)
-    adjs_w = np.zeros((batch, n), np.int64)
-    K.words_to_adj(words, n, adjs_w)
-    pure_adjs = np.zeros((batch, n), np.int64)
-    K.pure(K.words_to_adj)(words, n, pure_adjs)
-    assert (adjs_w == pure_adjs).all()
+def test_scan_pack_threshold_jit_pure_parity():
+    # the matching scan: r = 2, families min degree >= 1
+    n, r, d_lo, d_max = 4, 2, 1, 1
+    f2v = np.array([0, 3], np.int64)
+    outs = []
+    for fn in (K.scan_pack_threshold, K.pure(K.scan_pack_threshold)):
+        adj, cand, chosen, comm, found, max_e, arg, viol = _scan_args(n, d_max)
+        res = fn(n, r, d_lo, d_max, f2v, 0, 0, 1 << 6, 10**7,
+                 adj, cand, chosen, comm, found, max_e, arg, viol)
+        outs.append((res, found.tolist(), max_e.tolist(), arg.tolist(), viol.tolist()))
+    assert outs[0] == outs[1]
+    (examined, nviol, aborted), _, max_e, _, _ = outs[0]
+    assert (examined, nviol, aborted) == (64, 0, 0)
+    assert max_e[1] == 3  # max edges, min degree >= 1, no perfect matching
 
-    pair_i = np.zeros(e, np.int64)
-    pair_j = np.zeros(e, np.int64)
-    s = 0
-    for j in range(1, n):
-        for i in range(j):
-            pair_i[s], pair_j[s] = i, j
-            s += 1
-    slots = np.zeros((batch, e), np.int64)
-    counts = np.zeros(batch, np.int64)
-    for b in range(batch):
-        mask = 0
-        for w in range(nwords):
-            mask |= int(raw[b, w]) << (64 * w)
-        mask &= (1 << e) - 1
-        bits = [t for t in range(e) if (mask >> t) & 1]
-        counts[b] = len(bits)
-        slots[b, : len(bits)] = bits
-    adjs_s = np.zeros((batch, n), np.int64)
-    K.slots_to_adj(slots, counts, pair_i, pair_j, n, adjs_s)
-    assert (adjs_w == adjs_s).all()
+
+def test_scan_pack_threshold_complement_matches_brute():
+    """With ``flip`` set, each mask is decided through its complement, and
+    extrema, tie masks and violations are keyed by the enumerated mask."""
+    n, r, d_lo, d_hi = 6, 3, 2, 3
+    slots = n * (n - 1) // 2
+    flip = (1 << slots) - 1
+    bound = np.array([0, 0, 11, 11], np.int64)
+    lo, hi = 3000, 7096
+    adj, cand, chosen, comm, found, max_e, arg, viol = _scan_args(n, d_hi)
+    examined, nviol, aborted = K.scan_pack_threshold(
+        n, r, d_lo, d_hi, bound, flip, lo, hi, 10**7,
+        adj, cand, chosen, comm, found, max_e, arg, viol,
+    )
+    want = {dd: None for dd in range(d_lo, d_hi + 1)}
+    want_viol = []
+    for mask in range(lo, hi):
+        h = Graph.from_edge_mask(n, mask ^ flip)
+        if has_perfect_packing_brute(h, r):
+            continue
+        mindeg = min(h.degrees())
+        for dd in range(d_lo, min(mindeg, d_hi) + 1):
+            if want[dd] is None or h.edge_count > want[dd][0]:
+                want[dd] = (h.edge_count, mask)
+        if mindeg >= d_lo and h.edge_count > bound[d_lo]:
+            want_viol.append(mask)
+    assert (examined, aborted) == (hi - lo, 0)
+    assert nviol == len(want_viol) > 0
+    assert viol[: min(nviol, len(viol))].tolist() == want_viol[: len(viol)]
+    for dd, best in want.items():
+        assert best is not None and found[dd] == 1
+        assert (int(max_e[dd]), int(arg[dd])) == best
+
+
+def test_words_to_adj_matches_graph():
+    for n in (9, 12):  # one and two 64-bit words per row
+        e = n * (n - 1) // 2
+        nwords = (e + 63) // 64
+        batch = 16
+        # full 64-bit words: the sign bit of the int64 view is an edge slot too
+        raw = RNG.integers(0, (1 << 64) - 1, size=(batch, nwords), dtype=np.uint64,
+                           endpoint=True)
+        words = raw.view(np.int64)
+        adjs = np.zeros((batch, n), np.int64)
+        K.words_to_adj(words, n, adjs)
+        for b in range(batch):
+            mask = 0
+            for w in range(nwords):
+                mask |= int(raw[b, w]) << (64 * w)
+            g = Graph.from_edge_mask(n, mask & ((1 << e) - 1))
+            assert adjs[b].tolist() == [g.neighbour_mask(v) for v in range(n)]
 
 
 def test_batch_kernels_match_scalar():
@@ -181,9 +203,11 @@ def test_batch_kernels_match_scalar():
         st, _ = K._pack_decide(adjs[b], n, r, 10**7, cand, chosen, comm)
         assert out[b] == st
 
+    # equitable (n/r)-colourability is packing on the complemented rows
+    full = (1 << n) - 1
+    comp = full & ~adjs & ~(1 << np.arange(n, dtype=np.int64))
     outc = np.zeros(len(masks), np.int64)
-    adjc = np.zeros(n, np.int64)
-    assert K.batch_colourable(adjs, n, r, 10**7, adjc, cand, chosen, comm, outc) == 0
+    assert K.batch_packable(comp, n, r, 10**7, cand, chosen, comm, outc) == 0
     for b, mask in enumerate(masks):
         g = Graph.from_edge_mask(n, mask)
         assert (outc[b] == 1) == has_equitable_colouring_brute(g, n // r)
