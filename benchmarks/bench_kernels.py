@@ -13,6 +13,7 @@ from math import comb
 import numpy as np
 
 from packlab import _kernels as K
+from packlab.verify import _degree_clauses
 
 
 def _timed(fn, *args, repeat=3):
@@ -47,17 +48,20 @@ def bench_scan_matching():
 
 
 def bench_chvatal():
+    # the degree-condition scan with the Hamilton-path table (r = 0)
     n = 7
     lo, hi = 0, 1 << 17
+    clauses = _degree_clauses("hampath", n)
 
     def run(fn):
         adj = np.zeros(n, np.int64)
-        dp = np.zeros(1 << n, np.int64)
+        cand, chosen, comm = K.pack_work_arrays(n)
         degs = np.zeros(n, np.int64)
+        dp = np.zeros(1 << n, np.int64)
         viol = np.zeros(4096, np.int64)
-        return fn(n, lo, hi, adj, dp, degs, viol)
+        return fn(n, 0, clauses, lo, hi, 1, adj, cand, chosen, comm, degs, dp, viol)
 
-    return "Hamilton-path condition scan, 2^17 graphs n=7", K.scan_chvatal, run
+    return "Hamilton-path condition scan, 2^17 graphs n=7", K.scan_degree_condition, run
 
 
 def bench_batch_packing():

@@ -15,11 +15,12 @@ integer whose bit ``s`` is edge slot ``s``; slots order pairs ``(i, j)`` with
 ``i < j`` by ``s = j*(j-1)//2 + i``, the same column-major upper-triangle
 order graph6 uses, so witness masks and graph6 strings agree bit for bit.
 
-Two expanders turn edge slots into neighbour masks.  The exhaustive scans
-expand one mask at a time inside the kernel with ``_adj_from_mask``, so a
-chunk of masks never exists as an array.  Both samplers hand a batch of
-64-bit edge words to ``words_to_adj``, plain numpy with one vector operation
-per edge slot, and decide the rows with ``batch_packable``.
+Two exhaustive scans expand one mask at a time with ``_adj_from_mask``, so a
+chunk of masks never exists as an array: ``scan_pack_threshold`` checks the
+edge thresholds and ``scan_degree_condition`` every degree condition, given
+as a table of clause rows over the sorted degrees.  Both samplers hand a
+batch of 64-bit edge words to ``words_to_adj``, plain numpy with one vector
+operation per edge slot, and decide the rows with ``batch_packable``.
 """
 
 from __future__ import annotations
@@ -224,11 +225,12 @@ def _hampath_decide(adj, n, dp):
     ``dp`` is an int64 work array of size at least ``1 << n``; on return
     ``dp[mask]`` is the bitmask of vertices able to end a path spanning
     ``mask``.  Returns ``(found, states)`` where states counts processed
-    (mask, endpoint) pairs.
+    (mask, endpoint) pairs.  Each vertex w outside a reachable ``mask`` is
+    written once, when some endpoint is adjacent to it, rather than once
+    per such endpoint.
     """
     full = (1 << n) - 1
-    for m in range(full + 1):
-        dp[m] = 0
+    dp[: full + 1] = 0
     for v in range(n):
         dp[1 << v] = 1 << v
     states = 0
@@ -236,15 +238,10 @@ def _hampath_decide(adj, n, dp):
         ends = int(dp[m])
         if ends == 0:
             continue
-        e = ends
-        while e:
-            v = _low_bit_index(e & -e)
-            e &= e - 1
-            states += 1
-            ext = int(adj[v]) & (full & ~m)
-            while ext:
-                wb = ext & -ext
-                ext -= wb
+        states += _bit_count(ends)
+        for w in range(n):
+            wb = 1 << w
+            if m & wb == 0 and ends & int(adj[w]):
                 dp[m | wb] |= wb
     return (1 if int(dp[full]) != 0 else 0), states
 
@@ -387,13 +384,17 @@ def scan_pack_threshold(n, r, d_lo, d_hi, g_val, flip, lo, hi, node_cap,
 
 
 @_jit
-def scan_chvatal(n, lo, hi, adj, dp, degs, viol):
-    """Scan edge masks in [lo, hi) for the Hamilton-path degree condition.
+def scan_degree_condition(n, r, clauses, lo, hi, node_cap,
+                          adj, cand, chosen, comm, degs, dp, viol):
+    """Scan edge masks in [lo, hi) for a degree condition and decide each
+    graph that meets it.
 
-    Condition (ascending degrees, 1-based): for every 1 <= i <= n/2,
-    d_i >= i or d_{n-i+1} >= n-i.  Every condition-true graph gets an exact
-    Hamilton-path decision; graphs with no path are violations.
-    Returns (examined, cond_true, nviol).
+    ``clauses`` is a tuple of int rows (a, b, c, e), each meaning
+    d[a] >= b or d[c] >= e over the ascending 0-based degrees; the condition
+    holds when every row does.  Condition-true graphs get an exact decision:
+    a perfect r-clique packing for r >= 2, or for r = 0 a Hamilton path
+    (``dp`` then has at least 1 << n entries).  Those that fail it are
+    violations.  Returns (examined, cond_true, nviol, aborted).
     """
     examined = 0
     cond_true = 0
@@ -403,57 +404,17 @@ def scan_chvatal(n, lo, hi, adj, dp, degs, viol):
         _sorted_degrees(adj, n, degs)
         examined += 1
         ok = True
-        for i in range(1, n // 2 + 1):
-            if int(degs[i - 1]) < i and int(degs[n - i]) < n - i:
+        for a, b, c, e in clauses:
+            if int(degs[a]) < b and int(degs[c]) < e:
                 ok = False
                 break
         if not ok:
             continue
         cond_true += 1
-        found, _ = _hampath_decide(adj, n, dp)
-        if found == 0:
-            if nviol < viol.shape[0]:
-                viol[nviol] = mask
-            nviol += 1
-    return examined, cond_true, nviol
-
-
-@_jit
-def scan_degree_condition(n, r, variant, lo, hi, node_cap,
-                          adj, cand, chosen, comm, degs, viol):
-    """Scan edge masks for a packing degree condition and test packability.
-
-    variant 0 (banded): d_i >= (r-2)n/r + i for all 1 <= i < n/r, and
-    d_{n/r+1} >= (r-1)n/r.  variant 1 (disjunctive): for all 1 <= i <= n/r,
-    d_i >= (r-2)n/r + i or d_{n-i(r-1)+1} >= n - i.  Condition-true graphs
-    with no perfect r-clique packing are violations.
-    Returns (examined, cond_true, nviol, aborted).
-    """
-    q = n // r
-    examined = 0
-    cond_true = 0
-    nviol = 0
-    for mask in range(lo, hi):
-        _adj_from_mask(mask, n, adj)
-        _sorted_degrees(adj, n, degs)
-        examined += 1
-        ok = True
-        if variant == 0:
-            for i in range(1, q):
-                if int(degs[i - 1]) < (r - 2) * q + i:
-                    ok = False
-                    break
-            if ok and int(degs[q]) < (r - 1) * q:
-                ok = False
+        if r == 0:
+            st, _ = _hampath_decide(adj, n, dp)
         else:
-            for i in range(1, q + 1):
-                if int(degs[i - 1]) < (r - 2) * q + i and int(degs[n - i * (r - 1)]) < n - i:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        cond_true += 1
-        st, _ = _pack_decide(adj, n, r, node_cap, cand, chosen, comm)
+            st, _ = _pack_decide(adj, n, r, node_cap, cand, chosen, comm)
         if st == -1:
             return examined, cond_true, nviol, 1
         if st == 0:

@@ -279,26 +279,20 @@ def _sample_filtered_window(
 def _expand_words(n: int, rows) -> np.ndarray:
     """Neighbour masks, one row per graph, from rows of unsigned 64-bit edge
     words (slot s is bit s & 63 of word s >> 6)."""
-    words = np.array(rows, dtype=np.uint64).reshape(len(rows), -1).view(np.int64)
+    nwords = (comb(n, 2) + 63) // 64
+    words = np.array(rows, dtype=np.uint64).reshape(len(rows), nwords).view(np.int64)
     adjs = np.zeros((len(rows), n), np.int64)
     K.words_to_adj(words, n, adjs)
     return adjs
 
 
-def _decide_masks(n: int, r: int, masks, node_cap: int, complement: bool):
-    """Exact packing decision for each sampled mask, or for its complement;
-    returns (decisions, aborted), decisions stopping at the first abort."""
-    if not masks:
-        return [], False
-    nwords = (comb(n, 2) + 63) // 64
-    adjs = _expand_words(n, [[(m >> (64 * w)) & _WORD for w in range(nwords)] for m in masks])
-    if complement:
-        adjs = ((1 << n) - 1) & ~adjs & ~(1 << np.arange(n, dtype=np.int64))
-    cand, chosen, comm = K.pack_work_arrays(n)
-    out = np.zeros(len(masks), np.int64)
-    aborted = bool(K.batch_packable(adjs, n, r, node_cap, cand, chosen, comm, out))
-    stop = int(np.flatnonzero(out == -1)[0]) if aborted else len(masks)
-    return [bool(x == 1) for x in out[:stop]], aborted
+def _batch_packable(adjs: np.ndarray, n: int, r: int, node_cap: int):
+    """Exact packing decision for each row of ``adjs``; returns (decisions,
+    aborted), the decisions stopping at the first row that hit the node cap."""
+    out = np.zeros(len(adjs), np.int64)
+    aborted = bool(K.batch_packable(adjs, n, r, node_cap, *K.pack_work_arrays(n), out))
+    stop = int(np.flatnonzero(out == -1)[0]) if aborted else len(adjs)
+    return (out[:stop] == 1).tolist(), aborted
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +394,11 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
         problems.append(
             f"sampler starved: {len(masks)} of {samples} samples after {proposals} proposals"
         )
-    decisions, aborted = _decide_masks(n, spec.r, masks, cap, spec.complement)
+    words = range((comb(n, 2) + 63) // 64)
+    adjs = _expand_words(n, [[(m >> (64 * w)) & _WORD for w in words] for m in masks])
+    if spec.complement:
+        adjs = ((1 << n) - 1) & ~adjs & ~(1 << np.arange(n, dtype=np.int64))
+    decisions, aborted = _batch_packable(adjs, n, spec.r, cap)
     # duality cross-check per sample: an independent direct-colouring search
     # on the complement must agree with the packing decision
     ok = not spec.dual or all(
@@ -453,9 +451,9 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, workers: int,
         ok = all(row["found"] and row["edges"] == row["threshold"] for row in per_d.values())
         extremal = _pick_boundary(per_d, prefer_larger=not spec.complement)
     elif task.mode == "sampled":
-        if task.d is None or task.seed is None or not task.samples:
+        if task.d is None or task.seed is None or task.samples is None or task.samples < 1:
             name = "d" if task.r is None else "D"
-            raise ParameterRangeError(f"sampled mode needs {name}, seed and samples")
+            raise ParameterRangeError(f"sampled mode needs {name}, seed and samples >= 1")
         examined, masks, aborted, ok = _sample_threshold(
             spec, task.seed, task.samples, cap, problems
         )
@@ -622,9 +620,72 @@ def disjunctive_condition_failures(graph: Graph, r: int) -> tuple[int, ...]:
     )
 
 
+def _degree_clauses(predicate: str, n: int, r: int = 0) -> tuple:
+    """The degree condition of ``predicate`` ("conj1": banded, "ques1":
+    disjunctive, "hampath": the Hamilton-path condition) as clause rows
+    (a, b, c, e), each meaning d[a] >= b or d[c] >= e over the ascending
+    0-based degrees.  A one-sided clause has e = n, which no degree reaches."""
+    if predicate == "hampath":
+        return tuple((i - 1, i, n - i, n - i) for i in range(1, n // 2 + 1))
+    q = n // r
+    if predicate == "conj1":
+        bands = tuple((i - 1, (r - 2) * q + i, 0, n) for i in range(1, q))
+        return bands + ((q, (r - 1) * q, 0, n),)
+    return tuple((i - 1, (r - 2) * q + i, n - i * (r - 1), n - i) for i in range(1, q + 1))
+
+
+def _scan_condition(n: int, r: int, clauses, workers: int, cap: int, n_cap: int, problems):
+    """All 2^C(n,2) graphs through ``K.scan_degree_condition`` (r = 0 decides
+    Hamilton paths); returns (examined, condition-true count, violation
+    masks, aborted)."""
+    _check_exhaustive(n, n_cap)
+
+    def run_one(chunk):
+        lo, hi = chunk
+        adj, degs = np.zeros(n, np.int64), np.zeros(n, np.int64)
+        dp = np.zeros(1 << n if r == 0 else 1, np.int64)
+        viol = np.zeros(VIOLATION_BUFFER, np.int64)
+        examined, cond_true, nviol, aborted = K.scan_degree_condition(
+            n, r, clauses, lo, hi, cap, adj, *K.pack_work_arrays(n), degs, dp, viol,
+        )
+        return examined, cond_true, (nviol, viol[:nviol].tolist()), aborted
+
+    parts = _run_chunks(1 << comb(n, 2), workers, run_one)
+    masks = _kept_violations([p[2] for p in parts], problems)
+    return sum(p[0] for p in parts), sum(p[1] for p in parts), masks, any(p[3] for p in parts)
+
+
+def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int):
+    """``samples`` uniform graphs, 64 raw stream bits per edge word, filtered
+    by the clause table in numpy; returns (examined, condition-true count,
+    violation masks, aborted)."""
+    e_total = comb(n, 2)
+    words = range((e_total + 63) // 64)
+    table = np.array(clauses, np.int64).reshape(-1, 4)
+    rng = SplitMix64(seed)
+    cond_true = 0
+    viol_set: set[int] = set()
+    aborted = False
+    remaining = samples
+    while remaining and not aborted:
+        batch = min(SAMPLE_BATCH, remaining)
+        remaining -= batch
+        raw = [[rng.next_word() for _ in words] for _ in range(batch)]
+        adjs = _expand_words(n, raw)
+        degs = np.sort(np.bitwise_count(adjs), axis=1)
+        holds = (degs[:, table[:, 0]] >= table[:, 1]) | (degs[:, table[:, 2]] >= table[:, 3])
+        hits = np.flatnonzero(holds.all(axis=1))
+        cond_true += len(hits)
+        decisions, aborted = _batch_packable(adjs[hits], n, r, cap)
+        for b, packable in zip(hits, decisions):
+            if not packable:
+                mask = sum(x << (64 * w) for w, x in enumerate(raw[b]))
+                viol_set.add(mask & ((1 << e_total) - 1))
+    return samples - remaining, cond_true, sorted(viol_set), aborted
+
+
 def _condition_search(
     predicate: str,
-    variant: int,
     n: int,
     r: int,
     mode: str,
@@ -635,79 +696,31 @@ def _condition_search(
     n_cap: int,
     timing: bool,
 ) -> VerificationReport:
-    """Counterexample search for a packing degree condition (variant 0:
-    banded, 1: disjunctive, with its sharpness check) and its report."""
+    """Counterexample search for the packing degree condition of
+    ``predicate`` ("conj1": banded; "ques1": disjunctive, with its sharpness
+    check) and its report."""
     if r < 3 or n % r or n < r:
         raise ParameterRangeError("need r >= 3 and r | n with n >= r")
     cap = resolve_node_cap(node_cap)
     task = _task(predicate, n, mode, r=r, seed=seed, samples=samples)
     t0 = perf_counter()
     problems: list[str] = []
+    clauses = _degree_clauses(predicate, n, r)
     if mode == "exhaustive":
-        _check_exhaustive(n, n_cap)
-
-        def run_one(bounds):
-            lo, hi = bounds
-            adj = np.zeros(n, np.int64)
-            cand, chosen, comm = K.pack_work_arrays(n)
-            degs = np.zeros(n, np.int64)
-            viol = np.zeros(VIOLATION_BUFFER, np.int64)
-            examined, cond_true, nviol, aborted = K.scan_degree_condition(
-                n, r, variant, lo, hi, cap, adj, cand, chosen, comm, degs, viol,
-            )
-            return examined, cond_true, (nviol, viol[:nviol].tolist()), aborted
-
-        parts = _run_chunks(1 << comb(n, 2), workers, run_one)
-        examined = sum(p[0] for p in parts)
-        cond_true = sum(p[1] for p in parts)
-        viol_masks = _kept_violations([p[2] for p in parts], problems)
-        aborted = any(p[3] for p in parts)
+        examined, cond_true, viol_masks, aborted = _scan_condition(
+            n, r, clauses, workers, cap, n_cap, problems
+        )
     elif mode == "sampled":
-        if seed is None or not samples:
-            raise ParameterRangeError("sampled mode needs seed and samples")
-        e_total = comb(n, 2)
-        words_per = (e_total + 63) // 64
-        rng = SplitMix64(seed)
-        q = n // r
-        examined = 0
-        cond_true = 0
-        viol_set: set[int] = set()
-        aborted = False
-        cand, chosen, comm = K.pack_work_arrays(n)
-        remaining = samples
-        while remaining and not aborted:
-            batch = min(SAMPLE_BATCH, remaining)
-            remaining -= batch
-            raw = [[rng.next_word() for _ in range(words_per)] for _ in range(batch)]
-            adjs = _expand_words(n, raw)
-            degs = np.sort(np.bitwise_count(adjs), axis=1).astype(np.int64)
-            if variant == 0:
-                cond = degs[:, q] >= (r - 1) * q
-                for i in range(1, q):
-                    cond &= degs[:, i - 1] >= (r - 2) * q + i
-            else:
-                cond = np.ones(batch, bool)
-                for i in range(1, q + 1):
-                    cond &= (degs[:, i - 1] >= (r - 2) * q + i) | (
-                        degs[:, n - i * (r - 1)] >= n - i
-                    )
-            examined += batch
-            hits = np.flatnonzero(cond)
-            cond_true += len(hits)
-            for b in hits:
-                st, _ = K._pack_decide(adjs[b], n, r, cap, cand, chosen, comm)
-                if st == -1:
-                    aborted = True
-                    break
-                if st == 0:
-                    mask = sum(x << (64 * w) for w, x in enumerate(raw[b]))
-                    viol_set.add(mask & ((1 << e_total) - 1))
-        viol_masks = sorted(viol_set)
+        if seed is None or samples is None or samples < 1:
+            raise ParameterRangeError("sampled mode needs seed and samples >= 1")
+        examined, cond_true, viol_masks, aborted = _sample_condition(
+            n, r, clauses, seed, samples, cap
+        )
     else:
         raise ParameterRangeError(f"unknown mode {mode!r}")
     violations = tuple(_witness(n, m) for m in viol_masks)
 
-    if variant == 0:
+    if predicate == "conj1":
         condition = lambda g: banded_condition_profile(g, r) == ((), True)  # noqa: E731
     else:
         condition = lambda g: not disjunctive_condition_failures(g, r)  # noqa: E731
@@ -715,7 +728,7 @@ def _condition_search(
         violations, lambda g: condition(g) and not perfect_kr_packing(g, r, cap).decision,
         problems,
     )
-    if variant == 1:
+    if predicate == "ques1":
         # sharpness of the disjunctive condition on the extremal2 family
         for k in range(1, n // r + 1):
             g = build_extremal2(n, r, k)
@@ -747,7 +760,7 @@ def conjecture1_search(
     satisfying d_i >= (r-2)n/r + i for all i < n/r and d_{n/r+1} >= (r-1)n/r
     yet admitting no perfect r-clique packing.  Expected empty."""
     return _condition_search(
-        "conj1", 0, n, r, mode, seed, samples, workers, node_cap, n_cap, timing,
+        "conj1", n, r, mode, seed, samples, workers, node_cap, n_cap, timing,
     )
 
 
@@ -767,7 +780,7 @@ def question1_search(
     check the condition's sharpness: every extremal witness graph fails it at
     exactly index k, with d_{n-k(r-1)+1} = n - k - 1."""
     return _condition_search(
-        "ques1", 1, n, r, mode, seed, samples, workers, node_cap, n_cap, timing,
+        "ques1", n, r, mode, seed, samples, workers, node_cap, n_cap, timing,
     )
 
 
@@ -780,27 +793,14 @@ def sweep_hampath_condition(
 ) -> tuple[int, int, tuple[str, ...]]:
     """Exhaustively test that the Hamilton-path degree condition is sound on
     all labeled n-vertex graphs.  Returns (examined, condition_true,
-    violation witnesses); soundness means no witnesses."""
+    violation witnesses); soundness means no witnesses.  Past
+    ``VIOLATION_BUFFER`` violations the first ones, in mask order, are kept."""
     if n < 2:
         raise ParameterRangeError("need n >= 2")
-    _check_exhaustive(n, n_cap)
-
-    def run_one(bounds):
-        lo, hi = bounds
-        adj = np.zeros(n, np.int64)
-        dp = np.zeros(1 << n, np.int64)
-        degs = np.zeros(n, np.int64)
-        viol = np.zeros(VIOLATION_BUFFER, np.int64)
-        examined, cond_true, nviol = K.scan_chvatal(n, lo, hi, adj, dp, degs, viol)
-        if nviol > VIOLATION_BUFFER:
-            raise RuntimeError("violation buffer overflow")
-        return examined, cond_true, [int(viol[i]) for i in range(nviol)]
-
-    parts = _run_chunks(1 << comb(n, 2), workers, run_one)
-    examined = sum(p[0] for p in parts)
-    cond_true = sum(p[1] for p in parts)
-    violations = tuple(_witness(n, m) for p in parts for m in p[2])
-    return examined, cond_true, violations
+    examined, cond_true, masks, _ = _scan_condition(
+        n, 0, _degree_clauses("hampath", n), workers, 1, n_cap, []  # r = 0 needs no node cap
+    )
+    return examined, cond_true, tuple(_witness(n, m) for m in masks)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,14 @@ def test_verify_bad_params(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("predicate, param", [("matching", "--d"), ("conj1", "--r")])
+def test_verify_negative_samples_rejected(capsys, predicate, param):
+    code, out, err = run(capsys, "verify", predicate, "--n", "12", param, "3",
+                         "--mode", "sampled", "--seed", "1", "--samples", "-5")
+    assert code == 2 and "error" in err
+    assert out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "bogus-kind", "--n", "6"])

@@ -5,6 +5,7 @@ including explored-node counts, so the accelerated and fallback paths are
 interchangeable.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,7 +13,14 @@ import sys
 import numpy as np
 import pytest
 
-from packlab import Graph, _kernels as K
+from packlab import (
+    Graph,
+    _kernels as K,
+    banded_condition_profile,
+    chvatal_hampath_condition,
+    disjunctive_condition_failures,
+)
+from packlab.verify import _degree_clauses
 from oracles import (
     has_clique_brute,
     has_equitable_colouring_brute,
@@ -99,6 +107,24 @@ def test_hampath_brute_parity():
             assert all(g.has_edge(path[i], path[i + 1]) for i in range(n - 1))
 
 
+def test_hampath_decide_pinned():
+    """Decisions, state counts and subset tables over every labelled 5-vertex
+    graph, as computed before the programme wrote each extension once."""
+    n = 5
+    adj = np.zeros(n, np.int64)
+    dp = np.zeros(1 << n, np.int64)
+    found = states = 0
+    tables = hashlib.sha256()
+    for mask in range(1 << 10):
+        K._adj_from_mask(mask, n, adj)
+        f, s = K._hampath_decide(adj, n, dp)
+        found += f
+        states += s
+        tables.update(dp.tobytes())
+    assert (found, states) == (633, 37190)
+    assert tables.hexdigest() == "4b72506d8daa356a300ed60f5f186baad1188779a75690d4404a523ccad96530"
+
+
 def test_has_clique_brute_parity():
     n = 7
     cands = np.zeros(n + 1, np.int64)
@@ -169,6 +195,50 @@ def test_scan_pack_threshold_complement_matches_brute():
     for dd, best in want.items():
         assert best is not None and found[dd] == 1
         assert (int(max_e[dd]), int(arg[dd])) == best
+
+
+# The independent predicate behind each clause table; "none" is the empty
+# table, which every graph meets, so every graph the decision rejects is a
+# violation and the recorded masks are checked in bulk.
+CONDITION_REFERENCES = {
+    "hampath": lambda g, r: chvatal_hampath_condition(g),
+    "conj1": lambda g, r: banded_condition_profile(g, r) == ((), True),
+    "ques1": lambda g, r: not disjunctive_condition_failures(g, r),
+    "none": lambda g, r: True,
+}
+CONDITION_CASES = (
+    [("hampath", n, 0) for n in range(2, 7)]
+    + [(p, n, r) for p in ("conj1", "ques1") for n, r in ((2, 2), (4, 2), (3, 3), (6, 3))]
+    + [("none", 5, 0), ("none", 4, 2), ("none", 6, 3)]
+)
+
+
+@pytest.mark.parametrize("predicate, n, r", CONDITION_CASES)
+def test_scan_degree_condition_matches_references(predicate, n, r):
+    """Every labelled n-vertex graph: the clause-table kernel counts the
+    graphs the reference predicate accepts and flags exactly those among
+    them that the brute-force oracle rejects, in mask order."""
+    clauses = () if predicate == "none" else _degree_clauses(predicate, n, r)
+    total = 1 << (n * (n - 1) // 2)
+
+    def run(fn):
+        adj, degs, dp = np.zeros(n, np.int64), np.zeros(n, np.int64), np.zeros(1 << n, np.int64)
+        viol = np.zeros(total, np.int64)
+        res = fn(n, r, clauses, 0, total, 10**7, adj, *K.pack_work_arrays(n), degs, dp, viol)
+        return res, viol[: res[2]].tolist()
+
+    res, viol = run(K.scan_degree_condition)
+    if K.pure(K.scan_degree_condition) is not K.scan_degree_condition:
+        assert run(K.pure(K.scan_degree_condition)) == (res, viol)
+    holds = CONDITION_REFERENCES[predicate]
+    graphs = [(m, Graph.from_edge_mask(n, m)) for m in range(total)]
+    meet = [(m, g) for m, g in graphs if holds(g, r)]
+    if r == 0:
+        want = [m for m, g in meet if not has_hamilton_path_brute(g)]
+    else:
+        want = [m for m, g in meet if not has_perfect_packing_brute(g, r)]
+    assert res == (total, len(meet), len(want), 0)
+    assert viol == want
 
 
 def test_words_to_adj_matches_graph():

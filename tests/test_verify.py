@@ -156,12 +156,35 @@ def test_condition_profiles_on_named_graphs():
     assert disjunctive_condition_failures(empty, 3) == (1, 2)
 
 
+# (examined, condition-true count, witnesses) of each sweep, as produced
+# before the sweep and the condition searches shared one clause-table kernel.
+HAMPATH_SWEEPS = {
+    2: (2, 1, ()),
+    3: (8, 4, ()),
+    4: (64, 34, ()),
+    5: (1024, 573, ()),
+    6: (32768, 17098, ()),
+}
+
+
 def test_sweep_hampath_condition_small():
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 6):
         examined, cond_true, violations = sweep_hampath_condition(n)
         assert examined == 1 << (n * (n - 1) // 2)
         assert violations == ()
         assert 0 < cond_true <= examined
+        assert (examined, cond_true, violations) == HAMPATH_SWEEPS[n]
+
+
+def test_hampath_sweep_overflow_keeps_first_witnesses(monkeypatch):
+    # an empty clause table holds for every graph, so each graph without a
+    # Hamilton path is a violation; 16-mask chunks make the 64 graphs four
+    monkeypatch.setattr(V, "_degree_clauses", lambda *args: ())
+    monkeypatch.setattr(V, "CHUNK_MASKS", 16)
+    examined, cond_true, full = sweep_hampath_condition(4)
+    assert examined == cond_true == 64 and len(full) > 5
+    monkeypatch.setattr(V, "VIOLATION_BUFFER", 5)
+    assert sweep_hampath_condition(4) == (64, 64, full[:5])
 
 
 def test_splitmix64_reference_values():
@@ -207,8 +230,10 @@ def test_t1_parameter_validation():
 
 # SHA-256 of each report's JSON, per-parameter table (extremal masks
 # included), condition count and problems, as produced before the three
-# threshold checks shared one pipeline.  Any change to a scan's tie rule,
-# a sampler's draw order or a report field shows up here.
+# threshold checks shared one pipeline; the exhaustive condition searches
+# (6,3), before they shared one clause-table kernel with the Hamilton sweep.
+# Any change to a scan's tie rule, a sampler's draw order or a report field
+# shows up here.
 GOLDEN_REPORTS = {
     "matching(6)": "2c1c80016310e8f951df52c9f4d91aad6c8390743eefc85685c1ff52211d165a",
     "matching(6,d=1)": "0e3747908c832d74efd5433d6558e7b90b15f37462df2f99f9f39a14d0d75ff5",
@@ -223,6 +248,10 @@ GOLDEN_REPORTS = {
     "mainthm1(12,3,D=4)": "2171de849ca139ee8797b678cf03523e833bac9e2e284dfd9f5eca894082d3c8",
     "conj1(12,3)": "1bc0827d74d2e99ba6e63e13fdac212c256777440ff6d5425e2f72b84d9e13bb",
     "ques1(12,3)": "a842494b20e2065212a26d57eb144897db11d2057ad862bb43af587bd79670c8",
+    "conj1(6,3)": "88f606f57b5f444a74a365ed9ab078d1fab7eadcf158f443d65f1be2794b1d6a",
+    "conj1(6,3,workers=2)": "88f606f57b5f444a74a365ed9ab078d1fab7eadcf158f443d65f1be2794b1d6a",
+    "ques1(6,3)": "a525691bbcc712d8a4cfcf82207f8d2ced08a57c7d4e0e6c7dab7c4de0c5d98c",
+    "ques1(6,3,workers=2)": "a525691bbcc712d8a4cfcf82207f8d2ced08a57c7d4e0e6c7dab7c4de0c5d98c",
 }
 
 
@@ -261,6 +290,10 @@ def test_reports_match_golden_digests():
         "ques1(12,3)": lambda: question1_search(
             12, 3, mode="sampled", seed=35, samples=5000
         ),
+        "conj1(6,3)": lambda: conjecture1_search(6, 3),
+        "conj1(6,3,workers=2)": lambda: conjecture1_search(6, 3, workers=2),
+        "ques1(6,3)": lambda: question1_search(6, 3),
+        "ques1(6,3,workers=2)": lambda: question1_search(6, 3, workers=2),
     }
     got = {name: _report_digest(run()) for name, run in runs.items()}
     assert got == GOLDEN_REPORTS
