@@ -13,7 +13,6 @@ from math import comb
 import numpy as np
 
 from packlab import _kernels as K
-from packlab.verify import _degree_clauses
 
 
 def _timed(fn, *args, repeat=3):
@@ -26,67 +25,36 @@ def _timed(fn, *args, repeat=3):
     return out, best
 
 
-def bench_scan_matching():
-    # the matching check: packing scan with r = 2, floors d = 1..n/2-1
-    n, r, d_lo = 6, 2, 1
-    d_max = n // 2 - 1
-    f2v = np.array([0, 9, 9], np.int64)
-    total = 1 << comb(n, 2)
-
-    def run(fn):
-        adj = np.zeros(n, np.int64)
-        cand, chosen, comm = K.pack_work_arrays(n)
-        found = np.zeros(d_max + 1, np.int64)
-        max_e = np.zeros(d_max + 1, np.int64)
-        arg = np.zeros(d_max + 1, np.int64)
-        viol = np.zeros(4096, np.int64)
-        res = fn(n, r, d_lo, d_max, f2v, 0, 0, total, 10**9, adj, cand, chosen,
-                 comm, found, max_e, arg, viol)
-        return res, tuple(max_e)
-
-    return "packing scan at r=2 (matching), all 2^15 graphs n=6", K.scan_pack_threshold, run
-
-
-def bench_chvatal():
-    # the degree-condition scan with the Hamilton-path table (r = 0)
-    n = 7
-    lo, hi = 0, 1 << 17
-    clauses = _degree_clauses("hampath", n)
-
-    def run(fn):
-        adj = np.zeros(n, np.int64)
-        cand, chosen, comm = K.pack_work_arrays(n)
-        degs = np.zeros(n, np.int64)
-        dp = np.zeros(1 << n, np.int64)
-        viol = np.zeros(4096, np.int64)
-        return fn(n, 0, clauses, lo, hi, 1, adj, cand, chosen, comm, degs, dp, viol)
-
-    return "Hamilton-path condition scan, 2^17 graphs n=7", K.scan_degree_condition, run
-
-
-def bench_batch_packing():
-    n, r = 12, 3
-    rng = np.random.default_rng(1)
-    e = comb(n, 2)
-    nwords = (e + 63) // 64
-    words = rng.integers(0, 1 << 62, size=(256, nwords)).astype(np.int64)
-    adjs = np.zeros((256, n), np.int64)
+def _bench_batch(label, n, r, rows, seed):
+    # ``batch_decide`` on ``rows`` random graphs with n vertices
+    words = np.random.default_rng(seed).integers(
+        0, 1 << 62, size=(rows, (comb(n, 2) + 63) // 64)
+    ).astype(np.int64)
+    adjs = np.zeros((rows, n), np.int64)
     K.words_to_adj(words, n, adjs)
 
     def run(fn):
-        cand, chosen, comm = K.pack_work_arrays(n)
-        out = np.zeros(256, np.int64)
-        fn(adjs, n, r, 10**9, cand, chosen, comm, out)
+        out = np.zeros(rows, np.int64)
+        dp = np.zeros(1 << n, np.int64)
+        fn(adjs, n, r, 10**9, *K.pack_work_arrays(n), dp, out)
         return tuple(out)
 
-    return "batch packing decisions, 256 random graphs n=12 r=3", K.batch_packable, run
+    return label, K.batch_decide, run
+
+
+def bench_batch_packing():
+    return _bench_batch("batch packing decisions, 256 random graphs n=12 r=3", 12, 3, 256, 1)
+
+
+def bench_batch_hampath():
+    return _bench_batch("batch Hamilton-path decisions, 4096 random graphs n=7", 7, 0, 4096, 2)
 
 
 def main():
     if not K.NUMBA_ENABLED:
         print("numba is disabled; nothing to compare against")
         return
-    benches = [bench_scan_matching(), bench_chvatal(), bench_batch_packing()]
+    benches = [bench_batch_packing(), bench_batch_hampath()]
     rows = []
     for label, jit_fn, run in benches:
         run(lambda *a: jit_fn(*a))  # warm up the compiled path

@@ -15,12 +15,11 @@ integer whose bit ``s`` is edge slot ``s``; slots order pairs ``(i, j)`` with
 ``i < j`` by ``s = j*(j-1)//2 + i``, the same column-major upper-triangle
 order graph6 uses, so witness masks and graph6 strings agree bit for bit.
 
-Two exhaustive scans expand one mask at a time with ``_adj_from_mask``, so a
-chunk of masks never exists as an array: ``scan_pack_threshold`` checks the
-edge thresholds and ``scan_degree_condition`` every degree condition, given
-as a table of clause rows over the sorted degrees.  Both samplers hand a
-batch of 64-bit edge words to ``words_to_adj``, plain numpy with one vector
-operation per edge slot, and decide the rows with ``batch_packable``.
+Every scan, exhaustive or sampled, works on blocks of graphs: it hands a
+block of 64-bit edge words to ``words_to_adj``, plain numpy with one vector
+operation per edge slot, filters the rows by their degrees in numpy, and
+decides the rows it keeps with ``batch_decide``, by packing search or by the
+Hamilton-path programme.
 """
 
 from __future__ import annotations
@@ -303,127 +302,6 @@ def _has_clique(adj, n, q, node_cap, cands, chosen):
         cands[d] = nx
 
 
-@_jit
-def _adj_from_mask(mask, n, adj):
-    for i in range(n):
-        adj[i] = 0
-    s = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (mask >> s) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            s += 1
-    return 0
-
-
-@_jit
-def _sorted_degrees(adj, n, degs):
-    """Degrees of ``adj`` into ``degs``, ascending (insertion sort)."""
-    for i in range(n):
-        degs[i] = _bit_count(int(adj[i]))
-    for i in range(1, n):
-        key = int(degs[i])
-        j = i - 1
-        while j >= 0 and int(degs[j]) > key:
-            degs[j + 1] = degs[j]
-            j -= 1
-        degs[j + 1] = key
-    return 0
-
-
-@_jit
-def scan_pack_threshold(n, r, d_lo, d_hi, g_val, flip, lo, hi, node_cap,
-                        adj, cand, chosen, comm,
-                        found_any, max_e, arg_mask, viol):
-    """Exhaustive packing-threshold scan over edge masks in [lo, hi).
-
-    Each mask is expanded as ``mask ^ flip``: ``flip = 0`` decides the graph
-    itself, ``flip`` = all C(n,2) slot bits decides its complement (the
-    colouring side, by complement packing).  Families are "min degree >= D"
-    for D in d_lo..d_hi of the decided graph; per D the kernel tracks the
-    maximum edge count among its non-packable members (first mask wins ties)
-    in ``found_any``/``max_e``/``arg_mask`` and flags members exceeding
-    ``g_val[D]`` edges as violations.  Recorded masks are the enumerated
-    ones, before the flip.  Returns (examined, nviol, aborted).
-    """
-    examined = 0
-    nviol = 0
-    for mask in range(lo, hi):
-        _adj_from_mask(mask ^ flip, n, adj)
-        mindeg = n
-        e = 0
-        for i in range(n):
-            dg = _bit_count(int(adj[i]))
-            e += dg
-            if dg < mindeg:
-                mindeg = dg
-        e //= 2
-        examined += 1
-        if mindeg < d_lo:
-            continue
-        st, _ = _pack_decide(adj, n, r, node_cap, cand, chosen, comm)
-        if st == -1:
-            return examined, nviol, 1
-        if st == 1:
-            continue
-        dtop = mindeg if mindeg < d_hi else d_hi
-        bad = False
-        for dd in range(d_lo, dtop + 1):
-            if int(found_any[dd]) == 0 or e > int(max_e[dd]):
-                found_any[dd] = 1
-                max_e[dd] = e
-                arg_mask[dd] = mask
-            if e > int(g_val[dd]):
-                bad = True
-        if bad:
-            if nviol < viol.shape[0]:
-                viol[nviol] = mask
-            nviol += 1
-    return examined, nviol, 0
-
-
-@_jit
-def scan_degree_condition(n, r, clauses, lo, hi, node_cap,
-                          adj, cand, chosen, comm, degs, dp, viol):
-    """Scan edge masks in [lo, hi) for a degree condition and decide each
-    graph that meets it.
-
-    ``clauses`` is a tuple of int rows (a, b, c, e), each meaning
-    d[a] >= b or d[c] >= e over the ascending 0-based degrees; the condition
-    holds when every row does.  Condition-true graphs get an exact decision:
-    a perfect r-clique packing for r >= 2, or for r = 0 a Hamilton path
-    (``dp`` then has at least 1 << n entries).  Those that fail it are
-    violations.  Returns (examined, cond_true, nviol, aborted).
-    """
-    examined = 0
-    cond_true = 0
-    nviol = 0
-    for mask in range(lo, hi):
-        _adj_from_mask(mask, n, adj)
-        _sorted_degrees(adj, n, degs)
-        examined += 1
-        ok = True
-        for a, b, c, e in clauses:
-            if int(degs[a]) < b and int(degs[c]) < e:
-                ok = False
-                break
-        if not ok:
-            continue
-        cond_true += 1
-        if r == 0:
-            st, _ = _hampath_decide(adj, n, dp)
-        else:
-            st, _ = _pack_decide(adj, n, r, node_cap, cand, chosen, comm)
-        if st == -1:
-            return examined, cond_true, nviol, 1
-        if st == 0:
-            if nviol < viol.shape[0]:
-                viol[nviol] = mask
-            nviol += 1
-    return examined, cond_true, nviol, 0
-
-
 def words_to_adj(words, n, adjs):
     """Expand packed edge bits into per-vertex masks, one row per graph.
 
@@ -443,18 +321,23 @@ def words_to_adj(words, n, adjs):
 
 
 @_jit
-def batch_packable(adjs, n, r, node_cap, cand, chosen, comm, out):
-    """Exact packing decision per row of ``adjs``; out[b] in {1, 0, -1}.
+def batch_decide(adjs, n, r, node_cap, cand, chosen, comm, dp, out):
+    """Exact decision per row of ``adjs``, out[b] in {1, 0}: a perfect
+    r-clique packing for r >= 2, or for r = 0 a Hamilton path (``dp`` then
+    has at least 1 << n entries).
 
-    Returns 1 if any row aborted on the node cap, else 0.
+    Stops at the first row that hits the node cap, where out[b] = -1.
+    Returns the number of rows decided before it.
     """
-    nb = adjs.shape[0]
-    for b in range(nb):
-        st, _ = _pack_decide(adjs[b], n, r, node_cap, cand, chosen, comm)
+    for b in range(adjs.shape[0]):
+        if r == 0:
+            st, _ = _hampath_decide(adjs[b], n, dp)
+        else:
+            st, _ = _pack_decide(adjs[b], n, r, node_cap, cand, chosen, comm)
         out[b] = st
         if st == -1:
-            return 1
-    return 0
+            return b
+    return adjs.shape[0]
 
 
 def pack_work_arrays(n: int):

@@ -3,10 +3,13 @@ graphs, uniform sampling from filtered families, construction audits, and
 counterexample searches for the degree-condition conjectures.
 
 Enumeration walks the ``C(n,2)``-bit edge-mask integers in fixed contiguous
-chunks; chunks may run on a thread pool (the kernels release the GIL) and are
-merged in mask order, so serial and parallel runs produce bit-identical
-reports.  Sampling uses the documented ``splitmix64`` generator seeded
-explicitly; all randomness flows from that seed.  Reports serialize to a
+chunks, each in blocks of graphs through the same numpy expansion, degree
+filter and batch decision as sampled mode.  With compiled kernels, which
+release the GIL, chunks may run on a thread pool; on the pure path they run
+in order on the calling thread.  Chunks are merged in mask order, so serial
+and parallel runs produce bit-identical reports.  Sampling uses the
+documented ``splitmix64`` generator seeded explicitly; all randomness flows
+from that seed.  Reports serialize to a
 stable canonical JSON schema with ``elapsed_ms`` zeroed unless timing is
 requested, so repeated runs are byte-identical.
 """
@@ -14,6 +17,7 @@ requested, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import warnings
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -43,7 +47,6 @@ VIOLATION_BUFFER = 4096
 GENERATOR_ID = "splitmix64"
 SAMPLE_BATCH = 4096
 PROPOSAL_LIMIT_FACTOR = 1000
-_HUGE = 1 << 60
 _WORD = (1 << 64) - 1
 
 
@@ -144,6 +147,8 @@ class VerificationReport:
 
 def _task(predicate, n, mode, r=None, d=None, seed=None, samples=None) -> EnumerationTask:
     sampled = mode == "sampled"
+    if sampled and n > K.KERNEL_MAX_N:  # the int64 neighbour masks would overflow
+        raise ParameterRangeError(f"sampled mode is limited to n <= {K.KERNEL_MAX_N}")
     return EnumerationTask(
         predicate, n, mode, r=r, d=d, samples=samples if sampled else None,
         seed=seed if sampled else None, generator=GENERATOR_ID if sampled else None,
@@ -167,29 +172,28 @@ def _check_exhaustive(n: int, n_cap: int) -> None:
 
 def _run_chunks(total: int, workers: int, run_one):
     bounds = [(lo, min(lo + CHUNK_MASKS, total)) for lo in range(0, total, CHUNK_MASKS)]
-    if workers <= 1 or len(bounds) <= 1:
+    # threads only help compiled kernels: pure Python holds the interpreter lock
+    if workers <= 1 or len(bounds) <= 1 or not K.NUMBA_ENABLED:
         return [run_one(b) for b in bounds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_one, b) for b in bounds]
         return [f.result() for f in futures]
 
 
-def _kept_violations(chunks, problems: list[str]) -> list[int]:
-    """Violation masks of (count, stored masks) chunk results, in mask order.
-
-    A scan stores at most ``VIOLATION_BUFFER`` masks per chunk and counts the
-    rest; past that many in total the first ones are kept and the full count
-    is recorded in ``problems``.
-    """
-    total = sum(count for count, _ in chunks)
-    masks = [m for _, stored in chunks for m in stored][:VIOLATION_BUFFER]
+def _merge_chunks(parts, problems: list[str]):
+    """(examined, kept, violation masks, aborted) over the ``_scan_chunk``
+    results of all chunks, in mask order.  Past ``VIOLATION_BUFFER``
+    violations in total the first ones are kept and the full count is
+    recorded in ``problems``."""
+    total = sum(p[2][0] for p in parts)
+    masks = [m for p in parts for m in p[2][1]][:VIOLATION_BUFFER]
     if total > len(masks):
         problems.append(f"{total} violations found; the report keeps the first {len(masks)}")
-    return masks
+    return sum(p[0] for p in parts), sum(p[1] for p in parts), masks, any(p[3] for p in parts)
 
 
 def _merge_extrema(parts, width: int):
-    """Merge per-d (found, max edges, mask) triples in chunk order; strict
+    """Merge per-d (found, max edges, mask) triples in mask order; strict
     comparison keeps the earliest (lowest-mask) attaining graph on ties."""
     found = [False] * width
     value = [0] * width
@@ -286,13 +290,58 @@ def _expand_words(n: int, rows) -> np.ndarray:
     return adjs
 
 
-def _batch_packable(adjs: np.ndarray, n: int, r: int, node_cap: int):
-    """Exact packing decision for each row of ``adjs``; returns (decisions,
+def _complement_rows(n: int, adjs: np.ndarray) -> np.ndarray:
+    """Neighbour masks of the complement of each row's graph."""
+    return ((1 << n) - 1) & ~adjs & ~(1 << np.arange(n, dtype=np.int64))
+
+
+def _condition_rows(degs: np.ndarray, clauses) -> np.ndarray:
+    """Which rows of vertex degrees meet every clause (a, b, c, e) of
+    ``clauses``: d[a] >= b or d[c] >= e over the row sorted ascending."""
+    table = np.array(clauses, np.int64).reshape(-1, 4)
+    d = np.sort(degs, axis=1)
+    return ((d[:, table[:, 0]] >= table[:, 1]) | (d[:, table[:, 2]] >= table[:, 3])).all(axis=1)
+
+
+def _batch_decide(adjs: np.ndarray, n: int, r: int, node_cap: int):
+    """Exact decision for each row of ``adjs``: a perfect r-clique packing,
+    or a Hamilton path at r = 0.  Returns (decisions as a bool array,
     aborted), the decisions stopping at the first row that hit the node cap."""
     out = np.zeros(len(adjs), np.int64)
-    aborted = bool(K.batch_packable(adjs, n, r, node_cap, *K.pack_work_arrays(n), out))
-    stop = int(np.flatnonzero(out == -1)[0]) if aborted else len(adjs)
-    return (out[:stop] == 1).tolist(), aborted
+    dp = np.zeros(1 << n if r == 0 else 1, np.int64)
+    done = K.batch_decide(adjs, n, r, node_cap, *K.pack_work_arrays(n), dp, out)
+    return out[:done] == 1, done < len(adjs)
+
+
+def _scan_chunk(n: int, r: int, chunk, cap: int, keep, visit, complement: bool = False):
+    """Expand (and complement when asked) the edge masks of ``chunk`` =
+    (lo, hi) in blocks of at most ``SAMPLE_BATCH``, and decide the rows whose
+    degrees ``keep`` accepts.  ``visit(masks, degrees, decisions)`` gets
+    each block's decided rows in mask order and returns its violation masks,
+    of which the chunk stores the first ``VIOLATION_BUFFER``.  Returns
+    (examined, kept, (violation count, stored masks), aborted); after a
+    node-cap abort both counts include the aborting graph, which ``visit``
+    never sees."""
+    lo, hi = chunk
+    kept = nviol = 0
+    stored: list[int] = []
+    for start in range(lo, hi, SAMPLE_BATCH):
+        masks = np.arange(start, min(start + SAMPLE_BATCH, hi), dtype=np.int64)
+        adjs = _expand_words(n, masks)
+        if complement:
+            adjs = _complement_rows(n, adjs)
+        degs = np.bitwise_count(adjs)
+        hits = np.flatnonzero(keep(degs))
+        decisions, aborted = _batch_decide(adjs[hits], n, r, cap)
+        done = hits[: len(decisions)]
+        bad = visit(masks[done], degs[done], decisions)
+        nviol += len(bad)
+        stored += bad[: VIOLATION_BUFFER - len(stored)].tolist()
+        if aborted:
+            stop = start - lo + int(hits[len(decisions)]) + 1
+            return stop, kept + len(decisions) + 1, (nviol, stored), True
+        kept += len(hits)
+    return hi - lo, kept, (nviol, stored), False
 
 
 # ---------------------------------------------------------------------------
@@ -340,31 +389,38 @@ class ThresholdSpec:
 
 
 def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, problems):
-    """All 2^C(n,2) graphs through ``K.scan_pack_threshold``; returns
-    (examined, violation masks, aborted, per-D table)."""
+    """All 2^C(n,2) graphs through the block pipeline; returns (examined,
+    violation masks, aborted, per-D table)."""
     n = spec.n
     _check_exhaustive(n, n_cap)
     bounds = spec.packing_bounds()
     d_lo, d_hi = min(bounds), max(bounds)
-    g_val = np.array([bounds.get(dd, _HUGE) for dd in range(d_hi + 1)], np.int64)
     slots = comb(n, 2)
-    flip = (1 << slots) - 1 if spec.complement else 0
+    # a blocked graph with min degree m violates the lowest bound over d_lo..m
+    # (no graph has more than C(n,2) edges)
+    floor_bound = np.array(list(accumulate((bounds.get(dd, slots) for dd in range(n)), min)))
 
     def run_one(chunk):
-        lo, hi = chunk
-        adj = np.zeros(n, np.int64)
-        cand, chosen, comm = K.pack_work_arrays(n)
-        found, max_e, arg = (np.zeros(d_hi + 1, np.int64) for _ in range(3))
-        viol = np.zeros(VIOLATION_BUFFER, np.int64)
-        examined, nviol, aborted = K.scan_pack_threshold(
-            n, spec.r, d_lo, d_hi, g_val, flip, lo, hi, cap,
-            adj, cand, chosen, comm, found, max_e, arg, viol,
-        )
-        return examined, (nviol, viol[:nviol].tolist()), aborted, (found, max_e, arg)
+        extrema = []  # per block: (found, max edges, mask) per degree floor
+
+        def visit(masks, degs, decisions):
+            e = degs.sum(axis=1, dtype=np.int64) // 2
+            mindeg = degs.min(axis=1)
+            if len(masks):
+                # member[b, D]: row b is not packable and has min degree >= D
+                member = ~decisions[:, None] & (mindeg[:, None] >= np.arange(d_hi + 1))
+                top = np.where(member, e[:, None], -1).argmax(axis=0)  # first max: lowest mask
+                extrema.append((member.any(axis=0), e[top], masks[top]))
+            return masks[~decisions & (e > floor_bound[mindeg])]
+
+        return _scan_chunk(
+            n, spec.r, chunk, cap, lambda degs: degs.min(axis=1) >= d_lo, visit,
+            spec.complement,
+        ) + (extrema,)
 
     parts = _run_chunks(1 << slots, workers, run_one)
-    masks = _kept_violations([p[1] for p in parts], problems)
-    found, value, mask = _merge_extrema([p[3] for p in parts], d_hi + 1)
+    examined, _, masks, aborted = _merge_chunks(parts, problems)
+    found, value, mask = _merge_extrema([block for p in parts for block in p[4]], d_hi + 1)
     per_d = {}
     for dd, threshold in spec.thresholds.items():
         k = n - 1 - dd if spec.complement else dd
@@ -375,12 +431,13 @@ def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, pro
             "mask": mask[k] if found[k] else None,
             "threshold": threshold,
         }
-    return sum(p[0] for p in parts), masks, any(p[2] for p in parts), per_d
+    return examined, masks, aborted, per_d
 
 
 def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, problems):
     """Uniform samples from the single armed family past its threshold;
-    returns (examined, violation masks, aborted, cross-check ok)."""
+    returns (examined, violation masks, aborted on the node cap, starved,
+    cross-check ok)."""
     n = spec.n
     ((dd, threshold),) = spec.thresholds.items()
     if spec.complement:
@@ -397,8 +454,8 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
     words = range((comb(n, 2) + 63) // 64)
     adjs = _expand_words(n, [[(m >> (64 * w)) & _WORD for w in words] for m in masks])
     if spec.complement:
-        adjs = ((1 << n) - 1) & ~adjs & ~(1 << np.arange(n, dtype=np.int64))
-    decisions, aborted = _batch_packable(adjs, n, spec.r, cap)
+        adjs = _complement_rows(n, adjs)
+    decisions, capped = _batch_decide(adjs, n, spec.r, cap)
     # duality cross-check per sample: an independent direct-colouring search
     # on the complement must agree with the packing decision
     ok = not spec.dual or all(
@@ -407,13 +464,13 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
         ).decision == dec
         for m, dec in zip(masks, decisions)
     )
-    viol_masks = sorted({masks[i] for i, dec in enumerate(decisions) if not dec})
-    return len(decisions), viol_masks, aborted or starved, ok
+    viol_masks = sorted({masks[i] for i in np.flatnonzero(~decisions)})
+    return len(decisions), viol_masks, capped, starved, ok
 
 
 def _dual_agrees(spec, task, examined, violations, per_d, workers, node_cap, n_cap, cap):
     """The colouring-side cross-check of ``verify_mainthm1_threshold``'s
-    exhaustive mode; returns (agrees, dual run aborted)."""
+    exhaustive mode; returns (agrees, dual run aborted on the node cap)."""
     n, r = spec.n, spec.r
     big_d = None if task.d is None else n - 1 - task.d
     dual = verify_t1_threshold(n, r, big_d, workers=workers, node_cap=node_cap, n_cap=n_cap)
@@ -446,15 +503,16 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, workers: int,
     t0 = perf_counter()
     problems: list[str] = []
     per_d = extremal = None
+    starved = False
     if task.mode == "exhaustive":
-        examined, masks, aborted, per_d = _scan_threshold(spec, workers, cap, n_cap, problems)
+        examined, masks, capped, per_d = _scan_threshold(spec, workers, cap, n_cap, problems)
         ok = all(row["found"] and row["edges"] == row["threshold"] for row in per_d.values())
         extremal = _pick_boundary(per_d, prefer_larger=not spec.complement)
     elif task.mode == "sampled":
         if task.d is None or task.seed is None or task.samples is None or task.samples < 1:
             name = "d" if task.r is None else "D"
             raise ParameterRangeError(f"sampled mode needs {name}, seed and samples >= 1")
-        examined, masks, aborted, ok = _sample_threshold(
+        examined, masks, capped, starved, ok = _sample_threshold(
             spec, task.seed, task.samples, cap, problems
         )
     else:
@@ -462,13 +520,15 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, workers: int,
     violations = tuple(_witness(spec.n, m) for m in masks)
     _recheck(violations, lambda g: spec.refuted_by(g, cap), problems)
     if spec.dual and per_d is not None:
-        dual_ok, dual_aborted = _dual_agrees(
+        dual_ok, dual_capped = _dual_agrees(
             spec, task, examined, violations, per_d, workers, node_cap, n_cap, cap
         )
-        ok, aborted = ok and dual_ok, aborted or dual_aborted
+        ok, capped = ok and dual_ok, capped or dual_capped
+    if capped:
+        problems.append(f"node cap of {cap} reached")
     return VerificationReport(
         task, examined, violations, extremal,
-        _status(aborted, ok and not violations and not problems),
+        _status(capped or starved, ok and not violations and not problems),
         _elapsed_ms(t0, timing), per_d, problems=tuple(problems),
     )
 
@@ -635,24 +695,15 @@ def _degree_clauses(predicate: str, n: int, r: int = 0) -> tuple:
 
 
 def _scan_condition(n: int, r: int, clauses, workers: int, cap: int, n_cap: int, problems):
-    """All 2^C(n,2) graphs through ``K.scan_degree_condition`` (r = 0 decides
-    Hamilton paths); returns (examined, condition-true count, violation
-    masks, aborted)."""
+    """All 2^C(n,2) graphs through the block pipeline, deciding those that
+    meet the clause table (r = 0 decides Hamilton paths); returns (examined,
+    condition-true count, violation masks, aborted)."""
     _check_exhaustive(n, n_cap)
-
-    def run_one(chunk):
-        lo, hi = chunk
-        adj, degs = np.zeros(n, np.int64), np.zeros(n, np.int64)
-        dp = np.zeros(1 << n if r == 0 else 1, np.int64)
-        viol = np.zeros(VIOLATION_BUFFER, np.int64)
-        examined, cond_true, nviol, aborted = K.scan_degree_condition(
-            n, r, clauses, lo, hi, cap, adj, *K.pack_work_arrays(n), degs, dp, viol,
-        )
-        return examined, cond_true, (nviol, viol[:nviol].tolist()), aborted
-
-    parts = _run_chunks(1 << comb(n, 2), workers, run_one)
-    masks = _kept_violations([p[2] for p in parts], problems)
-    return sum(p[0] for p in parts), sum(p[1] for p in parts), masks, any(p[3] for p in parts)
+    parts = _run_chunks(1 << comb(n, 2), workers, lambda chunk: _scan_chunk(
+        n, r, chunk, cap, lambda degs: _condition_rows(degs, clauses),
+        lambda masks, degs, decisions: masks[~decisions],
+    ))
+    return _merge_chunks(parts, problems)
 
 
 def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int):
@@ -661,7 +712,6 @@ def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int
     violation masks, aborted)."""
     e_total = comb(n, 2)
     words = range((e_total + 63) // 64)
-    table = np.array(clauses, np.int64).reshape(-1, 4)
     rng = SplitMix64(seed)
     cond_true = 0
     viol_set: set[int] = set()
@@ -672,15 +722,12 @@ def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int
         remaining -= batch
         raw = [[rng.next_word() for _ in words] for _ in range(batch)]
         adjs = _expand_words(n, raw)
-        degs = np.sort(np.bitwise_count(adjs), axis=1)
-        holds = (degs[:, table[:, 0]] >= table[:, 1]) | (degs[:, table[:, 2]] >= table[:, 3])
-        hits = np.flatnonzero(holds.all(axis=1))
+        hits = np.flatnonzero(_condition_rows(np.bitwise_count(adjs), clauses))
         cond_true += len(hits)
-        decisions, aborted = _batch_packable(adjs[hits], n, r, cap)
-        for b, packable in zip(hits, decisions):
-            if not packable:
-                mask = sum(x << (64 * w) for w, x in enumerate(raw[b]))
-                viol_set.add(mask & ((1 << e_total) - 1))
+        decisions, aborted = _batch_decide(adjs[hits], n, r, cap)
+        for b in hits[: len(decisions)][~decisions]:
+            mask = sum(x << (64 * w) for w, x in enumerate(raw[b]))
+            viol_set.add(mask & ((1 << e_total) - 1))
     return samples - remaining, cond_true, sorted(viol_set), aborted
 
 
@@ -718,6 +765,8 @@ def _condition_search(
         )
     else:
         raise ParameterRangeError(f"unknown mode {mode!r}")
+    if aborted:
+        problems.append(f"node cap of {cap} reached")
     violations = tuple(_witness(n, m) for m in viol_masks)
 
     if predicate == "conj1":
@@ -794,12 +843,16 @@ def sweep_hampath_condition(
     """Exhaustively test that the Hamilton-path degree condition is sound on
     all labeled n-vertex graphs.  Returns (examined, condition_true,
     violation witnesses); soundness means no witnesses.  Past
-    ``VIOLATION_BUFFER`` violations the first ones, in mask order, are kept."""
+    ``VIOLATION_BUFFER`` violations the first ones, in mask order, are kept
+    and a ``RuntimeWarning`` gives the full count."""
     if n < 2:
         raise ParameterRangeError("need n >= 2")
-    examined, cond_true, masks, _ = _scan_condition(
-        n, 0, _degree_clauses("hampath", n), workers, 1, n_cap, []  # r = 0 needs no node cap
+    problems: list[str] = []
+    examined, cond_true, masks, _ = _scan_condition(  # r = 0 needs no node cap
+        n, 0, _degree_clauses("hampath", n), workers, 1, n_cap, problems
     )
+    for problem in problems:
+        warnings.warn(problem, RuntimeWarning, stacklevel=2)
     return examined, cond_true, tuple(_witness(n, m) for m in masks)
 
 

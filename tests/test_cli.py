@@ -206,6 +206,17 @@ def test_verify_negative_samples_rejected(capsys, predicate, param):
     assert out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("conj1", "--n", "66", "--r", "3", "--samples", "10"),
+    ("t1", "--n", "66", "--r", "3", "--D", "30", "--samples", "3"),
+])
+def test_verify_sampled_n_beyond_kernels_rejected(capsys, args):
+    # 66 vertices overflow the int64 neighbour masks of the search kernels
+    code, out, err = run(capsys, "verify", *args, "--mode", "sampled", "--seed", "1")
+    assert code == 2 and "n <= 62" in err
+    assert out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "bogus-kind", "--n", "6"])

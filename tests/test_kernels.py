@@ -20,6 +20,7 @@ from packlab import (
     chvatal_hampath_condition,
     disjunctive_condition_failures,
 )
+from packlab import verify as V
 from packlab.verify import _degree_clauses
 from oracles import (
     has_clique_brute,
@@ -37,17 +38,7 @@ def _random_masks(n, count):
 
 
 def _adj_for(n, mask):
-    adj = np.zeros(n, np.int64)
-    K._adj_from_mask(mask, n, adj)
-    return adj
-
-
-def test_adj_from_mask_matches_graph():
-    for n in (0, 1, 5, 7):
-        for mask in _random_masks(n, 10) if n > 1 else [0]:
-            adj = _adj_for(n, mask)
-            g = Graph.from_edge_mask(n, mask)
-            assert [int(a) for a in adj] == [g.neighbour_mask(v) for v in range(n)]
+    return Graph.from_edge_mask(n, mask).adjacency_array()
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -111,13 +102,11 @@ def test_hampath_decide_pinned():
     """Decisions, state counts and subset tables over every labelled 5-vertex
     graph, as computed before the programme wrote each extension once."""
     n = 5
-    adj = np.zeros(n, np.int64)
     dp = np.zeros(1 << n, np.int64)
     found = states = 0
     tables = hashlib.sha256()
     for mask in range(1 << 10):
-        K._adj_from_mask(mask, n, adj)
-        f, s = K._hampath_decide(adj, n, dp)
+        f, s = K._hampath_decide(_adj_for(n, mask), n, dp)
         found += f
         states += s
         tables.update(dp.tobytes())
@@ -136,65 +125,49 @@ def test_has_clique_brute_parity():
             assert (st == 1) == has_clique_brute(Graph.from_edge_mask(n, mask), q)
 
 
-def _scan_args(n, d_hi):
-    """Fresh work and result buffers for one ``scan_pack_threshold`` run."""
-    return (
-        np.zeros(n, np.int64),
-        *K.pack_work_arrays(n),
-        np.zeros(d_hi + 1, np.int64),
-        np.zeros(d_hi + 1, np.int64),
-        np.zeros(d_hi + 1, np.int64),
-        np.zeros(64, np.int64),
-    )
-
-
-def test_scan_pack_threshold_jit_pure_parity():
-    # the matching scan: r = 2, families min degree >= 1
-    n, r, d_lo, d_max = 4, 2, 1, 1
-    f2v = np.array([0, 3], np.int64)
+def test_batch_decide_jit_pure_parity():
+    """Every labelled 4-vertex graph decided by matching (r = 2) and by the
+    Hamilton-path programme (r = 0), compiled and pure; the pure path must
+    agree with brute force."""
+    n = 4
+    adjs = np.array([_adj_for(n, mask) for mask in range(1 << 6)])
     outs = []
-    for fn in (K.scan_pack_threshold, K.pure(K.scan_pack_threshold)):
-        adj, cand, chosen, comm, found, max_e, arg, viol = _scan_args(n, d_max)
-        res = fn(n, r, d_lo, d_max, f2v, 0, 0, 1 << 6, 10**7,
-                 adj, cand, chosen, comm, found, max_e, arg, viol)
-        outs.append((res, found.tolist(), max_e.tolist(), arg.tolist(), viol.tolist()))
-    assert outs[0] == outs[1]
-    (examined, nviol, aborted), _, max_e, _, _ = outs[0]
-    assert (examined, nviol, aborted) == (64, 0, 0)
-    assert max_e[1] == 3  # max edges, min degree >= 1, no perfect matching
+    for r in (2, 0):
+        for fn in (K.batch_decide, K.pure(K.batch_decide)):
+            out = np.zeros(len(adjs), np.int64)
+            res = fn(adjs, n, r, 10**7, *K.pack_work_arrays(n), np.zeros(1 << n, np.int64), out)
+            outs.append((res, out.tolist()))
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+    graphs = [Graph.from_edge_mask(n, mask) for mask in range(1 << 6)]
+    assert outs[0] == (64, [int(has_perfect_packing_brute(g, 2)) for g in graphs])
+    assert outs[2] == (64, [int(has_hamilton_path_brute(g)) for g in graphs])
 
 
 def test_scan_pack_threshold_complement_matches_brute():
-    """With ``flip`` set, each mask is decided through its complement, and
+    """``_scan_threshold`` on the colouring side, over every labelled
+    6-vertex graph: each mask is decided through its complement, and
     extrema, tie masks and violations are keyed by the enumerated mask."""
-    n, r, d_lo, d_hi = 6, 3, 2, 3
-    slots = n * (n - 1) // 2
-    flip = (1 << slots) - 1
-    bound = np.array([0, 0, 11, 11], np.int64)
-    lo, hi = 3000, 7096
-    adj, cand, chosen, comm, found, max_e, arg, viol = _scan_args(n, d_hi)
-    examined, nviol, aborted = K.scan_pack_threshold(
-        n, r, d_lo, d_hi, bound, flip, lo, hi, 10**7,
-        adj, cand, chosen, comm, found, max_e, arg, viol,
-    )
-    want = {dd: None for dd in range(d_lo, d_hi + 1)}
+    n, r = 6, 3
+    # one edge above the true threshold (3), so the 3-edge blockers violate
+    spec = V.ThresholdSpec("t1", n, r, True, {2: 4, 3: 4})
+    problems = []
+    examined, viol, aborted, per_d = V._scan_threshold(spec, 1, 10**7, 7, problems)
+    want = {dd: None for dd in (2, 3)}
     want_viol = []
-    for mask in range(lo, hi):
-        h = Graph.from_edge_mask(n, mask ^ flip)
-        if has_perfect_packing_brute(h, r):
+    for mask in range(1 << 15):
+        g = Graph.from_edge_mask(n, mask)
+        if has_equitable_colouring_brute(g, n // r):
             continue
-        mindeg = min(h.degrees())
-        for dd in range(d_lo, min(mindeg, d_hi) + 1):
-            if want[dd] is None or h.edge_count > want[dd][0]:
-                want[dd] = (h.edge_count, mask)
-        if mindeg >= d_lo and h.edge_count > bound[d_lo]:
+        maxdeg = max(g.degrees())
+        for dd in want:
+            if maxdeg <= dd and (want[dd] is None or g.edge_count < want[dd][0]):
+                want[dd] = (g.edge_count, mask)
+        if maxdeg <= 3 and g.edge_count < 4:
             want_viol.append(mask)
-    assert (examined, aborted) == (hi - lo, 0)
-    assert nviol == len(want_viol) > 0
-    assert viol[: min(nviol, len(viol))].tolist() == want_viol[: len(viol)]
+    assert (examined, aborted, problems) == (1 << 15, False, [])
+    assert viol == want_viol and viol
     for dd, best in want.items():
-        assert best is not None and found[dd] == 1
-        assert (int(max_e[dd]), int(arg[dd])) == best
+        assert (per_d[dd]["edges"], per_d[dd]["mask"]) == best
 
 
 # The independent predicate behind each clause table; "none" is the empty
@@ -214,22 +187,16 @@ CONDITION_CASES = (
 
 
 @pytest.mark.parametrize("predicate, n, r", CONDITION_CASES)
-def test_scan_degree_condition_matches_references(predicate, n, r):
-    """Every labelled n-vertex graph: the clause-table kernel counts the
-    graphs the reference predicate accepts and flags exactly those among
-    them that the brute-force oracle rejects, in mask order."""
+def test_scan_degree_condition_matches_references(predicate, n, r, monkeypatch):
+    """Every labelled n-vertex graph: the clause-table scan
+    (``_scan_condition``) counts the graphs the reference predicate accepts
+    and flags exactly those among them that the brute-force oracle rejects,
+    in mask order."""
     clauses = () if predicate == "none" else _degree_clauses(predicate, n, r)
     total = 1 << (n * (n - 1) // 2)
-
-    def run(fn):
-        adj, degs, dp = np.zeros(n, np.int64), np.zeros(n, np.int64), np.zeros(1 << n, np.int64)
-        viol = np.zeros(total, np.int64)
-        res = fn(n, r, clauses, 0, total, 10**7, adj, *K.pack_work_arrays(n), degs, dp, viol)
-        return res, viol[: res[2]].tolist()
-
-    res, viol = run(K.scan_degree_condition)
-    if K.pure(K.scan_degree_condition) is not K.scan_degree_condition:
-        assert run(K.pure(K.scan_degree_condition)) == (res, viol)
+    monkeypatch.setattr(V, "VIOLATION_BUFFER", total)
+    problems = []
+    examined, cond_true, viol, aborted = V._scan_condition(n, r, clauses, 1, 10**7, 11, problems)
     holds = CONDITION_REFERENCES[predicate]
     graphs = [(m, Graph.from_edge_mask(n, m)) for m in range(total)]
     meet = [(m, g) for m, g in graphs if holds(g, r)]
@@ -237,7 +204,7 @@ def test_scan_degree_condition_matches_references(predicate, n, r):
         want = [m for m, g in meet if not has_hamilton_path_brute(g)]
     else:
         want = [m for m, g in meet if not has_perfect_packing_brute(g, r)]
-    assert res == (total, len(meet), len(want), 0)
+    assert (examined, cond_true, aborted, problems) == (total, len(meet), False, [])
     assert viol == want
 
 
@@ -263,21 +230,23 @@ def test_words_to_adj_matches_graph():
 def test_batch_kernels_match_scalar():
     n, r = 6, 3
     masks = _random_masks(n, 32)
-    adjs = np.zeros((len(masks), n), np.int64)
-    for b, mask in enumerate(masks):
-        K._adj_from_mask(mask, n, adjs[b])
+    adjs = np.array([_adj_for(n, mask) for mask in masks])
     cand, chosen, comm = K.pack_work_arrays(n)
+    dp = np.zeros(1 << n, np.int64)
     out = np.zeros(len(masks), np.int64)
-    assert K.batch_packable(adjs, n, r, 10**7, cand, chosen, comm, out) == 0
+    assert K.batch_decide(adjs, n, r, 10**7, cand, chosen, comm, dp, out) == len(masks)
     for b, mask in enumerate(masks):
         st, _ = K._pack_decide(adjs[b], n, r, 10**7, cand, chosen, comm)
         assert out[b] == st
+    assert K.batch_decide(adjs, n, 0, 1, cand, chosen, comm, dp, out) == len(masks)
+    for b, mask in enumerate(masks):
+        assert out[b] == K._hampath_decide(adjs[b], n, dp)[0]
 
     # equitable (n/r)-colourability is packing on the complemented rows
     full = (1 << n) - 1
     comp = full & ~adjs & ~(1 << np.arange(n, dtype=np.int64))
     outc = np.zeros(len(masks), np.int64)
-    assert K.batch_packable(comp, n, r, 10**7, cand, chosen, comm, outc) == 0
+    assert K.batch_decide(comp, n, r, 10**7, cand, chosen, comm, dp, outc) == len(masks)
     for b, mask in enumerate(masks):
         g = Graph.from_edge_mask(n, mask)
         assert (outc[b] == 1) == has_equitable_colouring_brute(g, n // r)
@@ -285,20 +254,22 @@ def test_batch_kernels_match_scalar():
 
 def test_node_cap_aborts():
     n = 8
-    adj = np.zeros(n, np.int64)
-    K._adj_from_mask((1 << (n * (n - 1) // 2)) - 1, n, adj)  # complete graph
+    adj = Graph.complete(n).adjacency_array()
     cand, chosen, comm = K.pack_work_arrays(n)
     st, nodes = K._pack_decide(adj, n, 2, 3, cand, chosen, comm)
     assert st == -1 and nodes >= 3
+    # a batch stops at its first row that hits the cap, after one decided row
+    adjs = np.array([Graph(n).adjacency_array(), adj, adj])
+    out = np.full(3, 7, np.int64)
+    assert K.batch_decide(adjs, n, 2, 3, cand, chosen, comm, np.zeros(1, np.int64), out) == 1
+    assert out.tolist() == [0, -1, 7]
 
 
 def test_pure_fallback_env_flag():
     """PACKLAB_NO_NUMBA=1 must produce identical results in a fresh process."""
     code = (
-        "import numpy as np\n"
-        "from packlab import _kernels as K\n"
-        "adj = np.zeros(6, np.int64)\n"
-        "K._adj_from_mask(0b101011001010111, 6, adj)\n"
+        "from packlab import Graph, _kernels as K\n"
+        "adj = Graph.from_edge_mask(6, 0b101011001010111).adjacency_array()\n"
         "cand, chosen, comm = K.pack_work_arrays(6)\n"
         "print(K.NUMBA_ENABLED, K._pack_decide(adj, 6, 3, 10**6, cand, chosen, comm))\n"
     )

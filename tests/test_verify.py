@@ -184,7 +184,9 @@ def test_hampath_sweep_overflow_keeps_first_witnesses(monkeypatch):
     examined, cond_true, full = sweep_hampath_condition(4)
     assert examined == cond_true == 64 and len(full) > 5
     monkeypatch.setattr(V, "VIOLATION_BUFFER", 5)
-    assert sweep_hampath_condition(4) == (64, 64, full[:5])
+    kept = f"^{len(full)} violations found; the report keeps the first 5$"
+    with pytest.warns(RuntimeWarning, match=kept):
+        assert sweep_hampath_condition(4) == (64, 64, full[:5])
 
 
 def test_splitmix64_reference_values():
@@ -255,48 +257,97 @@ GOLDEN_REPORTS = {
 }
 
 
-def _report_digest(rep):
-    blob = json.dumps(
-        {
-            "json": rep.to_json(),
-            "per_d": rep.per_d,
-            "condition_count": rep.condition_count,
-            "problems": list(rep.problems),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
+_SAMPLED = {"mode": "sampled", "samples": 200}
+GOLDEN_RUNS = {
+    "matching(6)": lambda: verify_matching_threshold(6),
+    "matching(6,d=1)": lambda: verify_matching_threshold(6, d=1),
+    "t1(6,3)": lambda: verify_t1_threshold(6, 3),
+    "t1(6,3,D=2)": lambda: verify_t1_threshold(6, 3, big_d=2),
+    "t1(6,3,D=3)": lambda: verify_t1_threshold(6, 3, big_d=3),
+    "mainthm1(6,3)": lambda: verify_mainthm1_threshold(6, 3),
+    "mainthm1(6,3,D=2)": lambda: verify_mainthm1_threshold(6, 3, big_d=2),
+    "mainthm1(6,3,D=3)": lambda: verify_mainthm1_threshold(6, 3, big_d=3),
+    "matching(12,d=3)": lambda: verify_matching_threshold(12, d=3, seed=31, **_SAMPLED),
+    "t1(12,3,D=5)": lambda: verify_t1_threshold(12, 3, big_d=5, seed=32, **_SAMPLED),
+    "mainthm1(12,3,D=4)": lambda: verify_mainthm1_threshold(
+        12, 3, big_d=4, seed=33, **_SAMPLED
+    ),
+    "conj1(12,3)": lambda: conjecture1_search(
+        12, 3, mode="sampled", seed=34, samples=5000
+    ),
+    "ques1(12,3)": lambda: question1_search(
+        12, 3, mode="sampled", seed=35, samples=5000
+    ),
+    "conj1(6,3)": lambda: conjecture1_search(6, 3),
+    "conj1(6,3,workers=2)": lambda: conjecture1_search(6, 3, workers=2),
+    "ques1(6,3)": lambda: question1_search(6, 3),
+    "ques1(6,3,workers=2)": lambda: question1_search(6, 3, workers=2),
+}
+
+# The same digests without ``problems``, of exhaustive runs and one sampled
+# run that hit a node cap of 8, as produced before the exhaustive scans ran
+# through the samplers' block pipeline.  They pin the abort accounting:
+# examined counts stop at the aborting graph in each chunk, and extrema and
+# violations cover only the graphs decided before it.
+ABORTED_REPORTS = {
+    "matching(6)": "ea6982561eade8caa14e27ef09da1104076e119b3d9b39e265a3031f71133f83",
+    "t1(6,3)": "68056f648baa35f63f80d3cfcd542a7be6d5cf960b088d4d7457d7f20fc563dc",
+    "mainthm1(6,3)": "fa9e6267869fb94379bdfa2191177fe0dca78988efbbfe6dba8fc4e1598d4f63",
+    "conj1(6,3)": "7f4f25b504bb725ef6127912112b332c32c2f252d5e0405ed45018361b18933c",
+    "ques1(6,3)": "63537fa60010fc4737db978578fc5dfcd8d4d8fb03fe39b68a55784c595a50a7",
+    "conj1(12,3)": "677b609593e32912e5d47a22490c38c9c6579c1d6dc524e1d71cf1b714d74d7b",
+}
+ABORTED_RUNS = {
+    "matching(6)": lambda **kw: verify_matching_threshold(6, **kw),
+    "t1(6,3)": lambda **kw: verify_t1_threshold(6, 3, **kw),
+    "mainthm1(6,3)": lambda **kw: verify_mainthm1_threshold(6, 3, **kw),
+    "conj1(6,3)": lambda **kw: conjecture1_search(6, 3, **kw),
+    "ques1(6,3)": lambda **kw: question1_search(6, 3, **kw),
+    "conj1(12,3)": lambda **kw: conjecture1_search(
+        12, 3, mode="sampled", seed=34, samples=5000, **kw
+    ),
+}
+
+
+def _report_digest(rep, problems=True):
+    fields = {"json": rep.to_json(), "per_d": rep.per_d, "condition_count": rep.condition_count}
+    if problems:
+        fields["problems"] = list(rep.problems)
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
 def test_reports_match_golden_digests():
-    sampled = {"mode": "sampled", "samples": 200}
-    runs = {
-        "matching(6)": lambda: verify_matching_threshold(6),
-        "matching(6,d=1)": lambda: verify_matching_threshold(6, d=1),
-        "t1(6,3)": lambda: verify_t1_threshold(6, 3),
-        "t1(6,3,D=2)": lambda: verify_t1_threshold(6, 3, big_d=2),
-        "t1(6,3,D=3)": lambda: verify_t1_threshold(6, 3, big_d=3),
-        "mainthm1(6,3)": lambda: verify_mainthm1_threshold(6, 3),
-        "mainthm1(6,3,D=2)": lambda: verify_mainthm1_threshold(6, 3, big_d=2),
-        "mainthm1(6,3,D=3)": lambda: verify_mainthm1_threshold(6, 3, big_d=3),
-        "matching(12,d=3)": lambda: verify_matching_threshold(12, d=3, seed=31, **sampled),
-        "t1(12,3,D=5)": lambda: verify_t1_threshold(12, 3, big_d=5, seed=32, **sampled),
-        "mainthm1(12,3,D=4)": lambda: verify_mainthm1_threshold(
-            12, 3, big_d=4, seed=33, **sampled
-        ),
-        "conj1(12,3)": lambda: conjecture1_search(
-            12, 3, mode="sampled", seed=34, samples=5000
-        ),
-        "ques1(12,3)": lambda: question1_search(
-            12, 3, mode="sampled", seed=35, samples=5000
-        ),
-        "conj1(6,3)": lambda: conjecture1_search(6, 3),
-        "conj1(6,3,workers=2)": lambda: conjecture1_search(6, 3, workers=2),
-        "ques1(6,3)": lambda: question1_search(6, 3),
-        "ques1(6,3,workers=2)": lambda: question1_search(6, 3, workers=2),
-    }
-    got = {name: _report_digest(run()) for name, run in runs.items()}
+    got = {name: _report_digest(run()) for name, run in GOLDEN_RUNS.items()}
     assert got == GOLDEN_REPORTS
+
+
+def _aborted_digest(name, workers=1):
+    return _report_digest(ABORTED_RUNS[name](node_cap=8, workers=workers), problems=False)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", list(ABORTED_REPORTS))
+def test_aborted_reports_match_pins(name, workers):
+    assert _aborted_digest(name, workers) == ABORTED_REPORTS[name]
+
+
+def test_block_size_does_not_change_exhaustive_reports(monkeypatch):
+    """Blocks of 7 masks split every chunk unevenly, so block edges fall
+    between a graph and the graph it ties with or aborts after."""
+    monkeypatch.setattr(V, "SAMPLE_BATCH", 7)
+    for name, run in GOLDEN_RUNS.items():
+        if "(12," not in name:
+            assert _report_digest(run()) == GOLDEN_REPORTS[name], name
+    for name in ABORTED_REPORTS:
+        if "(12," not in name:
+            assert _aborted_digest(name) == ABORTED_REPORTS[name], name
+
+
+@pytest.mark.parametrize("name", ["matching(6)", "mainthm1(6,3)", "conj1(6,3)", "conj1(12,3)"])
+def test_node_cap_abort_gives_reason(name):
+    rep = ABORTED_RUNS[name](node_cap=8)
+    assert rep.status == "aborted"
+    assert rep.problems == ("node cap of 8 reached",)
 
 
 def test_sampler_draws_pinned():
