@@ -1,10 +1,13 @@
-"""Benchmark the compiled kernels against their pure-Python fallbacks.
+"""Benchmark the block deciders against the per-row searches they replace.
 
 Run:  python benchmarks/bench_kernels.py
 
-Each benchmark first cross-checks that both paths return identical results,
-then reports wall times and the speedup.  The fallback path is what the
-package uses when numba is unavailable or PACKLAB_NO_NUMBA=1 is set.
+Each row times one set of decisions three ways where they apply: the
+plain-numpy block decider (``packable_rows`` or ``hampath_rows``), the
+per-row search as plain Python (the path used when numba is unavailable or
+PACKLAB_NO_NUMBA=1 is set), and the same search compiled by numba.  Every
+way must return the same decisions; times are the best of three runs after
+a warm-up.
 """
 
 import time
@@ -15,57 +18,85 @@ import numpy as np
 from packlab import _kernels as K
 
 
-def _timed(fn, *args, repeat=3):
+def _timed(fn, repeat=3):
+    fn()  # warm-up: compilation, lazy tables
     best = float("inf")
     out = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        out = fn(*args)
+        out = fn()
         best = min(best, time.perf_counter() - t0)
     return out, best
 
 
-def _bench_batch(label, n, r, rows, seed):
-    # ``batch_decide`` on ``rows`` random graphs with n vertices
+def _adjs(n, words):
+    adjs = np.zeros((len(words), n), np.int64)
+    K.words_to_adj(words, n, adjs)
+    return adjs
+
+
+def _random_adjs(n, rows, seed):
     words = np.random.default_rng(seed).integers(
         0, 1 << 62, size=(rows, (comb(n, 2) + 63) // 64)
     ).astype(np.int64)
-    adjs = np.zeros((rows, n), np.int64)
-    K.words_to_adj(words, n, adjs)
+    return _adjs(n, words)
 
-    def run(fn):
-        out = np.zeros(rows, np.int64)
+
+def _all_adjs(n):
+    return _adjs(n, np.arange(1 << comb(n, 2), dtype=np.int64)[:, None])
+
+
+def _packing(adjs, n, r):
+    """Packing search on every row, given the kernel (``batch_decide``)."""
+
+    def search(kernel):
+        out = np.zeros(len(adjs), np.int64)
+        kernel(adjs, n, r, 10**9, *K.pack_work_arrays(n), out)
+        return (out == 1).tolist()
+
+    return search
+
+
+def _hampath(adjs, n):
+    """The Hamilton-path programme on every row, given the kernel
+    (``_hampath_decide``)."""
+
+    def search(kernel):
         dp = np.zeros(1 << n, np.int64)
-        fn(adjs, n, r, 10**9, *K.pack_work_arrays(n), dp, out)
-        return tuple(out)
+        return [kernel(adj, n, dp)[0] == 1 for adj in adjs]
 
-    return label, K.batch_decide, run
-
-
-def bench_batch_packing():
-    return _bench_batch("batch packing decisions, 256 random graphs n=12 r=3", 12, 3, 256, 1)
-
-
-def bench_batch_hampath():
-    return _bench_batch("batch Hamilton-path decisions, 4096 random graphs n=7", 7, 0, 4096, 2)
+    return search
 
 
 def main():
-    if not K.NUMBA_ENABLED:
-        print("numba is disabled; nothing to compare against")
-        return
-    benches = [bench_batch_packing(), bench_batch_hampath()]
+    n12, n6, n7 = _random_adjs(12, 256, 1), _all_adjs(6), _random_adjs(7, 4096, 2)
+    benches = [  # (label, block decider or None, per-row search, its kernel)
+        ("packing, 256 random graphs n=12 r=3", None, _packing(n12, 12, 3), K.batch_decide),
+        ("packing, all 32768 graphs n=6 r=2", lambda: K.packable_rows(n6, 6, 2).tolist(),
+         _packing(n6, 6, 2), K.batch_decide),
+        ("packing, all 32768 graphs n=6 r=3", lambda: K.packable_rows(n6, 6, 3).tolist(),
+         _packing(n6, 6, 3), K.batch_decide),
+        ("Hamilton paths, 4096 random graphs n=7", lambda: K.hampath_rows(n7, 7).tolist(),
+         _hampath(n7, 7), K._hampath_decide),
+    ]
     rows = []
-    for label, jit_fn, run in benches:
-        run(lambda *a: jit_fn(*a))  # warm up the compiled path
-        res_jit, t_jit = _timed(lambda: run(jit_fn))
-        res_pure, t_pure = _timed(lambda: run(K.pure(jit_fn)), repeat=1)
-        assert res_jit == res_pure, f"paths disagree on: {label}"
-        rows.append((label, t_jit, t_pure, t_pure / t_jit))
-    width = max(len(r[0]) for r in rows)
-    print(f"{'benchmark':<{width}}  {'jit':>9}  {'pure':>9}  {'speedup':>8}")
-    for label, t_jit, t_pure, ratio in rows:
-        print(f"{label:<{width}}  {t_jit:>8.4f}s  {t_pure:>8.4f}s  {ratio:>7.1f}x")
+    for label, block, search, kernel in benches:
+        ways = {"numpy": block, "pure": lambda: search(K.pure(kernel))}
+        if K.NUMBA_ENABLED:
+            ways["jit"] = lambda: search(kernel)
+        times = {}
+        results = []
+        for way, fn in ways.items():
+            if fn is not None:
+                res, times[way] = _timed(fn)
+                results.append(res)
+        assert all(res == results[0] for res in results), f"ways disagree on: {label}"
+        rows.append((label, times))
+    width = max(len(label) for label, _ in rows)
+    print(f"{'benchmark':<{width}}  {'numpy':>9}  {'pure':>9}  {'jit':>9}")
+    for label, times in rows:
+        cells = [f"{times[w]:>8.4f}s" if w in times else f"{'-':>9}" for w in ("numpy", "pure", "jit")]
+        print(f"{label:<{width}}  " + "  ".join(cells))
 
 
 if __name__ == "__main__":

@@ -18,14 +18,24 @@ order graph6 uses, so witness masks and graph6 strings agree bit for bit.
 Every scan, exhaustive or sampled, works on blocks of graphs: it hands a
 block of 64-bit edge words to ``words_to_adj``, plain numpy with one vector
 operation per edge slot, filters the rows by their degrees in numpy, and
-decides the rows it keeps with ``batch_decide``, by packing search or by the
-Hamilton-path programme.
+decides the rows it keeps with one of three block deciders.  Two are plain
+numpy over the whole block and never abort: ``hampath_rows`` runs the
+Hamilton-path subset programme across the rows, and ``packable_rows`` tests
+each row against a table of the partitions of the vertices into r-blocks.
+The third, ``batch_decide``, runs the packing search row by row and stops at
+the first row that hits the node cap; the scans use it when the cap is below
+``pack_node_bound`` (the most nodes the search can use, so the table would
+hide an abort), past the partition tables' size range, and for the
+colouring side of the packing/colouring duality cross-check.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 import warnings
+from math import comb
 
 import numpy as np
 
@@ -320,20 +330,102 @@ def words_to_adj(words, n, adjs):
     return 0
 
 
+def hampath_rows(adjs, n):
+    """Hamilton-path existence for every row of ``adjs``, as a bool array.
+
+    The subset programme of ``_hampath_decide`` run across the rows: subsets
+    are taken layer by layer in order of popcount, and for each vertex w a
+    path ending next to w on subset m extends to m | w.  Plain numpy, in
+    sub-blocks of ``2^15 >> n`` rows so the (2^n, rows) table stays at
+    256 KB: 512 KB sub-blocks raised the peak memory of the n = 6 scans by
+    about 0.9 MB for no gain in speed there.
+    """
+    subsets = np.arange(1 << n, dtype=np.int64)
+    sizes = np.bitwise_count(subsets)
+    # (w, sources without w) per layer; the targets m | w lie one layer up
+    layers = [
+        [(w, layer[(layer >> w) & 1 == 0]) for w in range(n)]
+        for layer in (subsets[sizes == k] for k in range(1, n))
+    ]
+    out = np.zeros(len(adjs), bool)
+    step = max(1, (1 << 15) >> n)
+    for lo in range(0, len(adjs), step):
+        adj = adjs[lo : lo + step].T
+        dp = np.zeros((1 << n, adj.shape[1]), np.int64)  # one row per subset
+        for v in range(n):
+            dp[1 << v] = 1 << v
+        for layer in layers:
+            for w, src in layer:
+                dp[src | (1 << w)] |= ((dp[src] & adj[w]) != 0).astype(np.int64) << w
+        out[lo : lo + adj.shape[1]] = dp[-1] != 0
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _partition_needs(n, r):
+    """need[P, v]: the neighbours vertex v needs inside its own block, for
+    each partition P of range(n) into blocks of r vertices."""
+    rows = []
+
+    def extend(rest, need):
+        if not rest:
+            rows.append(need)
+            return
+        first, others = rest[0], rest[1:]
+        for mates in itertools.combinations(others, r - 1):
+            block = (first,) + mates
+            bits = sum(1 << v for v in block)
+            row = list(need)
+            for v in block:
+                row[v] = bits & ~(1 << v)
+            extend(tuple(v for v in others if v not in mates), row)
+
+    extend(tuple(range(n)), [0] * n)
+    table = np.array(rows, np.int64).reshape(len(rows), n)
+    table.flags.writeable = False
+    return table
+
+
+def packable_rows(adjs, n, r):
+    """Perfect r-clique packing existence for every row of ``adjs`` (r | n),
+    as a bool array: some partition into r-blocks has every block a clique.
+
+    Plain numpy over the partition table, in sub-blocks of rows so that a
+    (rows, partitions) array stays near 2^16 entries.
+    """
+    need = _partition_needs(n, r)
+    out = np.zeros(len(adjs), bool)
+    step = max(1, (1 << 16) // len(need))
+    for lo in range(0, len(adjs), step):
+        adj = adjs[lo : lo + step]
+        fits = np.ones((len(adj), len(need)), bool)
+        for v in range(n):
+            fits &= (adj[:, v, None] & need[:, v]) == need[:, v]
+        out[lo : lo + len(adj)] = fits.any(axis=1)
+    return out
+
+
+def pack_node_bound(n, r):
+    """The most search nodes ``_pack_decide`` can use on any n-vertex graph
+    (r | n): the size of its unpruned search tree, where a block's first
+    vertex is forced and its other r - 1 are increasing choices among the
+    u - 1 uncovered vertices after it.  A node cap of at least this never
+    aborts the search."""
+    f = 0  # f(0)
+    for u in range(r, n + 1, r):
+        f = 1 + sum(comb(u - 1, j) for j in range(1, r)) + comb(u - 1, r - 1) * f
+    return f
+
+
 @_jit
-def batch_decide(adjs, n, r, node_cap, cand, chosen, comm, dp, out):
-    """Exact decision per row of ``adjs``, out[b] in {1, 0}: a perfect
-    r-clique packing for r >= 2, or for r = 0 a Hamilton path (``dp`` then
-    has at least 1 << n entries).
+def batch_decide(adjs, n, r, node_cap, cand, chosen, comm, out):
+    """Perfect r-clique packing search per row of ``adjs``, out[b] in {1, 0}.
 
     Stops at the first row that hits the node cap, where out[b] = -1.
     Returns the number of rows decided before it.
     """
     for b in range(adjs.shape[0]):
-        if r == 0:
-            st, _ = _hampath_decide(adjs[b], n, dp)
-        else:
-            st, _ = _pack_decide(adjs[b], n, r, node_cap, cand, chosen, comm)
+        st, _ = _pack_decide(adjs[b], n, r, node_cap, cand, chosen, comm)
         out[b] = st
         if st == -1:
             return b

@@ -303,22 +303,34 @@ def _condition_rows(degs: np.ndarray, clauses) -> np.ndarray:
     return ((d[:, table[:, 0]] >= table[:, 1]) | (d[:, table[:, 2]] >= table[:, 3])).all(axis=1)
 
 
-def _batch_decide(adjs: np.ndarray, n: int, r: int, node_cap: int):
+def _batch_decide(adjs: np.ndarray, n: int, r: int, node_cap: int, backtrack: bool = False):
     """Exact decision for each row of ``adjs``: a perfect r-clique packing,
     or a Hamilton path at r = 0.  Returns (decisions as a bool array,
-    aborted), the decisions stopping at the first row that hit the node cap."""
+    aborted), the decisions stopping at the first row that hit the node cap.
+
+    Hamilton paths are decided across the block in numpy, and so are
+    packings when r | n, n is in the exhaustive range (its partition tables
+    have at most 945 rows) and the node cap is one the packing search can
+    never reach.  Otherwise, or with ``backtrack``, each row is decided by
+    packing search, which may abort on the cap."""
+    if r == 0:
+        return K.hampath_rows(adjs, n), False
+    if (not backtrack and n <= EXHAUSTIVE_HARD_CAP and n % r == 0
+            and node_cap >= K.pack_node_bound(n, r)):
+        return K.packable_rows(adjs, n, r), False
     out = np.zeros(len(adjs), np.int64)
-    dp = np.zeros(1 << n if r == 0 else 1, np.int64)
-    done = K.batch_decide(adjs, n, r, node_cap, *K.pack_work_arrays(n), dp, out)
+    done = K.batch_decide(adjs, n, r, node_cap, *K.pack_work_arrays(n), out)
     return out[:done] == 1, done < len(adjs)
 
 
-def _scan_chunk(n: int, r: int, chunk, cap: int, keep, visit, complement: bool = False):
+def _scan_chunk(n: int, r: int, chunk, cap: int, keep, visit, complement: bool = False,
+                backtrack: bool = False):
     """Expand (and complement when asked) the edge masks of ``chunk`` =
     (lo, hi) in blocks of at most ``SAMPLE_BATCH``, and decide the rows whose
-    degrees ``keep`` accepts.  ``visit(masks, degrees, decisions)`` gets
-    each block's decided rows in mask order and returns its violation masks,
-    of which the chunk stores the first ``VIOLATION_BUFFER``.  Returns
+    degrees ``keep`` accepts with ``_batch_decide`` (``backtrack`` passed
+    on).  ``visit(masks, degrees, decisions)`` gets each block's decided
+    rows in mask order and returns its violation masks, of which the chunk
+    stores the first ``VIOLATION_BUFFER``.  Returns
     (examined, kept, (violation count, stored masks), aborted); after a
     node-cap abort both counts include the aborting graph, which ``visit``
     never sees."""
@@ -332,7 +344,7 @@ def _scan_chunk(n: int, r: int, chunk, cap: int, keep, visit, complement: bool =
             adjs = _complement_rows(n, adjs)
         degs = np.bitwise_count(adjs)
         hits = np.flatnonzero(keep(degs))
-        decisions, aborted = _batch_decide(adjs[hits], n, r, cap)
+        decisions, aborted = _batch_decide(adjs[hits], n, r, cap, backtrack)
         done = hits[: len(decisions)]
         bad = visit(masks[done], degs[done], decisions)
         nviol += len(bad)
@@ -388,9 +400,11 @@ class ThresholdSpec:
         return beyond and not perfect_kr_packing(g, self.r, cap).decision
 
 
-def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, problems):
+def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, problems,
+                    backtrack: bool = False):
     """All 2^C(n,2) graphs through the block pipeline; returns (examined,
-    violation masks, aborted, per-D table)."""
+    violation masks, aborted, per-D table).  ``backtrack`` decides every
+    row by packing search."""
     n = spec.n
     _check_exhaustive(n, n_cap)
     bounds = spec.packing_bounds()
@@ -415,7 +429,7 @@ def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, pro
 
         return _scan_chunk(
             n, spec.r, chunk, cap, lambda degs: degs.min(axis=1) >= d_lo, visit,
-            spec.complement,
+            spec.complement, backtrack,
         ) + (extrema,)
 
     parts = _run_chunks(1 << slots, workers, run_one)
@@ -468,20 +482,25 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
     return len(decisions), viol_masks, capped, starved, ok
 
 
-def _dual_agrees(spec, task, examined, violations, per_d, workers, node_cap, n_cap, cap):
+def _dual_agrees(spec, examined, violations, per_d, workers, cap, n_cap):
     """The colouring-side cross-check of ``verify_mainthm1_threshold``'s
-    exhaustive mode; returns (agrees, dual run aborted on the node cap)."""
+    exhaustive mode: the t1 scan at the complementary degree parameters.
+    It decides every row by packing search, while the main scan may use
+    the partition table, so two deciders are compared.  Returns (agrees,
+    dual run aborted on the node cap)."""
     n, r = spec.n, spec.r
-    big_d = None if task.d is None else n - 1 - task.d
-    dual = verify_t1_threshold(n, r, big_d, workers=workers, node_cap=node_cap, n_cap=n_cap)
-    ok = dual.examined == examined
+    dual = _colouring_spec(n, r, [n - 1 - dd for dd in reversed(spec.thresholds)])
+    dual_examined, dual_masks, dual_capped, dual_per_d = _scan_threshold(
+        dual, workers, cap, n_cap, [], backtrack=True
+    )
+    ok = dual_examined == examined
     dual_viols = sorted(
-        encode_graph6(decode_graph6(g6).complement()) for g6 in dual.violations
+        encode_graph6(Graph.from_edge_mask(n, m).complement()) for m in dual_masks
     )
     ok = ok and dual_viols == sorted(violations)
     half = comb(n, 2)
     for dd, row in per_d.items():
-        drow = dual.per_d[n - 1 - dd]
+        drow = dual_per_d[n - 1 - dd]
         if not (row["found"] and drow["found"]):
             ok = False
             continue
@@ -493,7 +512,7 @@ def _dual_agrees(spec, task, examined, violations, per_d, workers, node_cap, n_c
             and comp.edge_count == drow["edges"]
             and not equitable_colouring(comp, n // r, cap).decision
         )
-    return ok, dual.status == "aborted"
+    return ok, dual_capped
 
 
 def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, workers: int,
@@ -521,7 +540,7 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, workers: int,
     _recheck(violations, lambda g: spec.refuted_by(g, cap), problems)
     if spec.dual and per_d is not None:
         dual_ok, dual_capped = _dual_agrees(
-            spec, task, examined, violations, per_d, workers, node_cap, n_cap, cap
+            spec, examined, violations, per_d, workers, cap, n_cap
         )
         ok, capped = ok and dual_ok, capped or dual_capped
     if capped:
@@ -582,6 +601,11 @@ def verify_matching_threshold(
     return _verify_threshold(spec, task, workers, node_cap, n_cap, timing)
 
 
+def _colouring_spec(n: int, r: int, armed) -> ThresholdSpec:
+    """The equitable-colouring check at the max-degree caps ``armed``."""
+    return ThresholdSpec("t1", n, r, True, {dd: colouring_threshold(n, r, dd).value for dd in armed})
+
+
 def verify_t1_threshold(
     n: int,
     r: int,
@@ -605,10 +629,7 @@ def verify_t1_threshold(
     """
     if r < 3 or n % r or n < 2 * r:
         raise ParameterRangeError("need r >= 3 and r | n with n >= 2r")
-    armed = _armed(big_d, n // r, n - r, "need n/r <= D <= n - r")
-    spec = ThresholdSpec(
-        "t1", n, r, True, {dd: colouring_threshold(n, r, dd).value for dd in armed}
-    )
+    spec = _colouring_spec(n, r, _armed(big_d, n // r, n - r, "need n/r <= D <= n - r"))
     task = _task(spec.predicate, n, mode, r=r, d=big_d, seed=seed, samples=samples)
     return _verify_threshold(spec, task, workers, node_cap, n_cap, timing)
 
@@ -709,26 +730,28 @@ def _scan_condition(n: int, r: int, clauses, workers: int, cap: int, n_cap: int,
 def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int):
     """``samples`` uniform graphs, 64 raw stream bits per edge word, filtered
     by the clause table in numpy; returns (examined, condition-true count,
-    violation masks, aborted)."""
+    violation masks, aborted).  After a node-cap abort both counts stop at
+    the aborting sample and include it, as in ``_scan_chunk``."""
     e_total = comb(n, 2)
     words = range((e_total + 63) // 64)
     rng = SplitMix64(seed)
-    cond_true = 0
+    examined = cond_true = 0
     viol_set: set[int] = set()
-    aborted = False
-    remaining = samples
-    while remaining and not aborted:
-        batch = min(SAMPLE_BATCH, remaining)
-        remaining -= batch
+    while examined < samples:
+        batch = min(SAMPLE_BATCH, samples - examined)
         raw = [[rng.next_word() for _ in words] for _ in range(batch)]
         adjs = _expand_words(n, raw)
         hits = np.flatnonzero(_condition_rows(np.bitwise_count(adjs), clauses))
-        cond_true += len(hits)
         decisions, aborted = _batch_decide(adjs[hits], n, r, cap)
         for b in hits[: len(decisions)][~decisions]:
             mask = sum(x << (64 * w) for w, x in enumerate(raw[b]))
             viol_set.add(mask & ((1 << e_total) - 1))
-    return samples - remaining, cond_true, sorted(viol_set), aborted
+        if aborted:
+            stop = examined + int(hits[len(decisions)]) + 1
+            return stop, cond_true + len(decisions) + 1, sorted(viol_set), True
+        examined += batch
+        cond_true += len(hits)
+    return examined, cond_true, sorted(viol_set), False
 
 
 def _condition_search(

@@ -74,15 +74,22 @@ def has_equitable_colouring_brute(graph, k: int) -> bool:
 
 
 def has_hamilton_path_brute(graph) -> bool:
+    """Exhaustive search over vertex tuples, each extended by one edge at a
+    time from every start vertex."""
     n = graph.n
     if n <= 1:
         return n == 1
-    for perm in permutations(range(n)):
-        if perm[0] > perm[-1]:
-            continue
-        if all(graph.has_edge(perm[i], perm[i + 1]) for i in range(n - 1)):
+
+    def extend(path):
+        if len(path) == n:
             return True
-    return False
+        return any(
+            extend(path + (v,))
+            for v in range(n)
+            if v not in path and graph.has_edge(path[-1], v)
+        )
+
+    return any(extend((v,)) for v in range(n))
 
 
 def has_clique_brute(graph, q: int) -> bool:

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from packlab import (
     Graph,
@@ -126,21 +127,100 @@ def test_has_clique_brute_parity():
 
 
 def test_batch_decide_jit_pure_parity():
-    """Every labelled 4-vertex graph decided by matching (r = 2) and by the
-    Hamilton-path programme (r = 0), compiled and pure; the pure path must
-    agree with brute force."""
+    """Every labelled 4-vertex graph decided by matching, compiled and pure;
+    the pure path must agree with brute force."""
     n = 4
     adjs = np.array([_adj_for(n, mask) for mask in range(1 << 6)])
     outs = []
-    for r in (2, 0):
-        for fn in (K.batch_decide, K.pure(K.batch_decide)):
-            out = np.zeros(len(adjs), np.int64)
-            res = fn(adjs, n, r, 10**7, *K.pack_work_arrays(n), np.zeros(1 << n, np.int64), out)
-            outs.append((res, out.tolist()))
-    assert outs[0] == outs[1] and outs[2] == outs[3]
+    for fn in (K.batch_decide, K.pure(K.batch_decide)):
+        out = np.zeros(len(adjs), np.int64)
+        outs.append((fn(adjs, n, 2, 10**7, *K.pack_work_arrays(n), out), out.tolist()))
+    assert outs[0] == outs[1]
     graphs = [Graph.from_edge_mask(n, mask) for mask in range(1 << 6)]
     assert outs[0] == (64, [int(has_perfect_packing_brute(g, 2)) for g in graphs])
-    assert outs[2] == (64, [int(has_hamilton_path_brute(g)) for g in graphs])
+
+
+def _all_graphs(n):
+    masks = range(1 << (n * (n - 1) // 2))
+    return [Graph.from_edge_mask(n, m) for m in masks], V._expand_words(n, np.array(masks))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hampath_rows_matches_brute(n):
+    graphs, adjs = _all_graphs(n)
+    assert K.hampath_rows(adjs, n).tolist() == [has_hamilton_path_brute(g) for g in graphs]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_packable_rows_matches_brute(n):
+    """Every labelled graph with n <= 6 and its complement, at every r | n."""
+    graphs, adjs = _all_graphs(n)
+    comps = [g.complement() for g in graphs]
+    for r in (r for r in range(2, n + 1) if n % r == 0):
+        for gs, rows in ((graphs, adjs), (comps, V._complement_rows(n, adjs))):
+            want = [has_perfect_packing_brute(g, r) for g in gs]
+            assert K.packable_rows(rows, n, r).tolist() == want, r
+
+
+def _drawn_graph(draw):
+    """A graph with 7 <= n <= 10 whose edge mask ORs one to three drawn
+    masks, so denser graphs are drawn as well as half-full ones."""
+    n = draw(strategies.integers(7, 10))
+    full = (1 << (n * (n - 1) // 2)) - 1
+    mask = 0
+    for _ in range(draw(strategies.integers(1, 3))):
+        mask |= draw(strategies.integers(0, full))
+    return Graph.from_edge_mask(n, mask)
+
+
+_DRAWN = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@_DRAWN
+@given(strategies.data())
+def test_hampath_rows_matches_brute_drawn(data):
+    g = _drawn_graph(data.draw)
+    assert K.hampath_rows(g.adjacency_array()[None], g.n).tolist() == [
+        has_hamilton_path_brute(g)
+    ]
+
+
+@_DRAWN
+@given(strategies.data())
+def test_packable_rows_matches_brute_drawn(data):
+    g = _drawn_graph(data.draw)
+    n = g.n
+    r = data.draw(strategies.sampled_from([r for r in range(2, n + 1) if n % r == 0]))
+    for h in (g, g.complement()):
+        want = has_perfect_packing_brute(h, r)
+        assert K.packable_rows(h.adjacency_array()[None], n, r).tolist() == [want]
+
+
+@pytest.mark.parametrize("n, r, bound", [(4, 2, 10), (6, 2, 56), (6, 3, 56)])
+def test_pack_node_bound_covers_search(n, r, bound):
+    """No graph makes the packing search use more nodes than the bound."""
+    assert K.pack_node_bound(n, r) == bound
+    cand, chosen, comm = K.pack_work_arrays(n)
+    _, adjs = _all_graphs(n)
+    most = max(K._pack_decide(adj, n, r, 10**7, cand, chosen, comm)[1] for adj in adjs)
+    assert 0 < most <= bound
+
+
+def test_small_cap_takes_backtracking_path(monkeypatch):
+    """The partition table decides only when the cap is one the search
+    cannot reach; below it, the search decides and can abort."""
+    n, r = 6, 2
+    adjs = np.array([Graph.complete(n).adjacency_array()])
+    bound = K.pack_node_bound(n, r)
+    tables = []
+    table = K.packable_rows
+    monkeypatch.setattr(K, "packable_rows", lambda *a: tables.append(a) or table(*a))
+    assert V._batch_decide(adjs, n, r, bound)[0].tolist() == [True]
+    assert len(tables) == 1
+    assert V._batch_decide(adjs, n, r, bound, backtrack=True)[0].tolist() == [True]
+    assert V._batch_decide(adjs, n, r, bound - 1)[0].tolist() == [True]
+    decisions, aborted = V._batch_decide(adjs, n, r, 3)
+    assert len(tables) == 1 and (decisions.tolist(), aborted) == ([], True)
 
 
 def test_scan_pack_threshold_complement_matches_brute():
@@ -232,24 +312,28 @@ def test_batch_kernels_match_scalar():
     masks = _random_masks(n, 32)
     adjs = np.array([_adj_for(n, mask) for mask in masks])
     cand, chosen, comm = K.pack_work_arrays(n)
-    dp = np.zeros(1 << n, np.int64)
     out = np.zeros(len(masks), np.int64)
-    assert K.batch_decide(adjs, n, r, 10**7, cand, chosen, comm, dp, out) == len(masks)
+    assert K.batch_decide(adjs, n, r, 10**7, cand, chosen, comm, out) == len(masks)
     for b, mask in enumerate(masks):
         st, _ = K._pack_decide(adjs[b], n, r, 10**7, cand, chosen, comm)
         assert out[b] == st
-    assert K.batch_decide(adjs, n, 0, 1, cand, chosen, comm, dp, out) == len(masks)
-    for b, mask in enumerate(masks):
-        assert out[b] == K._hampath_decide(adjs[b], n, dp)[0]
 
     # equitable (n/r)-colourability is packing on the complemented rows
     full = (1 << n) - 1
     comp = full & ~adjs & ~(1 << np.arange(n, dtype=np.int64))
     outc = np.zeros(len(masks), np.int64)
-    assert K.batch_decide(comp, n, r, 10**7, cand, chosen, comm, dp, outc) == len(masks)
+    assert K.batch_decide(comp, n, r, 10**7, cand, chosen, comm, outc) == len(masks)
     for b, mask in enumerate(masks):
         g = Graph.from_edge_mask(n, mask)
         assert (outc[b] == 1) == has_equitable_colouring_brute(g, n // r)
+
+
+def test_hampath_rows_matches_scalar():
+    n = 6
+    adjs = np.array([_adj_for(n, mask) for mask in _random_masks(n, 32)])
+    dp = np.zeros(1 << n, np.int64)
+    want = [K._hampath_decide(adj, n, dp)[0] == 1 for adj in adjs]
+    assert K.hampath_rows(adjs, n).tolist() == want
 
 
 def test_node_cap_aborts():
@@ -261,7 +345,7 @@ def test_node_cap_aborts():
     # a batch stops at its first row that hits the cap, after one decided row
     adjs = np.array([Graph(n).adjacency_array(), adj, adj])
     out = np.full(3, 7, np.int64)
-    assert K.batch_decide(adjs, n, 2, 3, cand, chosen, comm, np.zeros(1, np.int64), out) == 1
+    assert K.batch_decide(adjs, n, 2, 3, cand, chosen, comm, out) == 1
     assert out.tolist() == [0, -1, 7]
 
 

@@ -28,6 +28,7 @@ from packlab import (
     verify_matching_threshold,
     verify_t1_threshold,
 )
+from packlab import _kernels as K
 from packlab import verify as V
 from packlab.verify import SplitMix64
 
@@ -74,6 +75,25 @@ def test_mainthm1_exhaustive_duality():
     assert rep.status == "pass"
     assert rep.per_d[2]["edges"] == 12 and rep.per_d[3]["edges"] == 12
     assert rep.extremal[0] == 12
+
+
+def test_mainthm1_duality_compares_two_deciders(monkeypatch):
+    """The packing side is decided by the partition table, the colouring
+    side of the cross-check by packing search on the complements."""
+    rows = {"packable_rows": 0, "batch_decide": 0}
+    for name in rows:
+        kernel = getattr(K, name)
+
+        def counted(adjs, *args, _kernel=kernel, _name=name):
+            rows[_name] += len(adjs)
+            return _kernel(adjs, *args)
+
+        monkeypatch.setattr(K, name, counted)
+    assert verify_t1_threshold(6, 3).status == "pass"
+    assert rows["packable_rows"] > 0 and rows["batch_decide"] == 0
+    rows.update(packable_rows=0)
+    assert verify_mainthm1_threshold(6, 3).status == "pass"
+    assert rows["packable_rows"] == rows["batch_decide"] > 0
 
 
 def test_report_schema_and_serialization():
@@ -288,14 +308,16 @@ GOLDEN_RUNS = {
 # run that hit a node cap of 8, as produced before the exhaustive scans ran
 # through the samplers' block pipeline.  They pin the abort accounting:
 # examined counts stop at the aborting graph in each chunk, and extrema and
-# violations cover only the graphs decided before it.
+# violations cover only the graphs decided before it.  The sampled entry was
+# re-pinned when the condition sampler's counts began to stop at the
+# aborting sample too (examined 956, where the whole batch of 4096 counted).
 ABORTED_REPORTS = {
     "matching(6)": "ea6982561eade8caa14e27ef09da1104076e119b3d9b39e265a3031f71133f83",
     "t1(6,3)": "68056f648baa35f63f80d3cfcd542a7be6d5cf960b088d4d7457d7f20fc563dc",
     "mainthm1(6,3)": "fa9e6267869fb94379bdfa2191177fe0dca78988efbbfe6dba8fc4e1598d4f63",
     "conj1(6,3)": "7f4f25b504bb725ef6127912112b332c32c2f252d5e0405ed45018361b18933c",
     "ques1(6,3)": "63537fa60010fc4737db978578fc5dfcd8d4d8fb03fe39b68a55784c595a50a7",
-    "conj1(12,3)": "677b609593e32912e5d47a22490c38c9c6579c1d6dc524e1d71cf1b714d74d7b",
+    "conj1(12,3)": "f6ee3b71bfc5e5ce966c0692883895014062fa94659a6eebdf5d299280b947f2",
 }
 ABORTED_RUNS = {
     "matching(6)": lambda **kw: verify_matching_threshold(6, **kw),
@@ -341,6 +363,21 @@ def test_block_size_does_not_change_exhaustive_reports(monkeypatch):
     for name in ABORTED_REPORTS:
         if "(12," not in name:
             assert _aborted_digest(name) == ABORTED_REPORTS[name], name
+
+
+def test_block_size_does_not_change_sampled_aborted_report(monkeypatch):
+    """The sampler draws the same stream in blocks of 7, so an abort stops
+    its counts at the same sample."""
+    monkeypatch.setattr(V, "SAMPLE_BATCH", 7)
+    assert _aborted_digest("conj1(12,3)") == ABORTED_REPORTS["conj1(12,3)"]
+    rep = ABORTED_RUNS["conj1(12,3)"](node_cap=8)
+    assert (rep.examined, rep.condition_count) == (956, 1)
+    # an empty clause table keeps every sample, so the condition count stops
+    # with ``examined`` at the sample that aborts
+    for batch in (7, 4096):
+        monkeypatch.setattr(V, "SAMPLE_BATCH", batch)
+        examined, cond_true, viol, aborted = V._sample_condition(12, 3, (), 34, 5000, 100)
+        assert (examined, cond_true, len(viol), aborted) == (16, 16, 6, True)
 
 
 @pytest.mark.parametrize("name", ["matching(6)", "mainthm1(6,3)", "conj1(6,3)", "conj1(12,3)"])
