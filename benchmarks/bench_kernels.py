@@ -70,8 +70,11 @@ def _hampath(adjs, n):
 
 def main():
     n12, n6, n7 = _random_adjs(12, 256, 1), _all_adjs(6), _random_adjs(7, 4096, 2)
-    benches = [  # (label, block decider or None, per-row search, its kernel)
-        ("packing, 256 random graphs n=12 r=3", None, _packing(n12, 12, 3), K.batch_decide),
+    benches = [  # (label, block decider, per-row search, its kernel)
+        ("packing, 256 random graphs n=12 r=2", lambda: K.packable_rows(n12, 12, 2).tolist(),
+         _packing(n12, 12, 2), K.batch_decide),
+        ("packing, 256 random graphs n=12 r=3", lambda: K.packable_rows(n12, 12, 3).tolist(),
+         _packing(n12, 12, 3), K.batch_decide),
         ("packing, all 32768 graphs n=6 r=2", lambda: K.packable_rows(n6, 6, 2).tolist(),
          _packing(n6, 6, 2), K.batch_decide),
         ("packing, all 32768 graphs n=6 r=3", lambda: K.packable_rows(n6, 6, 3).tolist(),
@@ -87,9 +90,8 @@ def main():
         times = {}
         results = []
         for way, fn in ways.items():
-            if fn is not None:
-                res, times[way] = _timed(fn)
-                results.append(res)
+            res, times[way] = _timed(fn)
+            results.append(res)
         assert all(res == results[0] for res in results), f"ways disagree on: {label}"
         rows.append((label, times))
     width = max(len(label) for label, _ in rows)

@@ -20,13 +20,15 @@ block of 64-bit edge words to ``words_to_adj``, plain numpy with one vector
 operation per edge slot, filters the rows by their degrees in numpy, and
 decides the rows it keeps with one of three block deciders.  Two are plain
 numpy over the whole block and never abort: ``hampath_rows`` runs the
-Hamilton-path subset programme across the rows, and ``packable_rows`` tests
-each row against a table of the partitions of the vertices into r-blocks.
-The third, ``batch_decide``, runs the packing search row by row and stops at
-the first row that hits the node cap; the scans use it when the cap is below
-``pack_node_bound`` (the most nodes the search can use, so the table would
-hide an abort), past the partition tables' size range, and for the
-colouring side of the packing/colouring duality cross-check.
+Hamilton-path subset programme across the rows, and ``packable_rows`` runs
+the packing subset programme, over the uncovered vertex sets reached by
+always covering the lowest uncovered vertex with an r-clique.  The third,
+``batch_decide``, runs the packing search row by row and stops at the first
+row that hits the node cap; the scans use it when the cap is below
+``pack_node_bound`` (the most nodes the search can use, so the programme
+would hide an abort), for n above 12, where the programme's state tables
+grow quickly, and for the colouring side of the exhaustive
+packing/colouring duality cross-check.
 """
 
 from __future__ import annotations
@@ -55,12 +57,14 @@ else:
         from numba import njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        warnings.warn(
-            "numba is not importable; using pure-Python kernels",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    except ImportError as exc:
+        # numba is the optional ``jit`` extra, so only a broken install warns
+        if not (isinstance(exc, ModuleNotFoundError) and exc.name == "numba"):
+            warnings.warn(
+                f"numba is not importable ({exc}); using pure-Python kernels",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         NUMBA_ENABLED = False
 
 
@@ -362,46 +366,74 @@ def hampath_rows(adjs, n):
 
 
 @functools.lru_cache(maxsize=None)
-def _partition_needs(n, r):
-    """need[P, v]: the neighbours vertex v needs inside its own block, for
-    each partition P of range(n) into blocks of r vertices."""
-    rows = []
+def _pack_programme(n, r):
+    """The packing subset programme for (n, r), r | n, as index arrays.
 
-    def extend(rest, need):
-        if not rest:
-            rows.append(need)
-            return
-        first, others = rest[0], rest[1:]
-        for mates in itertools.combinations(others, r - 1):
-            block = (first,) + mates
-            bits = sum(1 << v for v in block)
-            row = list(need)
-            for v in block:
-                row[v] = bits & ~(1 << v)
-            extend(tuple(v for v in others if v not in mates), row)
-
-    extend(tuple(range(n)), [0] * n)
-    table = np.array(rows, np.int64).reshape(len(rows), n)
-    table.flags.writeable = False
-    return table
+    Its states are the uncovered vertex sets reached from all n vertices by
+    always covering the lowest uncovered vertex with an r-block, and a set
+    is good when it is empty or some such block b is a clique and the set
+    without b is good.  Returns ``(tail, head, block_slots, layers)``: edge
+    slot s joins ``tail[s] < head[s]``; ``block_slots[b]`` lists the slots
+    inside block b; ``layers``, for sets of r, 2r, ..., n vertices, hold
+    each layer's (set, block) pairs grouped by set as ``(block, child,
+    starts)``, where ``child`` indexes the layer below (one empty set below
+    the first) and ``starts`` is each set's first pair.
+    """
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]  # in slot order
+    tail, head = np.array(pairs, np.int64).reshape(-1, 2).T
+    blocks = {}  # vertex bits of a block -> its index
+    block_slots = []
+    layers = []
+    states = [(1 << n) - 1]
+    for _ in range(n // r):
+        block, child, starts = [], [], []
+        below = {}  # the layer below: set -> its index
+        for unc in states:
+            starts.append(len(block))
+            v = (unc & -unc).bit_length() - 1
+            rest = [w for w in range(v + 1, n) if unc >> w & 1]
+            for mates in itertools.combinations(rest, r - 1):
+                members = (v,) + mates
+                bits = sum(1 << w for w in members)
+                if bits not in blocks:
+                    blocks[bits] = len(block_slots)
+                    block_slots.append(
+                        [j * (j - 1) // 2 + i for i, j in itertools.combinations(members, 2)]
+                    )
+                block.append(blocks[bits])
+                child.append(below.setdefault(unc & ~bits, len(below)))
+        layers.append(tuple(np.array(a, np.int64) for a in (block, child, starts)))
+        states = list(below)
+    block_slots = np.array(block_slots, np.int64).reshape(len(block_slots), r * (r - 1) // 2)
+    for table in (tail, head, block_slots, *(a for layer in layers for a in layer)):
+        table.flags.writeable = False  # cached and shared by every caller
+    return tail, head, block_slots, tuple(layers[::-1])
 
 
 def packable_rows(adjs, n, r):
     """Perfect r-clique packing existence for every row of ``adjs`` (r | n),
-    as a bool array: some partition into r-blocks has every block a clique.
+    as a bool array.
 
-    Plain numpy over the partition table, in sub-blocks of rows so that a
-    (rows, partitions) array stays near 2^16 entries.
+    The subset programme of ``_pack_programme`` run across the rows, layer
+    by layer from the smallest sets: gathers of the block-clique and
+    good-set columns, then ``np.logical_or.reduceat`` over each set's
+    pairs.  Plain numpy, in sub-blocks of rows sized so that no temporary
+    (the int64 edge-bit test included) exceeds 256 KB.
     """
-    need = _partition_needs(n, r)
+    tail, head, block_slots, layers = _pack_programme(n, r)
+    row_bytes = max([8 * len(tail), len(block_slots)] + [len(lay[0]) for lay in layers])
+    step = max(1, (1 << 18) // row_bytes)
     out = np.zeros(len(adjs), bool)
-    step = max(1, (1 << 16) // len(need))
     for lo in range(0, len(adjs), step):
         adj = adjs[lo : lo + step]
-        fits = np.ones((len(adj), len(need)), bool)
-        for v in range(n):
-            fits &= (adj[:, v, None] & need[:, v]) == need[:, v]
-        out[lo : lo + len(adj)] = fits.any(axis=1)
+        edge = ((adj[:, tail] >> head) & 1).astype(bool)
+        clique = np.ones((len(adj), len(block_slots)), bool)
+        for slots in block_slots.T:
+            clique &= edge[:, slots]
+        good = np.ones((len(adj), 1), bool)  # the empty set
+        for block, child, starts in layers:
+            good = np.logical_or.reduceat(clique[:, block] & good[:, child], starts, axis=1)
+        out[lo : lo + len(adj)] = good[:, 0]
     return out
 
 

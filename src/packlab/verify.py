@@ -8,10 +8,12 @@ filter and batch decision as sampled mode.  With compiled kernels, which
 release the GIL, chunks may run on a thread pool; on the pure path they run
 in order on the calling thread.  Chunks are merged in mask order, so serial
 and parallel runs produce bit-identical reports.  Sampling uses the
-documented ``splitmix64`` generator seeded explicitly; all randomness flows
-from that seed.  Reports serialize to a
-stable canonical JSON schema with ``elapsed_ms`` zeroed unless timing is
-requested, so repeated runs are byte-identical.
+documented ``splitmix64`` generator seeded explicitly, computed from a word
+counter in numpy buffers; all randomness flows from that seed.  Sampled
+graphs go through the same blocks: at n <= 12 the packing subset programme
+decides them unless the node cap could stop the search.  Reports serialize
+to a stable canonical JSON schema with ``elapsed_ms`` zeroed unless timing
+is requested, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import warnings
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
 from time import perf_counter
 
@@ -48,37 +50,66 @@ GENERATOR_ID = "splitmix64"
 SAMPLE_BATCH = 4096
 PROPOSAL_LIMIT_FACTOR = 1000
 _WORD = (1 << 64) - 1
+# the packing subset programme has at most 6,150 (set, block) pairs up to
+# n = 12, at (12, 4), but 34,521 already at (15, 3)
+_PACK_ROWS_MAX_N = 12
 
 
 class SplitMix64:
-    """The splitmix64 sequence; the documented generator behind sampled mode."""
+    """The splitmix64 sequence; the documented generator behind sampled mode.
 
-    _MASK = (1 << 64) - 1
+    Counter-based: word k (from 1) is ``mix(seed + k * 0x9E3779B97F4A7C15)``
+    modulo 2^64, the value the classic state-stepping loop yields on its
+    k-th call.  Words are made in numpy ``uint64`` buffers of
+    ``_BUFFER`` words; ``next_word`` hands them out one at a time and
+    ``words`` takes the next ones as an array, so the two may be mixed
+    freely and still read one stream.
+    """
+
+    _GAMMA = np.uint64(0x9E3779B97F4A7C15)
+    _BUFFER = 4096
 
     def __init__(self, seed: int):
-        self._state = seed & self._MASK
+        self._seed = np.uint64(seed & _WORD)
+        self._made = 0  # words made so far
+        self._buffered = iter(())
+
+    def _make(self, count: int) -> np.ndarray:
+        k = np.arange(self._made + 1, self._made + 1 + count, dtype=np.uint64)
+        self._made += count
+        z = self._seed + k * self._GAMMA
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
     def next_word(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
+        try:
+            return next(self._buffered)
+        except StopIteration:
+            self._buffered = iter(self._make(self._BUFFER).tolist())
+            return next(self._buffered)
+
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` words of the stream, as a ``uint64`` array."""
+        head = np.fromiter(islice(self._buffered, count), np.uint64)
+        return np.concatenate([head, self._make(count - len(head))])
 
     def next_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by bit-rejection."""
+        """Uniform integer in [0, bound) by bit-rejection: the top bits of
+        as many whole words as it needs, redrawn until below the bound."""
         if bound <= 0:
             raise ParameterRangeError("bound must be positive")
         bits = (bound - 1).bit_length()
         if bits == 0:
             return 0
+        extra = (bits - 1) // 64  # words past the first
+        shift = 64 * (extra + 1) - bits
         while True:
-            acc = 0
-            got = 0
-            while got < bits:
-                acc = (acc << 64) | self.next_word()
-                got += 64
-            acc >>= got - bits
+            acc = self.next_word()
+            if extra:  # spares the loop for the usual one-word bound
+                for _ in range(extra):
+                    acc = (acc << 64) | self.next_word()
+            acc >>= shift
             if acc < bound:
                 return acc
 
@@ -229,9 +260,16 @@ def _status(aborted: bool, ok: bool) -> str:
 # sampling plumbing
 
 
-def _slot_pairs(n: int) -> list[tuple[int, int]]:
-    """The vertex pair (i, j) of every edge slot, in slot order."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
+def _incident_slots(n: int) -> list[int]:
+    """For each vertex, the bitmask of the edge slots that touch it."""
+    out = [0] * n
+    s = 0
+    for j in range(1, n):
+        for i in range(j):
+            out[i] |= 1 << s
+            out[j] |= 1 << s
+            s += 1
+    return out
 
 
 def _floyd_sample(rng: SplitMix64, m: int, total: int) -> set[int]:
@@ -261,21 +299,17 @@ def _sample_filtered_window(
     cum = list(accumulate(comb(e_total, m) for m in range(m_lo, m_hi + 1)))
     if not cum:
         return [], 0, False
-    pairs = _slot_pairs(n)
+    incident = _incident_slots(n)
     limit = PROPOSAL_LIMIT_FACTOR * samples + 1000
     out = []
     proposals = 0
     while len(out) < samples and proposals < limit:
         proposals += 1
         m = m_lo + bisect_right(cum, rng.next_below(cum[-1]))
-        degs = [0] * n
         mask = 0
         for s in _floyd_sample(rng, m, e_total):
             mask |= 1 << s
-            i, j = pairs[s]
-            degs[i] += 1
-            degs[j] += 1
-        if degree_filter(degs):
+        if degree_filter([(mask & slots).bit_count() for slots in incident]):
             out.append(mask)
     return out, proposals, len(out) < samples
 
@@ -309,13 +343,13 @@ def _batch_decide(adjs: np.ndarray, n: int, r: int, node_cap: int, backtrack: bo
     aborted), the decisions stopping at the first row that hit the node cap.
 
     Hamilton paths are decided across the block in numpy, and so are
-    packings when r | n, n is in the exhaustive range (its partition tables
-    have at most 945 rows) and the node cap is one the packing search can
-    never reach.  Otherwise, or with ``backtrack``, each row is decided by
-    packing search, which may abort on the cap."""
+    packings when r | n, n <= ``_PACK_ROWS_MAX_N`` and the node cap is one
+    the packing search can never reach (``K.pack_node_bound``).  Otherwise,
+    or with ``backtrack``, each row is decided by packing search, which may
+    abort on the cap."""
     if r == 0:
         return K.hampath_rows(adjs, n), False
-    if (not backtrack and n <= EXHAUSTIVE_HARD_CAP and n % r == 0
+    if (not backtrack and n <= _PACK_ROWS_MAX_N and n % r == 0
             and node_cap >= K.pack_node_bound(n, r)):
         return K.packable_rows(adjs, n, r), False
     out = np.zeros(len(adjs), np.int64)
@@ -451,7 +485,8 @@ def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, pro
 def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, problems):
     """Uniform samples from the single armed family past its threshold;
     returns (examined, violation masks, aborted on the node cap, starved,
-    cross-check ok)."""
+    cross-check ok).  The cross-check stops at its first sample that
+    reaches the node cap, which aborts the run as the main decision would."""
     n = spec.n
     ((dd, threshold),) = spec.thresholds.items()
     if spec.complement:
@@ -470,14 +505,22 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
     if spec.complement:
         adjs = _complement_rows(n, adjs)
     decisions, capped = _batch_decide(adjs, n, spec.r, cap)
-    # duality cross-check per sample: an independent direct-colouring search
-    # on the complement must agree with the packing decision
-    ok = not spec.dual or all(
-        equitable_colouring(
-            Graph.from_edge_mask(n, m).complement(), n // spec.r, cap, method="direct"
-        ).decision == dec
-        for m, dec in zip(masks, decisions)
-    )
+    ok = True
+    if spec.dual:
+        # duality cross-check per sample: the direct equitable-colouring
+        # search on the complement, expanded by ``Graph`` apart from the
+        # main path, must agree with the packing decision
+        k = n // spec.r
+        work = [np.zeros(size, np.int64) for size in (n, n, k, k)]
+        for m, dec in zip(masks, decisions):
+            adj = Graph.from_edge_mask(n, m).complement().adjacency_array()
+            st, _ = K._colour_decide(adj, n, k, cap, *work)
+            if st == -1:
+                capped = True
+                break
+            if (st == 1) != dec:
+                ok = False
+                break
     viol_masks = sorted({masks[i] for i in np.flatnonzero(~decisions)})
     return len(decisions), viol_masks, capped, starved, ok
 
@@ -486,8 +529,8 @@ def _dual_agrees(spec, examined, violations, per_d, workers, cap, n_cap):
     """The colouring-side cross-check of ``verify_mainthm1_threshold``'s
     exhaustive mode: the t1 scan at the complementary degree parameters.
     It decides every row by packing search, while the main scan may use
-    the partition table, so two deciders are compared.  Returns (agrees,
-    dual run aborted on the node cap)."""
+    the packing subset programme, so two deciders are compared.  Returns
+    (agrees, dual run aborted on the node cap)."""
     n, r = spec.n, spec.r
     dual = _colouring_spec(n, r, [n - 1 - dd for dd in reversed(spec.thresholds)])
     dual_examined, dual_masks, dual_capped, dual_per_d = _scan_threshold(
@@ -733,18 +776,18 @@ def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int
     violation masks, aborted).  After a node-cap abort both counts stop at
     the aborting sample and include it, as in ``_scan_chunk``."""
     e_total = comb(n, 2)
-    words = range((e_total + 63) // 64)
+    nwords = (e_total + 63) // 64
     rng = SplitMix64(seed)
     examined = cond_true = 0
     viol_set: set[int] = set()
     while examined < samples:
         batch = min(SAMPLE_BATCH, samples - examined)
-        raw = [[rng.next_word() for _ in words] for _ in range(batch)]
+        raw = rng.words(batch * nwords).reshape(batch, nwords)
         adjs = _expand_words(n, raw)
         hits = np.flatnonzero(_condition_rows(np.bitwise_count(adjs), clauses))
         decisions, aborted = _batch_decide(adjs[hits], n, r, cap)
         for b in hits[: len(decisions)][~decisions]:
-            mask = sum(x << (64 * w) for w, x in enumerate(raw[b]))
+            mask = sum(x << (64 * w) for w, x in enumerate(raw[b].tolist()))
             viol_set.add(mask & ((1 << e_total) - 1))
         if aborted:
             stop = examined + int(hits[len(decisions)]) + 1

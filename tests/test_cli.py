@@ -184,6 +184,17 @@ def test_verify_byte_identical_runs(capsys):
     assert out1 == out2
 
 
+def test_verify_sampled_duality_cap_abort(capsys):
+    # the colouring cross-check of a sample reaches the cap before the
+    # packing search does
+    code, out, err = run(capsys, "verify", "mainthm1", "--n", "12", "--r", "3", "--D", "4",
+                         "--mode", "sampled", "--seed", "1", "--samples", "200",
+                         "--node-cap", "30")
+    assert code == 3 and err == ""
+    blob = json.loads(out)
+    assert blob["status"] == "aborted" and blob["violations"] == []
+
+
 def test_verify_audit_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "audit", "--max-n", "16")
     assert code == 0

@@ -162,10 +162,10 @@ def test_packable_rows_matches_brute(n):
             assert K.packable_rows(rows, n, r).tolist() == want, r
 
 
-def _drawn_graph(draw):
-    """A graph with 7 <= n <= 10 whose edge mask ORs one to three drawn
+def _drawn_graph(draw, most=10):
+    """A graph with 7 <= n <= ``most`` whose edge mask ORs one to three drawn
     masks, so denser graphs are drawn as well as half-full ones."""
-    n = draw(strategies.integers(7, 10))
+    n = draw(strategies.integers(7, most))
     full = (1 << (n * (n - 1) // 2)) - 1
     mask = 0
     for _ in range(draw(strategies.integers(1, 3))):
@@ -188,12 +188,20 @@ def test_hampath_rows_matches_brute_drawn(data):
 @_DRAWN
 @given(strategies.data())
 def test_packable_rows_matches_brute_drawn(data):
-    g = _drawn_graph(data.draw)
+    """Against the brute-force oracle up to n = 10, and against the
+    packing search at n = 11 and 12."""
+    g = _drawn_graph(data.draw, most=12)
     n = g.n
     r = data.draw(strategies.sampled_from([r for r in range(2, n + 1) if n % r == 0]))
     for h in (g, g.complement()):
-        want = has_perfect_packing_brute(h, r)
-        assert K.packable_rows(h.adjacency_array()[None], n, r).tolist() == [want]
+        adjs = h.adjacency_array()[None]
+        if n <= 10:
+            want = [has_perfect_packing_brute(h, r)]
+        else:
+            decisions, aborted = V._batch_decide(adjs, n, r, 10**7, backtrack=True)
+            want = decisions.tolist()
+            assert not aborted
+        assert K.packable_rows(adjs, n, r).tolist() == want
 
 
 @pytest.mark.parametrize("n, r, bound", [(4, 2, 10), (6, 2, 56), (6, 3, 56)])
@@ -207,20 +215,21 @@ def test_pack_node_bound_covers_search(n, r, bound):
 
 
 def test_small_cap_takes_backtracking_path(monkeypatch):
-    """The partition table decides only when the cap is one the search
-    cannot reach; below it, the search decides and can abort."""
-    n, r = 6, 2
-    adjs = np.array([Graph.complete(n).adjacency_array()])
-    bound = K.pack_node_bound(n, r)
-    tables = []
-    table = K.packable_rows
-    monkeypatch.setattr(K, "packable_rows", lambda *a: tables.append(a) or table(*a))
-    assert V._batch_decide(adjs, n, r, bound)[0].tolist() == [True]
-    assert len(tables) == 1
-    assert V._batch_decide(adjs, n, r, bound, backtrack=True)[0].tolist() == [True]
-    assert V._batch_decide(adjs, n, r, bound - 1)[0].tolist() == [True]
-    decisions, aborted = V._batch_decide(adjs, n, r, 3)
-    assert len(tables) == 1 and (decisions.tolist(), aborted) == ([], True)
+    """The packing subset programme decides only when the cap is one the
+    search cannot reach; below it, the search decides and can abort."""
+    calls = []
+    programme = K.packable_rows
+    monkeypatch.setattr(K, "packable_rows", lambda *a: calls.append(a) or programme(*a))
+    for n, r, bound in ((6, 2, 56), (12, 3, 88342)):
+        calls.clear()
+        adjs = np.array([Graph.complete(n).adjacency_array()])
+        assert K.pack_node_bound(n, r) == bound
+        assert V._batch_decide(adjs, n, r, bound)[0].tolist() == [True]
+        assert len(calls) == 1
+        assert V._batch_decide(adjs, n, r, bound, backtrack=True)[0].tolist() == [True]
+        assert V._batch_decide(adjs, n, r, bound - 1)[0].tolist() == [True]
+        decisions, aborted = V._batch_decide(adjs, n, r, 3)
+        assert len(calls) == 1 and (decisions.tolist(), aborted) == ([], True)
 
 
 def test_scan_pack_threshold_complement_matches_brute():
@@ -347,6 +356,18 @@ def test_node_cap_aborts():
     out = np.full(3, 7, np.int64)
     assert K.batch_decide(adjs, n, 2, 3, cand, chosen, comm, out) == 1
     assert out.tolist() == [0, -1, 7]
+
+
+def test_import_without_numba_is_silent():
+    """Without numba (an optional extra) importing packlab warns nothing."""
+    env = dict(os.environ)
+    env.pop("PACKLAB_NO_NUMBA", None)
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "import packlab"],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
 
 
 def test_pure_fallback_env_flag():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from packlab import (
@@ -78,8 +79,8 @@ def test_mainthm1_exhaustive_duality():
 
 
 def test_mainthm1_duality_compares_two_deciders(monkeypatch):
-    """The packing side is decided by the partition table, the colouring
-    side of the cross-check by packing search on the complements."""
+    """The packing side is decided by the packing subset programme, the
+    colouring side of the cross-check by packing search on the complements."""
     rows = {"packable_rows": 0, "batch_decide": 0}
     for name in rows:
         kernel = getattr(K, name)
@@ -222,6 +223,35 @@ def test_splitmix64_reference_values():
     assert all(0 <= x < 10 for x in draws)
     rng2 = SplitMix64(99)
     assert draws == [rng2.next_below(10) for _ in range(50)]
+
+
+def _splitmix64_reference(seed, count):
+    """The first ``count`` words of the classic state-stepping splitmix64."""
+    mask = (1 << 64) - 1
+    state = seed
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 34, (1 << 63) + 5])
+def test_splitmix64_words_match_reference(seed):
+    """``words`` and ``next_word`` read one stream, also when their calls
+    interleave across the edges of the generator's word buffers."""
+    rng = SplitMix64(seed)
+    got = [rng.next_word() for _ in range(3)]
+    for count in (4000, 200, 0, 1, 9000):
+        block = rng.words(count)
+        assert block.dtype == np.uint64 and len(block) == count
+        got += block.tolist()
+        got += [rng.next_word() for _ in range(count % 97 + 1)]
+    got += [rng.next_word() for _ in range(4096)]
+    assert got == _splitmix64_reference(seed, len(got))
 
 
 def test_audit_instance_good_and_structural():
@@ -385,6 +415,18 @@ def test_node_cap_abort_gives_reason(name):
     rep = ABORTED_RUNS[name](node_cap=8)
     assert rep.status == "aborted"
     assert rep.problems == ("node cap of 8 reached",)
+
+
+def test_sampled_duality_cap_aborts_with_report():
+    """A sample whose colouring cross-check reaches the node cap aborts the
+    run with a report.  At a cap of 50 the packing search decides all 200
+    samples; only the colouring search of one of them reaches the cap."""
+    rep = verify_mainthm1_threshold(
+        12, 3, big_d=4, mode="sampled", seed=1, samples=200, node_cap=50
+    )
+    assert (rep.status, rep.examined) == ("aborted", 200)
+    assert rep.problems == ("node cap of 50 reached",)
+    assert json.loads(rep.to_json())["status"] == "aborted"
 
 
 def test_sampler_draws_pinned():
