@@ -2,18 +2,16 @@
 graphs, uniform sampling from filtered families, construction audits, and
 counterexample searches for the degree-condition conjectures.
 
-Enumeration walks the ``C(n,2)``-bit edge-mask integers in fixed contiguous
-chunks, each in blocks of graphs through the same numpy expansion, degree
-filter and batch decision as sampled mode.  With compiled kernels, which
-release the GIL, chunks may run on a thread pool; on the pure path they run
-in order on the calling thread.  Chunks are merged in mask order, so serial
-and parallel runs produce bit-identical reports.  Sampling uses the
-documented ``splitmix64`` generator seeded explicitly, computed from a word
-counter in numpy buffers; all randomness flows from that seed.  Sampled
-graphs go through the same blocks: at n <= 12 the packing subset programme
-decides them unless the node cap could stop the search.  Reports serialize
-to a stable canonical JSON schema with ``elapsed_ms`` zeroed unless timing
-is requested, so repeated runs are byte-identical.
+Scans and samplers share one block driver, ``_decide_blocks``, which
+expands blocks of edge words, filters them by degrees, decides them
+exactly, buffers the first violations and stops its counts at a node-cap
+abort.  Scans feed it the ``C(n,2)``-bit edge masks in fixed chunks,
+merged in mask order, so threaded runs (compiled kernels only) and serial
+runs are bit-identical.  Samplers feed it the words of the explicitly
+seeded ``splitmix64`` generator, or the graphs they accepted from it; all
+randomness flows from that seed.  Reports serialize to a stable canonical
+JSON schema with ``elapsed_ms`` zeroed unless timing is requested, so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -177,6 +175,8 @@ class VerificationReport:
 
 
 def _task(predicate, n, mode, r=None, d=None, seed=None, samples=None) -> EnumerationTask:
+    if mode not in ("exhaustive", "sampled"):
+        raise ParameterRangeError(f"unknown mode {mode!r}")
     sampled = mode == "sampled"
     if sampled and n > K.KERNEL_MAX_N:  # the int64 neighbour masks would overflow
         raise ParameterRangeError(f"sampled mode is limited to n <= {K.KERNEL_MAX_N}")
@@ -201,26 +201,34 @@ def _check_exhaustive(n: int, n_cap: int) -> None:
         )
 
 
+def _blocks(lo: int, hi: int, make):
+    """``make(start, stop)`` over lo..hi in ranges of at most ``SAMPLE_BATCH``, lazily."""
+    return (make(s, min(s + SAMPLE_BATCH, hi)) for s in range(lo, hi, SAMPLE_BATCH))
+
+
 def _run_chunks(total: int, workers: int, run_one):
-    bounds = [(lo, min(lo + CHUNK_MASKS, total)) for lo in range(0, total, CHUNK_MASKS)]
+    """``run_one`` over the mask blocks of each chunk of range(total), in order."""
+    chunks = [
+        _blocks(lo, min(lo + CHUNK_MASKS, total), lambda s, e: np.arange(s, e, dtype=np.int64))
+        for lo in range(0, total, CHUNK_MASKS)
+    ]
     # threads only help compiled kernels: pure Python holds the interpreter lock
-    if workers <= 1 or len(bounds) <= 1 or not K.NUMBA_ENABLED:
-        return [run_one(b) for b in bounds]
+    if workers <= 1 or len(chunks) <= 1 or not K.NUMBA_ENABLED:
+        return [run_one(blocks) for blocks in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_one, b) for b in bounds]
-        return [f.result() for f in futures]
+        return list(pool.map(run_one, chunks))
 
 
 def _merge_chunks(parts, problems: list[str]):
-    """(examined, kept, violation masks, aborted) over the ``_scan_chunk``
-    results of all chunks, in mask order.  Past ``VIOLATION_BUFFER``
-    violations in total the first ones are kept and the full count is
+    """(examined, kept, violation rows, aborted) over ``_decide_blocks``
+    results in order: a scan's chunks or a sampler's one part.  Past
+    ``VIOLATION_BUFFER`` violations the first ones are kept and the count is
     recorded in ``problems``."""
     total = sum(p[2][0] for p in parts)
-    masks = [m for p in parts for m in p[2][1]][:VIOLATION_BUFFER]
-    if total > len(masks):
-        problems.append(f"{total} violations found; the report keeps the first {len(masks)}")
-    return sum(p[0] for p in parts), sum(p[1] for p in parts), masks, any(p[3] for p in parts)
+    rows = [row for p in parts for row in p[2][1]][:VIOLATION_BUFFER]
+    if total > len(rows):
+        problems.append(f"{total} violations found; the report keeps the first {len(rows)}")
+    return sum(p[0] for p in parts), sum(p[1] for p in parts), rows, any(p[3] for p in parts)
 
 
 def _merge_extrema(parts, width: int):
@@ -306,9 +314,7 @@ def _sample_filtered_window(
     while len(out) < samples and proposals < limit:
         proposals += 1
         m = m_lo + bisect_right(cum, rng.next_below(cum[-1]))
-        mask = 0
-        for s in _floyd_sample(rng, m, e_total):
-            mask |= 1 << s
+        mask = sum(1 << s for s in _floyd_sample(rng, m, e_total))
         if degree_filter([(mask & slots).bit_count() for slots in incident]):
             out.append(mask)
     return out, proposals, len(out) < samples
@@ -322,6 +328,19 @@ def _expand_words(n: int, rows) -> np.ndarray:
     adjs = np.zeros((len(rows), n), np.int64)
     K.words_to_adj(words, n, adjs)
     return adjs
+
+
+def _word_rows(n: int, masks) -> np.ndarray:
+    """Edge masks as rows of unsigned 64-bit edge words."""
+    words = range((comb(n, 2) + 63) // 64)
+    return np.array([[(m >> (64 * w)) & _WORD for w in words] for m in masks], np.uint64)
+
+
+def _sampled_witnesses(n: int, rows) -> list[int]:
+    """The edge masks of a sampler's stored violation rows (stream bits past
+    the C(n,2) slots dropped), without repeats and ascending."""
+    full = (1 << comb(n, 2)) - 1
+    return sorted({sum(x << (64 * w) for w, x in enumerate(row)) & full for row in rows})
 
 
 def _complement_rows(n: int, adjs: np.ndarray) -> np.ndarray:
@@ -357,37 +376,36 @@ def _batch_decide(adjs: np.ndarray, n: int, r: int, node_cap: int, backtrack: bo
     return out[:done] == 1, done < len(adjs)
 
 
-def _scan_chunk(n: int, r: int, chunk, cap: int, keep, visit, complement: bool = False,
-                backtrack: bool = False):
-    """Expand (and complement when asked) the edge masks of ``chunk`` =
-    (lo, hi) in blocks of at most ``SAMPLE_BATCH``, and decide the rows whose
-    degrees ``keep`` accepts with ``_batch_decide`` (``backtrack`` passed
-    on).  ``visit(masks, degrees, decisions)`` gets each block's decided
-    rows in mask order and returns its violation masks, of which the chunk
-    stores the first ``VIOLATION_BUFFER``.  Returns
-    (examined, kept, (violation count, stored masks), aborted); after a
-    node-cap abort both counts include the aborting graph, which ``visit``
-    never sees."""
-    lo, hi = chunk
-    kept = nviol = 0
-    stored: list[int] = []
-    for start in range(lo, hi, SAMPLE_BATCH):
-        masks = np.arange(start, min(start + SAMPLE_BATCH, hi), dtype=np.int64)
-        adjs = _expand_words(n, masks)
+def _decide_blocks(n: int, r: int, blocks, cap: int, keep, visit, complement: bool = False,
+                   backtrack: bool = False):
+    """The block driver of every scan and sampler.  Each of ``blocks`` holds
+    rows of edge words as ``_expand_words`` takes them; the driver expands
+    them, complements them when asked, and decides the rows whose degrees
+    ``keep`` accepts with ``_batch_decide`` (``backtrack`` passed on).
+    ``visit(rows, degrees, decisions)`` gets each block's decided rows in
+    order and returns its violation rows, of which the first
+    ``VIOLATION_BUFFER`` are stored.  Returns (examined, kept, (violation
+    count, stored rows), aborted); after a node-cap abort both counts stop
+    at the aborting row and include it, which ``visit`` never sees."""
+    examined = kept = nviol = 0
+    stored: list = []
+    for rows in blocks:
+        adjs = _expand_words(n, rows)
         if complement:
             adjs = _complement_rows(n, adjs)
         degs = np.bitwise_count(adjs)
         hits = np.flatnonzero(keep(degs))
         decisions, aborted = _batch_decide(adjs[hits], n, r, cap, backtrack)
         done = hits[: len(decisions)]
-        bad = visit(masks[done], degs[done], decisions)
+        bad = visit(rows[done], degs[done], decisions)
         nviol += len(bad)
         stored += bad[: VIOLATION_BUFFER - len(stored)].tolist()
         if aborted:
-            stop = start - lo + int(hits[len(decisions)]) + 1
+            stop = examined + int(hits[len(decisions)]) + 1
             return stop, kept + len(decisions) + 1, (nviol, stored), True
+        examined += len(rows)
         kept += len(hits)
-    return hi - lo, kept, (nviol, stored), False
+    return examined, kept, (nviol, stored), False
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +466,7 @@ def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, pro
     # (no graph has more than C(n,2) edges)
     floor_bound = np.array(list(accumulate((bounds.get(dd, slots) for dd in range(n)), min)))
 
-    def run_one(chunk):
+    def run_one(blocks):
         extrema = []  # per block: (found, max edges, mask) per degree floor
 
         def visit(masks, degs, decisions):
@@ -461,8 +479,8 @@ def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, pro
                 extrema.append((member.any(axis=0), e[top], masks[top]))
             return masks[~decisions & (e > floor_bound[mindeg])]
 
-        return _scan_chunk(
-            n, spec.r, chunk, cap, lambda degs: degs.min(axis=1) >= d_lo, visit,
+        return _decide_blocks(
+            n, spec.r, blocks, cap, lambda degs: degs.min(axis=1) >= d_lo, visit,
             spec.complement, backtrack,
         ) + (extrema,)
 
@@ -483,46 +501,44 @@ def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, pro
 
 
 def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, problems):
-    """Uniform samples from the single armed family past its threshold;
-    returns (examined, violation masks, aborted on the node cap, starved,
-    cross-check ok).  The cross-check stops at its first sample that
-    reaches the node cap, which aborts the run as the main decision would."""
+    """Uniform samples from the single armed family past its threshold, decided
+    by ``_decide_blocks``; returns (examined, violation masks, aborted on the
+    node cap, starved, cross-check ok).  ``dual`` first runs the colouring
+    search on each sample's complement, built by ``Graph``; the first sample it
+    caps on is the last counted, and the results cover the samples before it."""
     n = spec.n
     ((dd, threshold),) = spec.thresholds.items()
     if spec.complement:
         window, keep = (0, threshold - 1), lambda degs: max(degs, default=0) <= dd
     else:
         window, keep = (threshold + 1, comb(n, 2)), lambda degs: min(degs) >= dd
-    masks, proposals, starved = _sample_filtered_window(
-        n, SplitMix64(seed), samples, *window, keep
-    )
+    masks, proposals, starved = _sample_filtered_window(n, SplitMix64(seed), samples, *window, keep)
     if starved:
         problems.append(
             f"sampler starved: {len(masks)} of {samples} samples after {proposals} proposals"
         )
-    words = range((comb(n, 2) + 63) // 64)
-    adjs = _expand_words(n, [[(m >> (64 * w)) & _WORD for w in words] for m in masks])
-    if spec.complement:
-        adjs = _complement_rows(n, adjs)
-    decisions, capped = _batch_decide(adjs, n, spec.r, cap)
-    ok = True
-    if spec.dual:
-        # duality cross-check per sample: the direct equitable-colouring
-        # search on the complement, expanded by ``Graph`` apart from the
-        # main path, must agree with the packing decision
-        k = n // spec.r
-        work = [np.zeros(size, np.int64) for size in (n, n, k, k)]
-        for m, dec in zip(masks, decisions):
-            adj = Graph.from_edge_mask(n, m).complement().adjacency_array()
-            st, _ = K._colour_decide(adj, n, k, cap, *work)
-            if st == -1:
-                capped = True
-                break
-            if (st == 1) != dec:
-                ok = False
-                break
-    viol_masks = sorted({masks[i] for i in np.flatnonzero(~decisions)})
-    return len(decisions), viol_masks, capped, starved, ok
+    colours = []  # the cross-check: 1 colourable, 0 not, -1 on the node cap
+    k = n // spec.r
+    work = [np.zeros(size, np.int64) for size in (n, n, k, k)]
+    for m in masks if spec.dual else ():
+        adj = Graph.from_edge_mask(n, m).complement().adjacency_array()
+        colours.append(K._colour_decide(adj, n, k, cap, *work)[0])
+        if colours[-1] == -1:
+            break
+    capped = colours[-1:] == [-1]
+    decided: list[bool] = []  # the driver's decisions, in sample order
+    part = _decide_blocks(
+        n, spec.r, _blocks(0, len(colours) - 1 if capped else len(masks),
+                           lambda s, e: _word_rows(n, masks[s:e])),
+        cap, lambda degs: np.ones(len(degs), bool),
+        lambda rows, degs, decisions: decided.extend(decisions.tolist()) or rows[~decisions],
+        spec.complement,
+    )
+    examined, _, rows, aborted = _merge_chunks([part], problems)
+    if capped and not aborted:
+        examined, aborted = examined + 1, True
+    ok = all((c == 1) == d for c, d in zip(colours, decided))
+    return examined, _sampled_witnesses(n, rows), aborted, starved, ok
 
 
 def _dual_agrees(spec, examined, violations, per_d, workers, cap, n_cap):
@@ -570,15 +586,13 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, workers: int,
         examined, masks, capped, per_d = _scan_threshold(spec, workers, cap, n_cap, problems)
         ok = all(row["found"] and row["edges"] == row["threshold"] for row in per_d.values())
         extremal = _pick_boundary(per_d, prefer_larger=not spec.complement)
-    elif task.mode == "sampled":
+    else:
         if task.d is None or task.seed is None or task.samples is None or task.samples < 1:
             name = "d" if task.r is None else "D"
             raise ParameterRangeError(f"sampled mode needs {name}, seed and samples >= 1")
         examined, masks, capped, starved, ok = _sample_threshold(
             spec, task.seed, task.samples, cap, problems
         )
-    else:
-        raise ParameterRangeError(f"unknown mode {task.mode!r}")
     violations = tuple(_witness(spec.n, m) for m in masks)
     _recheck(violations, lambda g: spec.refuted_by(g, cap), problems)
     if spec.dual and per_d is not None:
@@ -759,42 +773,29 @@ def _degree_clauses(predicate: str, n: int, r: int = 0) -> tuple:
 
 
 def _scan_condition(n: int, r: int, clauses, workers: int, cap: int, n_cap: int, problems):
-    """All 2^C(n,2) graphs through the block pipeline, deciding those that
+    """All 2^C(n,2) graphs through the block driver, deciding those that
     meet the clause table (r = 0 decides Hamilton paths); returns (examined,
     condition-true count, violation masks, aborted)."""
     _check_exhaustive(n, n_cap)
-    parts = _run_chunks(1 << comb(n, 2), workers, lambda chunk: _scan_chunk(
-        n, r, chunk, cap, lambda degs: _condition_rows(degs, clauses),
+    parts = _run_chunks(1 << comb(n, 2), workers, lambda blocks: _decide_blocks(
+        n, r, blocks, cap, lambda degs: _condition_rows(degs, clauses),
         lambda masks, degs, decisions: masks[~decisions],
     ))
     return _merge_chunks(parts, problems)
 
 
-def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int):
-    """``samples`` uniform graphs, 64 raw stream bits per edge word, filtered
-    by the clause table in numpy; returns (examined, condition-true count,
-    violation masks, aborted).  After a node-cap abort both counts stop at
-    the aborting sample and include it, as in ``_scan_chunk``."""
-    e_total = comb(n, 2)
-    nwords = (e_total + 63) // 64
-    rng = SplitMix64(seed)
-    examined = cond_true = 0
-    viol_set: set[int] = set()
-    while examined < samples:
-        batch = min(SAMPLE_BATCH, samples - examined)
-        raw = rng.words(batch * nwords).reshape(batch, nwords)
-        adjs = _expand_words(n, raw)
-        hits = np.flatnonzero(_condition_rows(np.bitwise_count(adjs), clauses))
-        decisions, aborted = _batch_decide(adjs[hits], n, r, cap)
-        for b in hits[: len(decisions)][~decisions]:
-            mask = sum(x << (64 * w) for w, x in enumerate(raw[b].tolist()))
-            viol_set.add(mask & ((1 << e_total) - 1))
-        if aborted:
-            stop = examined + int(hits[len(decisions)]) + 1
-            return stop, cond_true + len(decisions) + 1, sorted(viol_set), True
-        examined += batch
-        cond_true += len(hits)
-    return examined, cond_true, sorted(viol_set), False
+def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int, problems=None):
+    """``samples`` uniform graphs, 64 raw stream bits per edge word, through
+    the block driver as in ``_scan_condition``; returns (examined,
+    condition-true count, violation masks, aborted)."""
+    rng, nwords = SplitMix64(seed), (comb(n, 2) + 63) // 64
+    part = _decide_blocks(
+        n, r, _blocks(0, samples, lambda s, e: rng.words((e - s) * nwords).reshape(-1, nwords)),
+        cap, lambda degs: _condition_rows(degs, clauses),
+        lambda rows, degs, decisions: rows[~decisions],
+    )
+    examined, kept, rows, aborted = _merge_chunks([part], [] if problems is None else problems)
+    return examined, kept, _sampled_witnesses(n, rows), aborted
 
 
 def _condition_search(
@@ -823,14 +824,12 @@ def _condition_search(
         examined, cond_true, viol_masks, aborted = _scan_condition(
             n, r, clauses, workers, cap, n_cap, problems
         )
-    elif mode == "sampled":
+    else:
         if seed is None or samples is None or samples < 1:
             raise ParameterRangeError("sampled mode needs seed and samples >= 1")
         examined, cond_true, viol_masks, aborted = _sample_condition(
-            n, r, clauses, seed, samples, cap
+            n, r, clauses, seed, samples, cap, problems
         )
-    else:
-        raise ParameterRangeError(f"unknown mode {mode!r}")
     if aborted:
         problems.append(f"node cap of {cap} reached")
     violations = tuple(_witness(n, m) for m in viol_masks)

@@ -193,6 +193,8 @@ def test_verify_sampled_duality_cap_abort(capsys):
     assert code == 3 and err == ""
     blob = json.loads(out)
     assert blob["status"] == "aborted" and blob["violations"] == []
+    # the cross-check capped on sample 86 (0-based), the last one counted
+    assert blob["examined"] == 87
 
 
 def test_verify_audit_subcommand(capsys):

@@ -396,9 +396,12 @@ def test_block_size_does_not_change_exhaustive_reports(monkeypatch):
 
 
 def test_block_size_does_not_change_sampled_aborted_report(monkeypatch):
-    """The sampler draws the same stream in blocks of 7, so an abort stops
-    its counts at the same sample."""
+    """The samplers draw the same stream in blocks of 7, so their reports
+    keep their digests and an abort stops the counts at the same sample."""
     monkeypatch.setattr(V, "SAMPLE_BATCH", 7)
+    for name, run in GOLDEN_RUNS.items():
+        if "(12," in name:
+            assert _report_digest(run()) == GOLDEN_REPORTS[name], name
     assert _aborted_digest("conj1(12,3)") == ABORTED_REPORTS["conj1(12,3)"]
     rep = ABORTED_RUNS["conj1(12,3)"](node_cap=8)
     assert (rep.examined, rep.condition_count) == (956, 1)
@@ -420,11 +423,12 @@ def test_node_cap_abort_gives_reason(name):
 def test_sampled_duality_cap_aborts_with_report():
     """A sample whose colouring cross-check reaches the node cap aborts the
     run with a report.  At a cap of 50 the packing search decides all 200
-    samples; only the colouring search of one of them reaches the cap."""
+    samples; only the colouring search of one of them (sample 133, 0-based)
+    reaches the cap, and it is the last sample counted."""
     rep = verify_mainthm1_threshold(
         12, 3, big_d=4, mode="sampled", seed=1, samples=200, node_cap=50
     )
-    assert (rep.status, rep.examined) == ("aborted", 200)
+    assert (rep.status, rep.examined) == ("aborted", 134)
     assert rep.problems == ("node cap of 50 reached",)
     assert json.loads(rep.to_json())["status"] == "aborted"
 
@@ -498,6 +502,24 @@ def test_violation_overflow_keeps_first_witnesses(monkeypatch):
         f"{len(full.violations)} violations found; the report keeps the first 5",
     )
     assert json.loads(rep.to_json())["violations"] == list(full.violations[:5])
+
+
+def test_sampled_violation_overflow_keeps_first_witnesses(monkeypatch):
+    """An empty clause table makes every sample without a packing a
+    violation; past the buffer the sampler keeps the first ones it drew."""
+    monkeypatch.setattr(V, "_degree_clauses", lambda *args: ())
+    full = conjecture1_search(12, 3, mode="sampled", seed=34, samples=2000)
+    monkeypatch.setattr(V, "VIOLATION_BUFFER", 5)
+    rep = conjecture1_search(12, 3, mode="sampled", seed=34, samples=2000)
+    assert (rep.status, rep.examined, len(rep.violations)) == ("fail", 2000, 5)
+    assert f"{len(full.violations)} violations found; the report keeps the first 5" in rep.problems
+    # the shortest run of the same stream that finds 5 violations finds these
+    k = 5
+    while len(conjecture1_search(12, 3, mode="sampled", seed=34, samples=k).violations) < 5:
+        k += 1
+    assert rep.violations == conjecture1_search(
+        12, 3, mode="sampled", seed=34, samples=k
+    ).violations
 
 
 def test_starved_sampler_reports_reason(monkeypatch):
