@@ -220,7 +220,7 @@ def _run_chunks(total: int, workers: int, run_one):
 
 
 def _merge_chunks(parts, problems: list[str]):
-    """(examined, kept, violation rows, aborted) over ``_decide_blocks``
+    """(examined, kept, violations, aborted) over ``_decide_blocks``
     results in order: a scan's chunks or a sampler's one part.  Past
     ``VIOLATION_BUFFER`` violations the first ones are kept and the count is
     recorded in ``problems``."""
@@ -314,7 +314,9 @@ def _sample_filtered_window(
     while len(out) < samples and proposals < limit:
         proposals += 1
         m = m_lo + bisect_right(cum, rng.next_below(cum[-1]))
-        mask = sum(1 << s for s in _floyd_sample(rng, m, e_total))
+        mask = 0
+        for s in _floyd_sample(rng, m, e_total):
+            mask |= 1 << s
         if degree_filter([(mask & slots).bit_count() for slots in incident]):
             out.append(mask)
     return out, proposals, len(out) < samples
@@ -334,13 +336,6 @@ def _word_rows(n: int, masks) -> np.ndarray:
     """Edge masks as rows of unsigned 64-bit edge words."""
     words = range((comb(n, 2) + 63) // 64)
     return np.array([[(m >> (64 * w)) & _WORD for w in words] for m in masks], np.uint64)
-
-
-def _sampled_witnesses(n: int, rows) -> list[int]:
-    """The edge masks of a sampler's stored violation rows (stream bits past
-    the C(n,2) slots dropped), without repeats and ascending."""
-    full = (1 << comb(n, 2)) - 1
-    return sorted({sum(x << (64 * w) for w, x in enumerate(row)) & full for row in rows})
 
 
 def _complement_rows(n: int, adjs: np.ndarray) -> np.ndarray:
@@ -383,10 +378,11 @@ def _decide_blocks(n: int, r: int, blocks, cap: int, keep, visit, complement: bo
     them, complements them when asked, and decides the rows whose degrees
     ``keep`` accepts with ``_batch_decide`` (``backtrack`` passed on).
     ``visit(rows, degrees, decisions)`` gets each block's decided rows in
-    order and returns its violation rows, of which the first
-    ``VIOLATION_BUFFER`` are stored.  Returns (examined, kept, (violation
-    count, stored rows), aborted); after a node-cap abort both counts stop
-    at the aborting row and include it, which ``visit`` never sees."""
+    order and returns its violations (rows, or sample indices), of which the
+    first ``VIOLATION_BUFFER`` are stored.  Returns (examined, kept,
+    (violation count, stored violations), aborted); after a node-cap abort
+    both counts stop at the aborting row and include it, which ``visit``
+    never sees."""
     examined = kept = nviol = 0
     stored: list = []
     for rows in blocks:
@@ -512,7 +508,9 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
         window, keep = (0, threshold - 1), lambda degs: max(degs, default=0) <= dd
     else:
         window, keep = (threshold + 1, comb(n, 2)), lambda degs: min(degs) >= dd
-    masks, proposals, starved = _sample_filtered_window(n, SplitMix64(seed), samples, *window, keep)
+    masks, proposals, starved = _sample_filtered_window(
+        n, SplitMix64(seed), samples, *window, keep
+    )
     if starved:
         problems.append(
             f"sampler starved: {len(masks)} of {samples} samples after {proposals} proposals"
@@ -527,18 +525,22 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
             break
     capped = colours[-1:] == [-1]
     decided: list[bool] = []  # the driver's decisions, in sample order
+
+    def visit(rows, degs, decisions):  # violations as sample indices
+        bad = len(decided) + np.flatnonzero(~decisions)
+        decided.extend(decisions.tolist())
+        return bad
+
+    blocks = _blocks(0, len(colours) - 1 if capped else len(masks),
+                     lambda s, e: _word_rows(n, masks[s:e]))
     part = _decide_blocks(
-        n, spec.r, _blocks(0, len(colours) - 1 if capped else len(masks),
-                           lambda s, e: _word_rows(n, masks[s:e])),
-        cap, lambda degs: np.ones(len(degs), bool),
-        lambda rows, degs, decisions: decided.extend(decisions.tolist()) or rows[~decisions],
-        spec.complement,
+        n, spec.r, blocks, cap, lambda degs: np.ones(len(degs), bool), visit, spec.complement
     )
-    examined, _, rows, aborted = _merge_chunks([part], problems)
+    examined, _, bad, aborted = _merge_chunks([part], problems)
     if capped and not aborted:
         examined, aborted = examined + 1, True
     ok = all((c == 1) == d for c, d in zip(colours, decided))
-    return examined, _sampled_witnesses(n, rows), aborted, starved, ok
+    return examined, sorted({masks[i] for i in bad}), aborted, starved, ok
 
 
 def _dual_agrees(spec, examined, violations, per_d, workers, cap, n_cap):
@@ -784,18 +786,23 @@ def _scan_condition(n: int, r: int, clauses, workers: int, cap: int, n_cap: int,
     return _merge_chunks(parts, problems)
 
 
-def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int, problems=None):
+def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int, problems):
     """``samples`` uniform graphs, 64 raw stream bits per edge word, through
     the block driver as in ``_scan_condition``; returns (examined,
-    condition-true count, violation masks, aborted)."""
-    rng, nwords = SplitMix64(seed), (comb(n, 2) + 63) // 64
+    condition-true count, violation masks, aborted), the masks without
+    repeats and ascending."""
+    e_total = comb(n, 2)
+    nwords = (e_total + 63) // 64
+    rng = SplitMix64(seed)
     part = _decide_blocks(
         n, r, _blocks(0, samples, lambda s, e: rng.words((e - s) * nwords).reshape(-1, nwords)),
         cap, lambda degs: _condition_rows(degs, clauses),
         lambda rows, degs, decisions: rows[~decisions],
     )
-    examined, kept, rows, aborted = _merge_chunks([part], [] if problems is None else problems)
-    return examined, kept, _sampled_witnesses(n, rows), aborted
+    examined, kept, rows, aborted = _merge_chunks([part], problems)
+    full = (1 << e_total) - 1  # drops the stream bits past the edge slots
+    masks = {sum(x << (64 * w) for w, x in enumerate(row)) & full for row in rows}
+    return examined, kept, sorted(masks), aborted
 
 
 def _condition_search(

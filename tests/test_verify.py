@@ -409,7 +409,7 @@ def test_block_size_does_not_change_sampled_aborted_report(monkeypatch):
     # with ``examined`` at the sample that aborts
     for batch in (7, 4096):
         monkeypatch.setattr(V, "SAMPLE_BATCH", batch)
-        examined, cond_true, viol, aborted = V._sample_condition(12, 3, (), 34, 5000, 100)
+        examined, cond_true, viol, aborted = V._sample_condition(12, 3, (), 34, 5000, 100, [])
         assert (examined, cond_true, len(viol), aborted) == (16, 16, 6, True)
 
 
@@ -422,9 +422,10 @@ def test_node_cap_abort_gives_reason(name):
 
 def test_sampled_duality_cap_aborts_with_report():
     """A sample whose colouring cross-check reaches the node cap aborts the
-    run with a report.  At a cap of 50 the packing search decides all 200
-    samples; only the colouring search of one of them (sample 133, 0-based)
-    reaches the cap, and it is the last sample counted."""
+    run with a report.  At a cap of 50 the packing search would not reach
+    the cap on these samples, but the colouring search does on sample 133
+    (0-based): the driver decides samples 0-132, and 133 is the last sample
+    counted."""
     rep = verify_mainthm1_threshold(
         12, 3, big_d=4, mode="sampled", seed=1, samples=200, node_cap=50
     )
@@ -508,18 +509,14 @@ def test_sampled_violation_overflow_keeps_first_witnesses(monkeypatch):
     """An empty clause table makes every sample without a packing a
     violation; past the buffer the sampler keeps the first ones it drew."""
     monkeypatch.setattr(V, "_degree_clauses", lambda *args: ())
-    full = conjecture1_search(12, 3, mode="sampled", seed=34, samples=2000)
     monkeypatch.setattr(V, "VIOLATION_BUFFER", 5)
     rep = conjecture1_search(12, 3, mode="sampled", seed=34, samples=2000)
     assert (rep.status, rep.examined, len(rep.violations)) == ("fail", 2000, 5)
-    assert f"{len(full.violations)} violations found; the report keeps the first 5" in rep.problems
-    # the shortest run of the same stream that finds 5 violations finds these
-    k = 5
-    while len(conjecture1_search(12, 3, mode="sampled", seed=34, samples=k).violations) < 5:
-        k += 1
-    assert rep.violations == conjecture1_search(
-        12, 3, mode="sampled", seed=34, samples=k
-    ).violations
+    assert "1045 violations found; the report keeps the first 5" in rep.problems
+    # the first 14 samples of the same stream hold exactly 5 violations
+    head = conjecture1_search(12, 3, mode="sampled", seed=34, samples=14)
+    assert len(head.violations) == 5 and not any("violations found" in p for p in head.problems)
+    assert rep.violations == head.violations
 
 
 def test_starved_sampler_reports_reason(monkeypatch):
