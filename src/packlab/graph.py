@@ -2,8 +2,8 @@
 
 Each vertex stores its neighbourhood as one Python integer bitmask, so
 predicates and set algebra are word-parallel for the sizes this package
-targets.  Vertex sets are plain iterables of indices at the API boundary and
-masks internally.  Certificates carry explicit vertex tuples and are checked
+targets.  Vertices are plain indices at the API boundary and bits of masks
+internally.  Certificates carry explicit vertex tuples and are checked
 by validators that share no code with the solvers that produced them.
 """
 
@@ -19,15 +19,6 @@ from .errors import CapExceededError, ParameterRangeError
 from ._kernels import KERNEL_MAX_N
 
 MAX_VERTICES = int(os.environ.get("PACKLAB_MAX_N", "4096"))
-
-
-def _mask_from(vertices: Iterable[int], n: int) -> int:
-    m = 0
-    for v in vertices:
-        if not 0 <= v < n:
-            raise ParameterRangeError(f"vertex {v} out of range for n={n}")
-        m |= 1 << v
-    return m
 
 
 class Graph:
@@ -177,24 +168,6 @@ def complement(graph: Graph) -> Graph:
 def degree_sequence(graph: Graph) -> list[int]:
     """Degrees sorted ascending (d_1 <= ... <= d_n in 1-based statements)."""
     return sorted(graph.degrees())
-
-
-def is_clique(graph: Graph, vertices: Iterable[int]) -> bool:
-    vs = list(vertices)
-    mask = _mask_from(vs, graph.n)
-    for v in vs:
-        if mask & ~graph.neighbour_mask(v) & ~(1 << v):
-            return False
-    return True
-
-
-def is_independent(graph: Graph, vertices: Iterable[int]) -> bool:
-    vs = list(vertices)
-    mask = _mask_from(vs, graph.n)
-    for v in vs:
-        if mask & graph.neighbour_mask(v):
-            return False
-    return True
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

@@ -2,13 +2,13 @@
 graphs, uniform sampling from filtered families, construction audits, and
 counterexample searches for the degree-condition conjectures.
 
-Scans and samplers share one block driver, ``_decide_blocks``, which
-expands blocks of edge words, filters them by degrees, decides them
-exactly, buffers the first violations and stops its counts at a node-cap
-abort.  Scans feed it the ``C(n,2)``-bit edge masks in fixed chunks,
-merged in mask order, so threaded runs (compiled kernels only) and serial
-runs are bit-identical.  Samplers feed it the words of the explicitly
-seeded ``splitmix64`` generator, or the graphs they accepted from it; all
+Scans and samplers run in blocks of edge words: ``_decide_block``
+expands one block, filters it by degrees and decides it exactly, and
+``_run_blocks`` merges the blocks in order, buffers the first violations
+and stops at the first graph that hits the node cap, so threaded runs
+(compiled kernels only) and serial runs are bit-identical.  Scans decide
+the ``C(n,2)``-bit edge masks; samplers the words of the explicitly seeded
+``splitmix64`` generator, or the graphs they accepted from it; all
 randomness flows from that seed.  Reports serialize to a stable canonical
 JSON schema with ``elapsed_ms`` zeroed unless timing is requested, so
 repeated runs are byte-identical.
@@ -28,19 +28,20 @@ from time import perf_counter
 import numpy as np
 
 from . import _kernels as K
-from .constructions import FAMILIES, expected_degree_bands, expected_edges, build_extremal2
+from .constructions import FAMILIES, expected_degree_bands, expected_edges
 from .errors import ParameterRangeError
 from .formats import decode_graph6, encode_graph6
 from .graph import Graph, degree_sequence
 from .solvers import (
+    chvatal_hampath_condition,
     equitable_colouring,
+    hamilton_path_exact,
     perfect_kr_packing,
     resolve_node_cap,
     square_hamilton_obstructions,
 )
 from .thresholds import colouring_threshold, matching_threshold, packing_threshold
 
-CHUNK_MASKS = 1 << 14
 EXHAUSTIVE_DEFAULT_CAP = 7
 EXHAUSTIVE_HARD_CAP = 11  # edge masks beyond C(11,2) bits overflow int64
 VIOLATION_BUFFER = 4096
@@ -201,34 +202,39 @@ def _check_exhaustive(n: int, n_cap: int) -> None:
         )
 
 
-def _blocks(lo: int, hi: int, make):
-    """``make(start, stop)`` over lo..hi in ranges of at most ``SAMPLE_BATCH``, lazily."""
-    return (make(s, min(s + SAMPLE_BATCH, hi)) for s in range(lo, hi, SAMPLE_BATCH))
-
-
-def _run_chunks(total: int, workers: int, run_one):
-    """``run_one`` over the mask blocks of each chunk of range(total), in order."""
-    chunks = [
-        _blocks(lo, min(lo + CHUNK_MASKS, total), lambda s, e: np.arange(s, e, dtype=np.int64))
-        for lo in range(0, total, CHUNK_MASKS)
-    ]
+def _run_blocks(size: int, workers: int, decide, problems: list[str]):
+    """``decide(start, stop)`` over range(size) in ranges of
+    ``SAMPLE_BATCH``, on ``workers`` threads with the compiled kernels and
+    serially otherwise.  Each part is (examined, kept, violations, aborted,
+    *extras); the parts are merged in order up to and including the first
+    that hit the node cap.  Returns (examined, kept, the first
+    ``VIOLATION_BUFFER`` violations, aborted, the merged parts' extras);
+    past the buffer the count is recorded in ``problems``."""
+    starts = range(0, size, SAMPLE_BATCH)
+    run = lambda start: decide(start, min(start + SAMPLE_BATCH, size))  # noqa: E731
     # threads only help compiled kernels: pure Python holds the interpreter lock
-    if workers <= 1 or len(chunks) <= 1 or not K.NUMBA_ENABLED:
-        return [run_one(blocks) for blocks in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, chunks))
-
-
-def _merge_chunks(parts, problems: list[str]):
-    """(examined, kept, violations, aborted) over ``_decide_blocks``
-    results in order: a scan's chunks or a sampler's one part.  Past
-    ``VIOLATION_BUFFER`` violations the first ones are kept and the count is
-    recorded in ``problems``."""
-    total = sum(p[2][0] for p in parts)
-    rows = [row for p in parts for row in p[2][1]][:VIOLATION_BUFFER]
-    if total > len(rows):
-        problems.append(f"{total} violations found; the report keeps the first {len(rows)}")
-    return sum(p[0] for p in parts), sum(p[1] for p in parts), rows, any(p[3] for p in parts)
+    pool = ThreadPoolExecutor(workers) if workers > 1 and K.NUMBA_ENABLED else None
+    examined = kept = nviol = 0
+    stored: list = []
+    extras: list = []
+    aborted = False
+    try:
+        for part_examined, part_kept, bad, aborted, *extra in (
+            map(run, starts) if pool is None else pool.map(run, starts)
+        ):
+            examined += part_examined
+            kept += part_kept
+            nviol += len(bad)
+            stored += bad[: VIOLATION_BUFFER - len(stored)].tolist()
+            extras += extra
+            if aborted:
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    if nviol > len(stored):
+        problems.append(f"{nviol} violations found; the report keeps the first {len(stored)}")
+    return examined, kept, stored, aborted, extras
 
 
 def _merge_extrema(parts, width: int):
@@ -371,37 +377,27 @@ def _batch_decide(adjs: np.ndarray, n: int, r: int, node_cap: int, backtrack: bo
     return out[:done] == 1, done < len(adjs)
 
 
-def _decide_blocks(n: int, r: int, blocks, cap: int, keep, visit, complement: bool = False,
-                   backtrack: bool = False):
-    """The block driver of every scan and sampler.  Each of ``blocks`` holds
-    rows of edge words as ``_expand_words`` takes them; the driver expands
-    them, complements them when asked, and decides the rows whose degrees
-    ``keep`` accepts with ``_batch_decide`` (``backtrack`` passed on).
-    ``visit(rows, degrees, decisions)`` gets each block's decided rows in
-    order and returns its violations (rows, or sample indices), of which the
-    first ``VIOLATION_BUFFER`` are stored.  Returns (examined, kept,
-    (violation count, stored violations), aborted); after a node-cap abort
-    both counts stop at the aborting row and include it, which ``visit``
-    never sees."""
-    examined = kept = nviol = 0
-    stored: list = []
-    for rows in blocks:
-        adjs = _expand_words(n, rows)
-        if complement:
-            adjs = _complement_rows(n, adjs)
-        degs = np.bitwise_count(adjs)
-        hits = np.flatnonzero(keep(degs))
-        decisions, aborted = _batch_decide(adjs[hits], n, r, cap, backtrack)
-        done = hits[: len(decisions)]
-        bad = visit(rows[done], degs[done], decisions)
-        nviol += len(bad)
-        stored += bad[: VIOLATION_BUFFER - len(stored)].tolist()
-        if aborted:
-            stop = examined + int(hits[len(decisions)]) + 1
-            return stop, kept + len(decisions) + 1, (nviol, stored), True
-        examined += len(rows)
-        kept += len(hits)
-    return examined, kept, (nviol, stored), False
+def _decide_block(n: int, r: int, rows, cap: int, keep, visit, complement: bool = False,
+                  backtrack: bool = False):
+    """One block of every scan and sampler.  ``rows`` holds edge words as
+    ``_expand_words`` takes them; the rows are expanded, complemented when
+    asked, and those whose degrees ``keep`` accepts are decided with
+    ``_batch_decide`` (``backtrack`` passed on).  ``visit(rows, degrees,
+    decisions)`` gets the decided rows in order and returns their violations
+    (rows, or sample indices).  Returns (examined, kept, violations,
+    aborted); after a node-cap abort both counts stop at the aborting row
+    and include it, which ``visit`` never sees."""
+    adjs = _expand_words(n, rows)
+    if complement:
+        adjs = _complement_rows(n, adjs)
+    degs = np.bitwise_count(adjs)
+    hits = np.flatnonzero(keep(degs))
+    decisions, aborted = _batch_decide(adjs[hits], n, r, cap, backtrack)
+    done = hits[: len(decisions)]
+    bad = visit(rows[done], degs[done], decisions)
+    if aborted:
+        return int(hits[len(decisions)]) + 1, len(decisions) + 1, bad, True
+    return len(rows), len(hits), bad, False
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +458,8 @@ def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, pro
     # (no graph has more than C(n,2) edges)
     floor_bound = np.array(list(accumulate((bounds.get(dd, slots) for dd in range(n)), min)))
 
-    def run_one(blocks):
-        extrema = []  # per block: (found, max edges, mask) per degree floor
+    def decide(start, stop):
+        extremum = []  # (found, max edges, mask) per degree floor, once a row is decided
 
         def visit(masks, degs, decisions):
             e = degs.sum(axis=1, dtype=np.int64) // 2
@@ -472,17 +468,16 @@ def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, pro
                 # member[b, D]: row b is not packable and has min degree >= D
                 member = ~decisions[:, None] & (mindeg[:, None] >= np.arange(d_hi + 1))
                 top = np.where(member, e[:, None], -1).argmax(axis=0)  # first max: lowest mask
-                extrema.append((member.any(axis=0), e[top], masks[top]))
+                extremum.append((member.any(axis=0), e[top], masks[top]))
             return masks[~decisions & (e > floor_bound[mindeg])]
 
-        return _decide_blocks(
-            n, spec.r, blocks, cap, lambda degs: degs.min(axis=1) >= d_lo, visit,
-            spec.complement, backtrack,
-        ) + (extrema,)
+        return _decide_block(
+            n, spec.r, np.arange(start, stop, dtype=np.int64), cap,
+            lambda degs: degs.min(axis=1) >= d_lo, visit, spec.complement, backtrack,
+        ) + tuple(extremum)
 
-    parts = _run_chunks(1 << slots, workers, run_one)
-    examined, _, masks, aborted = _merge_chunks(parts, problems)
-    found, value, mask = _merge_extrema([block for p in parts for block in p[4]], d_hi + 1)
+    examined, _, masks, aborted, extrema = _run_blocks(1 << slots, workers, decide, problems)
+    found, value, mask = _merge_extrema(extrema, d_hi + 1)
     per_d = {}
     for dd, threshold in spec.thresholds.items():
         k = n - 1 - dd if spec.complement else dd
@@ -498,7 +493,7 @@ def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, pro
 
 def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, problems):
     """Uniform samples from the single armed family past its threshold, decided
-    by ``_decide_blocks``; returns (examined, violation masks, aborted on the
+    by ``_run_blocks``; returns (examined, violation masks, aborted on the
     node cap, starved, cross-check ok).  ``dual`` first runs the colouring
     search on each sample's complement, built by ``Graph``; the first sample it
     caps on is the last counted, and the results cover the samples before it."""
@@ -531,12 +526,12 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
         decided.extend(decisions.tolist())
         return bad
 
-    blocks = _blocks(0, len(colours) - 1 if capped else len(masks),
-                     lambda s, e: _word_rows(n, masks[s:e]))
-    part = _decide_blocks(
-        n, spec.r, blocks, cap, lambda degs: np.ones(len(degs), bool), visit, spec.complement
+    examined, _, bad, aborted, _ = _run_blocks(
+        len(colours) - 1 if capped else len(masks), 1,
+        lambda s, e: _decide_block(n, spec.r, _word_rows(n, masks[s:e]), cap,
+                                   lambda degs: np.ones(len(degs), bool), visit, spec.complement),
+        problems,
     )
-    examined, _, bad, aborted = _merge_chunks([part], problems)
     if capped and not aborted:
         examined, aborted = examined + 1, True
     ok = all((c == 1) == d for c, d in zip(colours, decided))
@@ -779,11 +774,10 @@ def _scan_condition(n: int, r: int, clauses, workers: int, cap: int, n_cap: int,
     meet the clause table (r = 0 decides Hamilton paths); returns (examined,
     condition-true count, violation masks, aborted)."""
     _check_exhaustive(n, n_cap)
-    parts = _run_chunks(1 << comb(n, 2), workers, lambda blocks: _decide_blocks(
-        n, r, blocks, cap, lambda degs: _condition_rows(degs, clauses),
+    return _run_blocks(1 << comb(n, 2), workers, lambda s, e: _decide_block(
+        n, r, np.arange(s, e, dtype=np.int64), cap, lambda degs: _condition_rows(degs, clauses),
         lambda masks, degs, decisions: masks[~decisions],
-    ))
-    return _merge_chunks(parts, problems)
+    ), problems)[:4]
 
 
 def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int, problems):
@@ -794,12 +788,10 @@ def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int
     e_total = comb(n, 2)
     nwords = (e_total + 63) // 64
     rng = SplitMix64(seed)
-    part = _decide_blocks(
-        n, r, _blocks(0, samples, lambda s, e: rng.words((e - s) * nwords).reshape(-1, nwords)),
-        cap, lambda degs: _condition_rows(degs, clauses),
-        lambda rows, degs, decisions: rows[~decisions],
-    )
-    examined, kept, rows, aborted = _merge_chunks([part], problems)
+    examined, kept, rows, aborted, _ = _run_blocks(samples, 1, lambda s, e: _decide_block(
+        n, r, rng.words((e - s) * nwords).reshape(-1, nwords), cap,
+        lambda degs: _condition_rows(degs, clauses), lambda rows, degs, decisions: rows[~decisions],
+    ), problems)
     full = (1 << e_total) - 1  # drops the stream bits past the edge slots
     masks = {sum(x << (64 * w) for w, x in enumerate(row)) & full for row in rows}
     return examined, kept, sorted(masks), aborted
@@ -850,15 +842,12 @@ def _condition_search(
         problems,
     )
     if predicate == "ques1":
-        # sharpness of the disjunctive condition on the extremal2 family
+        # sharpness of the disjunctive condition on the extremal2 family; a
+        # solver cap of 0 skips the packing solver, which a small node cap
+        # would stop with an error
         for k in range(1, n // r + 1):
-            g = build_extremal2(n, r, k)
-            fails = disjunctive_condition_failures(g, r)
-            if fails != (k,):
-                problems.append(f"extremal2(k={k}) fails at {fails}, expected ({k},)")
-            d = degree_sequence(g)
-            if d[n - k * (r - 1)] != n - k - 1:
-                problems.append(f"extremal2(k={k}) boundary degree {d[n - k * (r - 1)]}")
+            found = audit_instance("extremal2", {"n": n, "r": r, "k": k}, solver_cap=0)
+            problems += [f"extremal2(k={k}): {problem}" for problem in found]
     return VerificationReport(
         task, examined, violations, None,
         _status(aborted, not violations and not problems), _elapsed_ms(t0, timing),
@@ -916,16 +905,23 @@ def sweep_hampath_condition(
     all labeled n-vertex graphs.  Returns (examined, condition_true,
     violation witnesses); soundness means no witnesses.  Past
     ``VIOLATION_BUFFER`` violations the first ones, in mask order, are kept
-    and a ``RuntimeWarning`` gives the full count."""
+    and a ``RuntimeWarning`` gives the full count; a witness that fails its
+    re-check by the solvers gets a ``RuntimeWarning`` too."""
     if n < 2:
         raise ParameterRangeError("need n >= 2")
     problems: list[str] = []
     examined, cond_true, masks, _ = _scan_condition(  # r = 0 needs no node cap
         n, 0, _degree_clauses("hampath", n), workers, 1, n_cap, problems
     )
+    witnesses = tuple(_witness(n, m) for m in masks)
+    _recheck(
+        witnesses,
+        lambda g: chvatal_hampath_condition(g) and not hamilton_path_exact(g).decision,
+        problems,
+    )
     for problem in problems:
         warnings.warn(problem, RuntimeWarning, stacklevel=2)
-    return examined, cond_true, tuple(_witness(n, m) for m in masks)
+    return examined, cond_true, witnesses
 
 
 # ---------------------------------------------------------------------------

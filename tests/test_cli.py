@@ -197,6 +197,14 @@ def test_verify_sampled_duality_cap_abort(capsys):
     assert blob["examined"] == 87
 
 
+def test_verify_exhaustive_cap_abort(capsys):
+    # the packing search first reaches the cap on mask 1183, the last one counted
+    code, out, err = run(capsys, "verify", "matching", "--n", "6", "--node-cap", "8")
+    assert code == 3 and err == ""
+    blob = json.loads(out)
+    assert (blob["status"], blob["examined"]) == ("aborted", 1184)
+
+
 def test_verify_audit_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "audit", "--max-n", "16")
     assert code == 0

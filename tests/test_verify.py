@@ -198,16 +198,37 @@ def test_sweep_hampath_condition_small():
 
 
 def test_hampath_sweep_overflow_keeps_first_witnesses(monkeypatch):
-    # an empty clause table holds for every graph, so each graph without a
-    # Hamilton path is a violation; 16-mask chunks make the 64 graphs four
+    # an empty clause table, and a re-check condition to match, hold for
+    # every graph, so each graph without a Hamilton path is a violation;
+    # 16-mask blocks make the 64 graphs four
     monkeypatch.setattr(V, "_degree_clauses", lambda *args: ())
-    monkeypatch.setattr(V, "CHUNK_MASKS", 16)
+    monkeypatch.setattr(V, "chvatal_hampath_condition", lambda g: True)
+    monkeypatch.setattr(V, "SAMPLE_BATCH", 16)
     examined, cond_true, full = sweep_hampath_condition(4)
     assert examined == cond_true == 64 and len(full) > 5
     monkeypatch.setattr(V, "VIOLATION_BUFFER", 5)
     kept = f"^{len(full)} violations found; the report keeps the first 5$"
     with pytest.warns(RuntimeWarning, match=kept):
         assert sweep_hampath_condition(4) == (64, 64, full[:5])
+
+
+def test_hampath_sweep_witness_recheck_failure_warns(monkeypatch):
+    # an empty clause table, and a re-check condition to match, make the 30
+    # graphs on 4 vertices without a Hamilton path violations that re-check
+    monkeypatch.setattr(V, "_degree_clauses", lambda *args: ())
+    monkeypatch.setattr(V, "chvatal_hampath_condition", lambda g: True)
+    examined, cond_true, witnesses = sweep_hampath_condition(4)
+    assert len(witnesses) == 30
+
+    class Yes:
+        decision = True
+
+    monkeypatch.setattr(V, "hamilton_path_exact", lambda g: Yes())
+    with pytest.warns(RuntimeWarning) as caught:
+        assert sweep_hampath_condition(4) == (examined, cond_true, witnesses)
+    assert [str(w.message) for w in caught] == [
+        f"witness {g6} failed re-validation" for g6 in witnesses
+    ]
 
 
 def test_splitmix64_reference_values():
@@ -335,18 +356,15 @@ GOLDEN_RUNS = {
 }
 
 # The same digests without ``problems``, of exhaustive runs and one sampled
-# run that hit a node cap of 8, as produced before the exhaustive scans ran
-# through the samplers' block pipeline.  They pin the abort accounting:
-# examined counts stop at the aborting graph in each chunk, and extrema and
-# violations cover only the graphs decided before it.  The sampled entry was
-# re-pinned when the condition sampler's counts began to stop at the
-# aborting sample too (examined 956, where the whole batch of 4096 counted).
+# run that hit a node cap of 8.  They pin the abort accounting: examined
+# counts stop at the first graph, in mask or sample order, that hits the
+# cap, and extrema and violations cover only the graphs decided before it.
 ABORTED_REPORTS = {
-    "matching(6)": "ea6982561eade8caa14e27ef09da1104076e119b3d9b39e265a3031f71133f83",
-    "t1(6,3)": "68056f648baa35f63f80d3cfcd542a7be6d5cf960b088d4d7457d7f20fc563dc",
-    "mainthm1(6,3)": "fa9e6267869fb94379bdfa2191177fe0dca78988efbbfe6dba8fc4e1598d4f63",
-    "conj1(6,3)": "7f4f25b504bb725ef6127912112b332c32c2f252d5e0405ed45018361b18933c",
-    "ques1(6,3)": "63537fa60010fc4737db978578fc5dfcd8d4d8fb03fe39b68a55784c595a50a7",
+    "matching(6)": "89c819543a8d8d6c04091d88409052db1f2ca052c5eb90a677fa6c4fef276ff7",
+    "t1(6,3)": "fe28e3ddabe0121d31643eb0730af4ed1a083a4f40573cbc3a10b16ecc8739f5",
+    "mainthm1(6,3)": "cd675f08f78cd874cca383b89e454e13a39f7ac75beeab7a73fbc7f5e0831402",
+    "conj1(6,3)": "913aa2477d7a3ba721b538ea7c19474c94b9efdf3732558eba453edd683c83ad",
+    "ques1(6,3)": "1a4579140020a4399c1fa615b102132dbbbfee4b7165c9292a69b2ef12d8d890",
     "conj1(12,3)": "f6ee3b71bfc5e5ce966c0692883895014062fa94659a6eebdf5d299280b947f2",
 }
 ABORTED_RUNS = {
@@ -384,7 +402,7 @@ def test_aborted_reports_match_pins(name, workers):
 
 
 def test_block_size_does_not_change_exhaustive_reports(monkeypatch):
-    """Blocks of 7 masks split every chunk unevenly, so block edges fall
+    """Blocks of 7 masks split the mask space unevenly, so block edges fall
     between a graph and the graph it ties with or aborts after."""
     monkeypatch.setattr(V, "SAMPLE_BATCH", 7)
     for name, run in GOLDEN_RUNS.items():
@@ -393,6 +411,38 @@ def test_block_size_does_not_change_exhaustive_reports(monkeypatch):
     for name in ABORTED_REPORTS:
         if "(12," not in name:
             assert _aborted_digest(name) == ABORTED_REPORTS[name], name
+
+
+def _first_capped_mask(n, r, complement=False):
+    """The first graph in mask order, or the first complement, with no
+    isolated vertex on which the packing search reaches a node cap of 8."""
+    work = K.pack_work_arrays(n)
+    for mask in range(1 << (n * (n - 1) // 2)):
+        g = Graph.from_edge_mask(n, mask)
+        g = g.complement() if complement else g
+        if min(g.degrees()) > 0 and K._pack_decide(g.adjacency_array(), n, r, 8, *work)[0] == -1:
+            return mask
+    return None
+
+
+def test_exhaustive_abort_stops_at_first_capped_graph():
+    """The abort point, found without the block driver, ends ``examined``."""
+    assert _first_capped_mask(6, 2) == 1183
+    assert _first_capped_mask(6, 3, complement=True) == 44
+    assert ABORTED_RUNS["matching(6)"](node_cap=8).examined == 1184
+    assert ABORTED_RUNS["t1(6,3)"](node_cap=8).examined == 45
+
+
+def test_thread_pool_merge_keeps_reports(monkeypatch):
+    """With the thread pool forced on, workers=2 runs the blocks on threads
+    (pure Python here) and the reports keep their digests."""
+    monkeypatch.setattr(K, "NUMBA_ENABLED", True)
+    assert _report_digest(GOLDEN_RUNS["conj1(6,3,workers=2)"]()) == GOLDEN_REPORTS[
+        "conj1(6,3,workers=2)"
+    ]
+    for name in ABORTED_REPORTS:
+        if "(12," not in name:
+            assert _aborted_digest(name, workers=2) == ABORTED_REPORTS[name], name
 
 
 def test_block_size_does_not_change_sampled_aborted_report(monkeypatch):
@@ -493,7 +543,7 @@ def test_witness_recheck_reports_under_python_O():
 
 
 def test_violation_overflow_keeps_first_witnesses(monkeypatch):
-    full = _low_bound_report(n=6, workers=2)  # two chunks of masks
+    full = _low_bound_report(n=6, workers=2)  # eight blocks of masks
     assert full.problems == () and len(full.violations) > 5
     monkeypatch.setattr(V, "VIOLATION_BUFFER", 5)
     rep = _low_bound_report(n=6, workers=2)
