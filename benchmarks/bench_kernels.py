@@ -3,11 +3,12 @@
 Run:  python benchmarks/bench_kernels.py
 
 Each row times one set of decisions three ways where they apply: the
-plain-numpy block decider (``packable_rows`` or ``hampath_rows``), the
-per-row search as plain Python (the path used when numba is unavailable or
-PACKLAB_NO_NUMBA=1 is set), and the same search compiled by numba.  Every
-way must return the same decisions; times are the best of three runs after
-a warm-up.
+plain-numpy block decider (``packable_rows``, ``hampath_rows`` or
+``colour_rows``), the per-row search as plain Python (the path used when
+numba is unavailable or PACKLAB_NO_NUMBA=1 is set), and the same search
+compiled by numba.  Every way must return the same decisions (for
+colourings, the same statuses and node counts); times are the best of three
+runs after a warm-up.
 """
 
 import time
@@ -68,8 +69,20 @@ def _hampath(adjs, n):
     return search
 
 
+def _colouring(adjs, n, k):
+    """The equitable-colouring search on every row, given the kernel
+    (``_colour_decide``): statuses and node counts."""
+
+    def search(kernel):
+        work = [np.zeros(size, np.int64) for size in (n, n, k, k)]
+        return [list(x) for x in zip(*(kernel(adj, n, k, 10**9, *work) for adj in adjs))]
+
+    return search
+
+
 def main():
     n12, n6, n7 = _random_adjs(12, 256, 1), _all_adjs(6), _random_adjs(7, 4096, 2)
+    c12 = _random_adjs(12, 4096, 3)
     benches = [  # (label, block decider, per-row search, its kernel)
         ("packing, 256 random graphs n=12 r=2", lambda: K.packable_rows(n12, 12, 2).tolist(),
          _packing(n12, 12, 2), K.batch_decide),
@@ -81,6 +94,12 @@ def main():
          _packing(n6, 6, 3), K.batch_decide),
         ("Hamilton paths, 4096 random graphs n=7", lambda: K.hampath_rows(n7, 7).tolist(),
          _hampath(n7, 7), K._hampath_decide),
+        ("colouring, all 32768 graphs n=6 k=2",
+         lambda: [a.tolist() for a in K.colour_rows(n6, 6, 2, 10**9)],
+         _colouring(n6, 6, 2), K._colour_decide),
+        ("colouring, 4096 random graphs n=12 k=4",
+         lambda: [a.tolist() for a in K.colour_rows(c12, 12, 4, 10**9)],
+         _colouring(c12, 12, 4), K._colour_decide),
     ]
     rows = []
     for label, block, search, kernel in benches:

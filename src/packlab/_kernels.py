@@ -18,7 +18,7 @@ order graph6 uses, so witness masks and graph6 strings agree bit for bit.
 Every scan, exhaustive or sampled, works on blocks of graphs: it hands a
 block of 64-bit edge words to ``words_to_adj``, plain numpy with one vector
 operation per edge slot, filters the rows by their degrees in numpy, and
-decides the rows it keeps with one of three block deciders.  Two are plain
+decides the rows it keeps with one of four block deciders.  Two are plain
 numpy over the whole block and never abort: ``hampath_rows`` runs the
 Hamilton-path subset programme across the rows, and ``packable_rows`` runs
 the packing subset programme, over the uncovered vertex sets reached by
@@ -26,9 +26,12 @@ always covering the lowest uncovered vertex with an r-clique.  The third,
 ``batch_decide``, runs the packing search row by row and stops at the first
 row that hits the node cap; the scans use it when the cap is below
 ``pack_node_bound`` (the most nodes the search can use, so the programme
-would hide an abort), for n above 12, where the programme's state tables
-grow quickly, and for the colouring side of the exhaustive
-packing/colouring duality cross-check.
+would hide an abort) and for n above 12, where the programme's state tables
+grow quickly.  The fourth, ``colour_rows``, runs the equitable-colouring
+search ``_colour_decide`` across the rows in plain numpy, with its node
+counts and aborts; it decides the colouring side of both mainthm1
+cross-checks: the exhaustive packing/colouring duality run, and, through
+``colour_complements`` with an expansion of its own, each sample.
 """
 
 from __future__ import annotations
@@ -434,6 +437,104 @@ def packable_rows(adjs, n, r):
         for block, child, starts in layers:
             good = np.logical_or.reduceat(clique[:, block] & good[:, child], starts, axis=1)
         out[lo : lo + len(adj)] = good[:, 0]
+    return out
+
+
+def colour_rows(adjs, n, k, node_cap):
+    """``_colour_decide`` on every row of ``adjs``: returns its statuses and
+    node counts as two int64 arrays, so a row stops at the same node.
+
+    The rows run the search in lockstep, one step of its loop per pass: a
+    row with a class left for the vertex at its level puts the vertex in the
+    lowest one and lists the classes open to the next vertex; a row with none
+    left takes the vertex one level up out of its class.  Rows that finish
+    drop out.  Plain numpy, in sub-blocks of ``2^15 // n`` rows so each
+    (rows, n) table stays at 256 KB.
+    """
+    status = np.ones(len(adjs), np.int64)  # n = 0 is coloured at once
+    nodes = np.zeros(len(adjs), np.int64)
+    q, s = divmod(n, k)
+    classes = np.arange(k, dtype=np.int64)
+    step = max(1, (1 << 15) // max(n, 1))
+    for lo in range(0, len(adjs) if n else 0, step):
+        rows = np.arange(lo, min(lo + step, len(adjs)))  # where each live row reports
+        candc = np.zeros((len(rows), n), np.int64)
+        candc[:, 0] = 1
+        chosen = np.zeros_like(candc)
+        classmask = np.zeros((len(rows), k), np.int64)
+        classsize = np.zeros_like(classmask)
+        level, count = np.zeros((2, len(rows)), np.int64)
+        at = np.arange(len(rows))
+        while len(rows):
+            cm = candc[at, level]
+            fwd = cm != 0
+            cb = cm & -cm
+            candc[at, level] = cm - cb
+            sign = fwd * 2 - 1
+            u = level - ~fwd  # the vertex that joins (forward) or leaves (back) a class
+            c = np.where(fwd, np.bitwise_count(cb - 1), chosen[at, u])
+            chosen[at, u] = c
+            classmask[at, c] ^= 1 << u  # a shift by -1 (leaving level 0) is 0
+            classsize[at, c] += sign
+            count += fwd
+            level += sign
+            # the classes open to vertex v: a used class or the first empty
+            # one, below q + 1 vertices (q once s classes have q + 1), and
+            # holding no neighbour of v.  For a row that stepped back, v is
+            # the level it left, which it lists again before it returns.
+            v = np.minimum(u + 1, n - 1)
+            open_ = (
+                (classes <= (classsize > 0).sum(axis=1, keepdims=True))
+                & (classsize < q + ((classsize > q).sum(axis=1, keepdims=True) < s))
+                & (adjs[rows, v, None] & classmask == 0)
+            )
+            candc[at, v] = (open_ << classes).sum(axis=1)
+            over = count > node_cap
+            done = over | (level == n) | (level < 0)
+            if done.any():
+                status[rows[done]] = np.where(over, -1, level == n)[done]
+                nodes[rows[done]] = count[done]
+                keep = ~done  # one table at a time, so each old one is freed at once
+                rows, level, count = rows[keep], level[keep], count[keep]
+                candc = candc[keep]
+                chosen = chosen[keep]
+                classmask = classmask[keep]
+                classsize = classsize[keep]
+                at = np.arange(len(rows))
+    return status, nodes
+
+
+def complement_adjs(masks, n):
+    """Neighbour masks of the complement of each edge mask's graph (Python
+    ints), one row each, by an expansion that shares no code with
+    ``words_to_adj``: the mask bytes are unpacked into a (rows, n, n)
+    boolean adjacency matrix, complemented with the diagonal cleared and
+    packed back into bits."""
+    j, i = np.tril_indices(n, -1)  # edge slot s joins i < j, in slot order
+    width = (len(i) + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    edge = np.unpackbits(
+        raw.reshape(len(masks), width), axis=1, count=len(i), bitorder="little"
+    ).view(bool)
+    mat = np.ones((len(masks), n, n), bool)
+    mat[:, i, j] = mat[:, j, i] = ~edge
+    mat[:, range(n), range(n)] = False
+    words = np.zeros((len(masks), n, 8), np.uint8)
+    words[..., : (n + 7) // 8] = np.packbits(mat, axis=2, bitorder="little")
+    return words.view("<i8")[..., 0]
+
+
+def colour_complements(masks, n, k, node_cap):
+    """``colour_rows`` statuses for the complement of each edge mask's graph
+    (Python ints), in order, up to and including the first that hits the
+    node cap, as a list.  The complements come from ``complement_adjs``, in
+    sub-blocks sized so its matrix and masks stay at 256 KB."""
+    step = max(1, (1 << 18) // (n * max(n, 8)))
+    out = []
+    for lo in range(0, len(masks), step):
+        out += colour_rows(complement_adjs(masks[lo : lo + step], n), n, k, node_cap)[0].tolist()
+        if -1 in out:
+            return out[: out.index(-1) + 1]
     return out
 
 

@@ -21,7 +21,7 @@ import warnings
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from math import comb
 from time import perf_counter
 
@@ -99,18 +99,13 @@ class SplitMix64:
         if bound <= 0:
             raise ParameterRangeError("bound must be positive")
         bits = (bound - 1).bit_length()
-        if bits == 0:
-            return 0
-        extra = (bits - 1) // 64  # words past the first
-        shift = 64 * (extra + 1) - bits
-        while True:
-            acc = self.next_word()
-            if extra:  # spares the loop for the usual one-word bound
-                for _ in range(extra):
-                    acc = (acc << 64) | self.next_word()
-            acc >>= shift
-            if acc < bound:
-                return acc
+        x = bound
+        while x >= bound:
+            x = 0
+            for _ in range(-(-bits // 64)):  # no word for a bound of 1
+                x = x << 64 | self.next_word()
+            x >>= -bits % 64
+        return x
 
 
 @dataclass(frozen=True)
@@ -286,27 +281,16 @@ def _incident_slots(n: int) -> list[int]:
     return out
 
 
-def _floyd_sample(rng: SplitMix64, m: int, total: int) -> set[int]:
-    """m distinct slots out of range(total), uniformly (Floyd's algorithm)."""
-    chosen: set[int] = set()
-    for t in range(total - m, total):
-        x = rng.next_below(t + 1)
-        chosen.add(t if x in chosen else x)
-    return chosen
-
-
-def _sample_filtered_window(
-    n: int,
-    rng: SplitMix64,
-    samples: int,
-    m_lo: int,
-    m_hi: int,
-    degree_filter,
-):
+def _sample_filtered_window(n: int, rng: SplitMix64, samples: int, m_lo: int, m_hi: int,
+                            degree_filter):
     """First-`samples`-accepted uniform draws from the graphs with edge count
     in [m_lo, m_hi] passing ``degree_filter`` (a predicate on the degree
     list).  Returns (masks, proposals, starved); starved means the proposal
-    budget ran out before `samples` draws were accepted."""
+    budget ran out before `samples` draws were accepted.
+
+    A draw reads the words ``rng.next_below`` would: the edge count m, then
+    m slots by Floyd's algorithm, each by bit-rejection on the top bits of
+    whole words.  The words come from ``rng.words`` lists, read ahead."""
     e_total = comb(n, 2)
     # edge counts m in [m_lo, m_hi] are drawn with probability proportional
     # to the number of labeled graphs with m edges
@@ -315,14 +299,27 @@ def _sample_filtered_window(
         return [], 0, False
     incident = _incident_slots(n)
     limit = PROPOSAL_LIMIT_FACTOR * samples + 1000
+    bits = (cum[-1] - 1).bit_length()
+    draw = range(-(-bits // 64))  # the edge count's words, as in ``next_below``
+    steps = [(t, 64 - t.bit_length()) for t in range(e_total)]  # a slot below t + 1
+    word = chain.from_iterable(iter(lambda: rng.words(4096).tolist(), None)).__next__
     out = []
     proposals = 0
     while len(out) < samples and proposals < limit:
         proposals += 1
-        m = m_lo + bisect_right(cum, rng.next_below(cum[-1]))
+        x = cum[-1]
+        while x >= cum[-1]:
+            x = 0
+            for _ in draw:
+                x = x << 64 | word()
+            x >>= -bits % 64
+        m = m_lo + bisect_right(cum, x)
         mask = 0
-        for s in _floyd_sample(rng, m, e_total):
-            mask |= 1 << s
+        for t, sh in steps[e_total - m :]:  # Floyd's algorithm
+            x = word() >> sh if t else 0
+            while x > t:
+                x = word() >> sh
+            mask |= 1 << (t if mask >> x & 1 else x)
         if degree_filter([(mask & slots).bit_count() for slots in incident]):
             out.append(mask)
     return out, proposals, len(out) < samples
@@ -357,32 +354,36 @@ def _condition_rows(degs: np.ndarray, clauses) -> np.ndarray:
     return ((d[:, table[:, 0]] >= table[:, 1]) | (d[:, table[:, 2]] >= table[:, 3])).all(axis=1)
 
 
-def _batch_decide(adjs: np.ndarray, n: int, r: int, node_cap: int, backtrack: bool = False):
+def _batch_decide(adjs: np.ndarray, n: int, r: int, node_cap: int, colouring: bool = False):
     """Exact decision for each row of ``adjs``: a perfect r-clique packing,
     or a Hamilton path at r = 0.  Returns (decisions as a bool array,
     aborted), the decisions stopping at the first row that hit the node cap.
 
     Hamilton paths are decided across the block in numpy, and so are
     packings when r | n, n <= ``_PACK_ROWS_MAX_N`` and the node cap is one
-    the packing search can never reach (``K.pack_node_bound``).  Otherwise,
-    or with ``backtrack``, each row is decided by packing search, which may
-    abort on the cap."""
+    the packing search can never reach (``K.pack_node_bound``).  Otherwise
+    each row is decided by packing search.  With ``colouring`` (r | n) the
+    equitable (n/r)-colouring search decides the complements across the
+    block.  Both searches may abort on the cap."""
     if r == 0:
         return K.hampath_rows(adjs, n), False
-    if (not backtrack and n <= _PACK_ROWS_MAX_N and n % r == 0
-            and node_cap >= K.pack_node_bound(n, r)):
+    if colouring:
+        out = K.colour_rows(_complement_rows(n, adjs), n, n // r, node_cap)[0]
+    elif n <= _PACK_ROWS_MAX_N and n % r == 0 and node_cap >= K.pack_node_bound(n, r):
         return K.packable_rows(adjs, n, r), False
-    out = np.zeros(len(adjs), np.int64)
-    done = K.batch_decide(adjs, n, r, node_cap, *K.pack_work_arrays(n), out)
+    else:
+        out = np.zeros(len(adjs), np.int64)
+        K.batch_decide(adjs, n, r, node_cap, *K.pack_work_arrays(n), out)
+    done = (out.tolist() + [-1]).index(-1)  # the first row on the cap
     return out[:done] == 1, done < len(adjs)
 
 
 def _decide_block(n: int, r: int, rows, cap: int, keep, visit, complement: bool = False,
-                  backtrack: bool = False):
+                  colouring: bool = False):
     """One block of every scan and sampler.  ``rows`` holds edge words as
     ``_expand_words`` takes them; the rows are expanded, complemented when
     asked, and those whose degrees ``keep`` accepts are decided with
-    ``_batch_decide`` (``backtrack`` passed on).  ``visit(rows, degrees,
+    ``_batch_decide`` (``colouring`` passed on).  ``visit(rows, degrees,
     decisions)`` gets the decided rows in order and returns their violations
     (rows, or sample indices).  Returns (examined, kept, violations,
     aborted); after a node-cap abort both counts stop at the aborting row
@@ -392,7 +393,7 @@ def _decide_block(n: int, r: int, rows, cap: int, keep, visit, complement: bool 
         adjs = _complement_rows(n, adjs)
     degs = np.bitwise_count(adjs)
     hits = np.flatnonzero(keep(degs))
-    decisions, aborted = _batch_decide(adjs[hits], n, r, cap, backtrack)
+    decisions, aborted = _batch_decide(adjs[hits], n, r, cap, colouring)
     done = hits[: len(decisions)]
     bad = visit(rows[done], degs[done], decisions)
     if aborted:
@@ -445,10 +446,10 @@ class ThresholdSpec:
 
 
 def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, problems,
-                    backtrack: bool = False):
+                    colouring: bool = False):
     """All 2^C(n,2) graphs through the block pipeline; returns (examined,
-    violation masks, aborted, per-D table).  ``backtrack`` decides every
-    row by packing search."""
+    violation masks, aborted, per-D table).  ``colouring`` decides every
+    row by the colouring search on its complement."""
     n = spec.n
     _check_exhaustive(n, n_cap)
     bounds = spec.packing_bounds()
@@ -473,7 +474,7 @@ def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, pro
 
         return _decide_block(
             n, spec.r, np.arange(start, stop, dtype=np.int64), cap,
-            lambda degs: degs.min(axis=1) >= d_lo, visit, spec.complement, backtrack,
+            lambda degs: degs.min(axis=1) >= d_lo, visit, spec.complement, colouring,
         ) + tuple(extremum)
 
     examined, _, masks, aborted, extrema = _run_blocks(1 << slots, workers, decide, problems)
@@ -495,8 +496,9 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
     """Uniform samples from the single armed family past its threshold, decided
     by ``_run_blocks``; returns (examined, violation masks, aborted on the
     node cap, starved, cross-check ok).  ``dual`` first runs the colouring
-    search on each sample's complement, built by ``Graph``; the first sample it
-    caps on is the last counted, and the results cover the samples before it."""
+    search across the samples' complements (``K.colour_complements``, with
+    its own expansion); the first sample it caps on is the last counted, and
+    the results cover the samples before it."""
     n = spec.n
     ((dd, threshold),) = spec.thresholds.items()
     if spec.complement:
@@ -510,14 +512,8 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
         problems.append(
             f"sampler starved: {len(masks)} of {samples} samples after {proposals} proposals"
         )
-    colours = []  # the cross-check: 1 colourable, 0 not, -1 on the node cap
-    k = n // spec.r
-    work = [np.zeros(size, np.int64) for size in (n, n, k, k)]
-    for m in masks if spec.dual else ():
-        adj = Graph.from_edge_mask(n, m).complement().adjacency_array()
-        colours.append(K._colour_decide(adj, n, k, cap, *work)[0])
-        if colours[-1] == -1:
-            break
+    # the cross-check: 1 colourable, 0 not, -1 on the node cap
+    colours = K.colour_complements(masks, n, n // spec.r, cap) if spec.dual else []
     capped = colours[-1:] == [-1]
     decided: list[bool] = []  # the driver's decisions, in sample order
 
@@ -541,13 +537,13 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
 def _dual_agrees(spec, examined, violations, per_d, workers, cap, n_cap):
     """The colouring-side cross-check of ``verify_mainthm1_threshold``'s
     exhaustive mode: the t1 scan at the complementary degree parameters.
-    It decides every row by packing search, while the main scan may use
-    the packing subset programme, so two deciders are compared.  Returns
-    (agrees, dual run aborted on the node cap)."""
+    It decides every row by the equitable-colouring search on the graph
+    itself, while the main scan decides packings, so two deciders are
+    compared.  Returns (agrees, dual run aborted on the node cap)."""
     n, r = spec.n, spec.r
     dual = _colouring_spec(n, r, [n - 1 - dd for dd in reversed(spec.thresholds)])
     dual_examined, dual_masks, dual_capped, dual_per_d = _scan_threshold(
-        dual, workers, cap, n_cap, [], backtrack=True
+        dual, workers, cap, n_cap, [], colouring=True
     )
     ok = dual_examined == examined
     dual_viols = sorted(

@@ -22,6 +22,7 @@ from packlab import (
     disjunctive_condition_failures,
 )
 from packlab import verify as V
+from packlab.solvers import DEFAULT_NODE_CAP
 from packlab.verify import _degree_clauses
 from oracles import (
     has_clique_brute,
@@ -198,10 +199,95 @@ def test_packable_rows_matches_brute_drawn(data):
         if n <= 10:
             want = [has_perfect_packing_brute(h, r)]
         else:
-            decisions, aborted = V._batch_decide(adjs, n, r, 10**7, backtrack=True)
-            want = decisions.tolist()
-            assert not aborted
+            out = np.zeros(1, np.int64)
+            assert K.batch_decide(adjs, n, r, 10**7, *K.pack_work_arrays(n), out) == 1
+            want = [out[0] == 1]
         assert K.packable_rows(adjs, n, r).tolist() == want
+
+
+def _colour_scalar(adjs, n, k, cap):
+    """[statuses, node counts] of ``_colour_decide`` row by row."""
+    work = [np.zeros(size, np.int64) for size in (n, n, k, k)]
+    return [list(x) for x in zip(*(K._colour_decide(adj, n, k, cap, *work) for adj in adjs))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_colour_rows_matches_scalar(n):
+    """Status and node count of every labelled graph with n <= 6, at every
+    k, with node caps that stop the search at once, midway and never.  A
+    search capped at c runs the uncapped search's first c nodes, so the
+    capped results follow from the uncapped ones; below n = 6 the capped
+    search itself is run too."""
+    _, adjs = _all_graphs(n)
+    for k in range(1, n + 1):
+        status, nodes = _colour_scalar(adjs, n, k, DEFAULT_NODE_CAP)
+        for cap in (1, 7, DEFAULT_NODE_CAP):
+            want = [[-1 if m > cap else st for st, m in zip(status, nodes)],
+                    [min(m, cap + 1) for m in nodes]]
+            if n < 6:
+                assert want == _colour_scalar(adjs, n, k, cap), (k, cap)
+            got = [a.tolist() for a in K.colour_rows(adjs, n, k, cap)]
+            assert got == want, (k, cap)
+
+
+@_DRAWN
+@given(strategies.data())
+def test_colour_rows_matches_scalar_drawn(data):
+    """A block of up to six graphs on 7 <= n <= 12 vertices and their
+    complements, so rows finish at different passes."""
+    graphs = [_drawn_graph(data.draw, most=12)]
+    n = graphs[0].n
+    full = (1 << (n * (n - 1) // 2)) - 1
+    graphs += [Graph.from_edge_mask(n, m) for m in data.draw(
+        strategies.lists(strategies.integers(0, full), max_size=5))]
+    adjs = np.array([h.adjacency_array() for g in graphs for h in (g, g.complement())])
+    k = data.draw(strategies.integers(1, n))
+    cap = data.draw(strategies.sampled_from([1, 7, 60, DEFAULT_NODE_CAP]))
+    got = [a.tolist() for a in K.colour_rows(adjs, n, k, cap)]
+    assert got == _colour_scalar(adjs, n, k, cap)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_colour_rows_matches_brute(n):
+    graphs, adjs = _all_graphs(n)
+    for k in range(1, n + 1) if n < 6 else (2, 3):
+        want = [has_equitable_colouring_brute(g, k) for g in graphs]
+        assert (K.colour_rows(adjs, n, k, DEFAULT_NODE_CAP)[0] == 1).tolist() == want, k
+
+
+def test_colour_rows_edge_cases():
+    """No vertices, one vertex, and no rows."""
+    assert [a.tolist() for a in K.colour_rows(np.zeros((2, 0), np.int64), 0, 1, 5)] == [
+        [1, 1], [0, 0]]
+    assert [a.tolist() for a in K.colour_rows(np.zeros((1, 1), np.int64), 1, 1, 5)] == [
+        [1], [1]]
+    assert [a.tolist() for a in K.colour_rows(np.zeros((0, 4), np.int64), 4, 2, 5)] == [[], []]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 9, 12, 62])
+def test_complement_adjs_matches_graph(n):
+    """The cross-check's own expansion, at up to 30 edge words per graph."""
+    e = n * (n - 1) // 2
+    masks = [0, (1 << e) - 1] + [
+        sum(int(w) << (32 * i) for i, w in enumerate(RNG.integers(0, 1 << 32, size=e // 32 + 1)))
+        & ((1 << e) - 1) for _ in range(20)]
+    want = [Graph.from_edge_mask(n, m).complement().adjacency_array().tolist() for m in masks]
+    assert K.complement_adjs(masks, n).tolist() == want
+
+
+def test_colour_complements_matches_scalar():
+    """The sampled cross-check: statuses of the complements in order, cut
+    after the first row that hits the cap, at one and two edge words."""
+    for n, k in ((6, 2), (9, 3), (12, 4)):
+        masks = _random_masks(n, 200) if n < 12 else [
+            int(x) | int(y) << 33 for x, y in zip(*RNG.integers(0, 1 << 33, size=(2, 200)))]
+        adjs = np.array([_adj_for(n, m) for m in masks])
+        comps = V._complement_rows(n, adjs)
+        for cap in (DEFAULT_NODE_CAP, 12):
+            want = _colour_scalar(comps, n, k, cap)[0]
+            if -1 in want:
+                want = want[: want.index(-1) + 1]
+            assert K.colour_complements(masks, n, k, cap) == want, (n, cap)
 
 
 @pytest.mark.parametrize("n, r, bound", [(4, 2, 10), (6, 2, 56), (6, 3, 56)])
@@ -226,7 +312,9 @@ def test_small_cap_takes_backtracking_path(monkeypatch):
         assert K.pack_node_bound(n, r) == bound
         assert V._batch_decide(adjs, n, r, bound)[0].tolist() == [True]
         assert len(calls) == 1
-        assert V._batch_decide(adjs, n, r, bound, backtrack=True)[0].tolist() == [True]
+        out = np.zeros(1, np.int64)
+        assert K.batch_decide(adjs, n, r, bound, *K.pack_work_arrays(n), out) == 1
+        assert out.tolist() == [1]
         assert V._batch_decide(adjs, n, r, bound - 1)[0].tolist() == [True]
         decisions, aborted = V._batch_decide(adjs, n, r, 3)
         assert len(calls) == 1 and (decisions.tolist(), aborted) == ([], True)

@@ -6,6 +6,9 @@ import json
 import os
 import subprocess
 import sys
+from bisect import bisect_right
+from itertools import accumulate
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +83,8 @@ def test_mainthm1_exhaustive_duality():
 
 def test_mainthm1_duality_compares_two_deciders(monkeypatch):
     """The packing side is decided by the packing subset programme, the
-    colouring side of the cross-check by packing search on the complements."""
-    rows = {"packable_rows": 0, "batch_decide": 0}
+    colouring side of the cross-check by the colouring search."""
+    rows = {"packable_rows": 0, "colour_rows": 0}
     for name in rows:
         kernel = getattr(K, name)
 
@@ -91,10 +94,10 @@ def test_mainthm1_duality_compares_two_deciders(monkeypatch):
 
         monkeypatch.setattr(K, name, counted)
     assert verify_t1_threshold(6, 3).status == "pass"
-    assert rows["packable_rows"] > 0 and rows["batch_decide"] == 0
+    assert rows["packable_rows"] > 0 and rows["colour_rows"] == 0
     rows.update(packable_rows=0)
     assert verify_mainthm1_threshold(6, 3).status == "pass"
-    assert rows["packable_rows"] == rows["batch_decide"] > 0
+    assert rows["packable_rows"] == rows["colour_rows"] == 12068
 
 
 def test_report_schema_and_serialization():
@@ -470,6 +473,16 @@ def test_node_cap_abort_gives_reason(name):
     assert rep.problems == ("node cap of 8 reached",)
 
 
+def test_exhaustive_duality_cap_aborts_on_colouring_nodes():
+    """The duality run's colouring search can need more nodes than the
+    packing scan (at most 25 against 15 over all 6-vertex graphs): with a cap
+    between the two the scan finishes and the cross-check aborts the run."""
+    rep = verify_mainthm1_threshold(6, 3, node_cap=20)
+    assert (rep.status, rep.examined) == ("aborted", 1 << 15)
+    assert rep.problems == ("node cap of 20 reached",)
+    assert verify_mainthm1_threshold(6, 3, node_cap=25).status == "pass"
+
+
 def test_sampled_duality_cap_aborts_with_report():
     """A sample whose colouring cross-check reaches the node cap aborts the
     run with a report.  At a cap of 50 the packing search would not reach
@@ -497,6 +510,42 @@ def test_sampler_draws_pinned():
     assert [proposals for _, proposals, _ in draws] == [365, 528, 987]
     digest = hashlib.sha256(repr(draws).encode()).hexdigest()
     assert digest == "2c065a770b0e468bd48ba50c3b9aacb93dca86f6907120d5e0a117ec0d83ee80"
+
+
+def _reference_window(n, rng, samples, m_lo, m_hi, keep):
+    """The threshold sampler drawn with ``next_below`` for the edge count
+    and for each step of Floyd's algorithm, which collects a set of slots."""
+    e_total = comb(n, 2)
+    cum = list(accumulate(comb(e_total, m) for m in range(m_lo, m_hi + 1)))
+    masks, proposals = [], 0
+    while len(masks) < samples and proposals < V.PROPOSAL_LIMIT_FACTOR * samples + 1000:
+        proposals += 1
+        m = m_lo + bisect_right(cum, rng.next_below(cum[-1]))
+        chosen = set()
+        for t in range(e_total - m, e_total):
+            x = rng.next_below(t + 1)
+            chosen.add(t if x in chosen else x)
+        mask = sum(1 << s for s in chosen)
+        if keep(Graph.from_edge_mask(n, mask).degrees()):
+            masks.append(mask)
+    return masks, proposals, len(masks) < samples
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 12, 30])
+def test_sampler_reads_next_below_words(n):
+    """The sampler reads ahead from the stream and consumes exactly the
+    words ``next_below`` would: with no edges and with every edge (one edge
+    count, so the count takes no word), over every edge count (a bound of
+    2^C(n,2), above 2^64 from n = 12) and over a middle window."""
+    e = comb(n, 2)
+
+    def keep(degs):  # vertex 0 is no leaf, so at n = 2 every edge starves
+        return degs[0] != 1
+
+    for seed, (m_lo, m_hi) in enumerate([(0, 0), (e, e), (0, e), (e // 3, e // 2)]):
+        want = _reference_window(n, SplitMix64(seed), 40, m_lo, m_hi, keep)
+        got = V._sample_filtered_window(n, SplitMix64(seed), 40, m_lo, m_hi, keep)
+        assert got == want, (m_lo, m_hi)
 
 
 def _low_bound_report(n=4, workers=1):
