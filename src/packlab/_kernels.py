@@ -1,12 +1,7 @@
 """Bitmask search kernels shared by the solvers and the verification scans.
 
-Every search kernel is written once as a plain Python function over ``int64``
-numpy arrays and wrapped with ``numba.njit`` when compilation is available.
-Setting ``PACKLAB_NO_NUMBA=1`` (or failing to import numba) selects the
-uncompiled pure-Python path; both paths run the identical code, so node
-counts, witness masks and reports are bit-for-bit the same.  ``pure(fn)``
-returns the uncompiled version of a kernel, which the benchmark uses to time
-both paths.
+Every search kernel is a plain Python function over ``int64`` numpy arrays
+that reports its explored nodes (or states) next to its answer.
 
 Graphs are encoded as one ``int64`` neighbour bitmask per vertex (bit ``j`` of
 ``adj[i]`` set iff ``ij`` is an edge), which caps kernel inputs at
@@ -18,89 +13,36 @@ order graph6 uses, so witness masks and graph6 strings agree bit for bit.
 Every scan, exhaustive or sampled, works on blocks of graphs: it hands a
 block of 64-bit edge words to ``words_to_adj``, plain numpy with one vector
 operation per edge slot, filters the rows by their degrees in numpy, and
-decides the rows it keeps with one of four block deciders.  Two are plain
-numpy over the whole block and never abort: ``hampath_rows`` runs the
-Hamilton-path subset programme across the rows, and ``packable_rows`` runs
-the packing subset programme, over the uncovered vertex sets reached by
-always covering the lowest uncovered vertex with an r-clique.  The third,
-``batch_decide``, runs the packing search row by row and stops at the first
-row that hits the node cap; the scans use it when the cap is below
-``pack_node_bound`` (the most nodes the search can use, so the programme
-would hide an abort) and for n above 12, where the programme's state tables
-grow quickly.  The fourth, ``colour_rows``, runs the equitable-colouring
-search ``_colour_decide`` across the rows in plain numpy, with its node
-counts and aborts; it decides the colouring side of both mainthm1
-cross-checks: the exhaustive packing/colouring duality run, and, through
-``colour_complements`` with an expansion of its own, each sample.
+decides the rows it keeps with one of three plain-numpy block deciders, or
+row by row.  ``hampath_rows`` runs the Hamilton-path subset programme
+across the rows, and ``packable_rows`` runs the packing subset programme,
+over the uncovered vertex sets reached by always covering the lowest
+uncovered vertex with an r-clique; neither aborts.  The scans run the
+packing search ``_pack_decide`` row by row instead, stopping at the first
+row that hits the node cap, when the cap is below ``pack_node_bound`` (the
+most nodes the search can use, so the programme would hide an abort) and
+for n above 12, where the programme's state tables grow quickly.  The
+third, ``colour_rows``, runs the equitable-colouring search
+``_colour_decide`` across the rows, with its node counts and aborts; it
+decides the colouring side of both mainthm1 cross-checks: the exhaustive
+packing/colouring duality run, and, through ``colour_complements`` with an
+expansion of its own, each sample.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
-import warnings
 from math import comb
 
 import numpy as np
 
 KERNEL_MAX_N = 62
-
-_DISABLE = os.environ.get("PACKLAB_NO_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-    "on",
-}
-
-if _DISABLE:
-    NUMBA_ENABLED = False
-else:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError as exc:
-        # numba is the optional ``jit`` extra, so only a broken install warns
-        if not (isinstance(exc, ModuleNotFoundError) and exc.name == "numba"):
-            warnings.warn(
-                f"numba is not importable ({exc}); using pure-Python kernels",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        NUMBA_ENABLED = False
+# always off: the kernels run as plain Python; the benchmark worker reads
+# this flag to record which backend ran
+NUMBA_ENABLED = False
 
 
-def _jit(fn):
-    if NUMBA_ENABLED:
-        return njit(cache=True, nogil=True)(fn)
-    return fn
-
-
-def pure(fn):
-    """Return the uncompiled twin of a kernel (identity when numba is off)."""
-    return getattr(fn, "py_func", fn)
-
-
-@_jit
-def _bit_count(m):
-    c = 0
-    while m:
-        m &= m - 1
-        c += 1
-    return c
-
-
-@_jit
-def _low_bit_index(m):
-    # pre: m != 0
-    i = 0
-    while (m >> i) & 1 == 0:
-        i += 1
-    return i
-
-
-@_jit
 def _pack_decide(adj, n, r, node_cap, cand, chosen, comm):
     """Exact search for a partition of all vertices into r-cliques.
 
@@ -116,7 +58,7 @@ def _pack_decide(adj, n, r, node_cap, cand, chosen, comm):
     full = (1 << n) - 1
     # root prune: an r-clique needs r-1 neighbours at every vertex
     for w in range(n):
-        if _bit_count(int(adj[w])) < r - 1:
+        if int(adj[w]).bit_count() < r - 1:
             return 0, 0
     covered = 0
     nodes = 0
@@ -132,7 +74,7 @@ def _pack_decide(adj, n, r, node_cap, cand, chosen, comm):
             continue
         vb = cm & -cm
         cand[level] = cm - vb
-        v = _low_bit_index(vb)
+        v = vb.bit_length() - 1
         nodes += 1
         if nodes > node_cap:
             return -1, nodes
@@ -150,9 +92,9 @@ def _pack_decide(adj, n, r, node_cap, cand, chosen, comm):
             ok = True
             m = unc
             while m:
-                w = _low_bit_index(m & -m)
+                w = (m & -m).bit_length() - 1
                 m &= m - 1
-                if _bit_count(int(adj[w]) & unc) < r - 1:
+                if (int(adj[w]) & unc).bit_count() < r - 1:
                     ok = False
                     break
             if not ok:
@@ -164,7 +106,6 @@ def _pack_decide(adj, n, r, node_cap, cand, chosen, comm):
         level = nxt
 
 
-@_jit
 def _colour_decide(adj, n, k, node_cap, candc, chosen, classmask, classsize):
     """Exact search for an equitable proper k-colouring.
 
@@ -204,7 +145,7 @@ def _colour_decide(adj, n, k, node_cap, candc, chosen, classmask, classsize):
             continue
         cb = cm & -cm
         candc[level] = cm - cb
-        c = _low_bit_index(cb)
+        c = cb.bit_length() - 1
         nodes += 1
         if nodes > node_cap:
             return -1, nodes
@@ -234,7 +175,6 @@ def _colour_decide(adj, n, k, node_cap, candc, chosen, classmask, classsize):
         level = v
 
 
-@_jit
 def _hampath_decide(adj, n, dp):
     """Subset dynamic programme for Hamilton-path existence.
 
@@ -254,7 +194,7 @@ def _hampath_decide(adj, n, dp):
         ends = int(dp[m])
         if ends == 0:
             continue
-        states += _bit_count(ends)
+        states += ends.bit_count()
         for w in range(n):
             wb = 1 << w
             if m & wb == 0 and ends & int(adj[w]):
@@ -262,7 +202,6 @@ def _hampath_decide(adj, n, dp):
     return (1 if int(dp[full]) != 0 else 0), states
 
 
-@_jit
 def _hampath_extract(adj, n, dp, order):
     """Write one Hamilton path (lowest-vertex choices) into ``order``.
 
@@ -273,7 +212,7 @@ def _hampath_extract(adj, n, dp, order):
     ends = int(dp[m])
     if ends == 0:
         return 0
-    v = _low_bit_index(ends & -ends)
+    v = (ends & -ends).bit_length() - 1
     i = n - 1
     while True:
         order[i] = v
@@ -281,11 +220,10 @@ def _hampath_extract(adj, n, dp, order):
             return 1
         m &= ~(1 << v)
         prevs = int(dp[m]) & int(adj[v])
-        v = _low_bit_index(prevs & -prevs)
+        v = (prevs & -prevs).bit_length() - 1
         i -= 1
 
 
-@_jit
 def _has_clique(adj, n, q, node_cap, cands, chosen):
     """Exact test for a clique on q vertices; returns (status, nodes)."""
     if q <= 0:
@@ -305,7 +243,7 @@ def _has_clique(adj, n, q, node_cap, cands, chosen):
             continue
         vb = cm & -cm
         cands[d] = cm - vb
-        v = _low_bit_index(vb)
+        v = vb.bit_length() - 1
         nodes += 1
         if nodes > node_cap:
             return -1, nodes
@@ -313,7 +251,7 @@ def _has_clique(adj, n, q, node_cap, cands, chosen):
         if d + 1 == q:
             return 1, nodes
         nx = (cm - vb) & int(adj[v])
-        if _bit_count(nx) < q - d - 1:
+        if nx.bit_count() < q - d - 1:
             continue
         d += 1
         cands[d] = nx
@@ -548,21 +486,6 @@ def pack_node_bound(n, r):
     for u in range(r, n + 1, r):
         f = 1 + sum(comb(u - 1, j) for j in range(1, r)) + comb(u - 1, r - 1) * f
     return f
-
-
-@_jit
-def batch_decide(adjs, n, r, node_cap, cand, chosen, comm, out):
-    """Perfect r-clique packing search per row of ``adjs``, out[b] in {1, 0}.
-
-    Stops at the first row that hits the node cap, where out[b] = -1.
-    Returns the number of rows decided before it.
-    """
-    for b in range(adjs.shape[0]):
-        st, _ = _pack_decide(adjs[b], n, r, node_cap, cand, chosen, comm)
-        out[b] = st
-        if st == -1:
-            return b
-    return adjs.shape[0]
 
 
 def pack_work_arrays(n: int):

@@ -187,7 +187,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         mode=args.mode,
         seed=args.seed,
         samples=args.samples,
-        workers=args.workers,
         node_cap=args.node_cap,
         timing=args.timing,
         **extra,
@@ -286,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="exhaustive")
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--samples", type=int, default=None)
-    p_ver.add_argument("--workers", type=int, default=1)
+    p_ver.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
     p_ver.add_argument("--node-cap", type=int, default=None)
     p_ver.add_argument("--n-cap", type=int, default=None)
     p_ver.add_argument("--max-n", type=int, default=120,

@@ -1,10 +1,9 @@
 """Exact decision procedures and certificate-producing solvers.
 
 Every solver is deterministic: branch orders are fixed (lowest vertex index
-first), node counts are reproducible across runs and across the compiled and
-pure kernel paths, and hitting the node cap raises ``CapExceededError`` rather
-than ever reporting "no".  The default node cap comes from the
-``PACKLAB_NODE_CAP`` environment variable.
+first), node counts are reproducible across runs, and hitting the node cap
+raises ``CapExceededError`` rather than ever reporting "no".  The default
+node cap comes from the ``PACKLAB_NODE_CAP`` environment variable.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ counterexample searches for the degree-condition conjectures.
 Scans and samplers run in blocks of edge words: ``_decide_block``
 expands one block, filters it by degrees and decides it exactly, and
 ``_run_blocks`` merges the blocks in order, buffers the first violations
-and stops at the first graph that hits the node cap, so threaded runs
-(compiled kernels only) and serial runs are bit-identical.  Scans decide
+and stops at the first graph that hits the node cap.  Scans decide
 the ``C(n,2)``-bit edge masks; samplers the words of the explicitly seeded
 ``splitmix64`` generator, or the graphs they accepted from it; all
 randomness flows from that seed.  Reports serialize to a stable canonical
@@ -19,7 +18,6 @@ from __future__ import annotations
 import json
 import warnings
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from math import comb
@@ -197,36 +195,28 @@ def _check_exhaustive(n: int, n_cap: int) -> None:
         )
 
 
-def _run_blocks(size: int, workers: int, decide, problems: list[str]):
+def _run_blocks(size: int, decide, problems: list[str]):
     """``decide(start, stop)`` over range(size) in ranges of
-    ``SAMPLE_BATCH``, on ``workers`` threads with the compiled kernels and
-    serially otherwise.  Each part is (examined, kept, violations, aborted,
+    ``SAMPLE_BATCH``.  Each part is (examined, kept, violations, aborted,
     *extras); the parts are merged in order up to and including the first
     that hit the node cap.  Returns (examined, kept, the first
     ``VIOLATION_BUFFER`` violations, aborted, the merged parts' extras);
     past the buffer the count is recorded in ``problems``."""
-    starts = range(0, size, SAMPLE_BATCH)
-    run = lambda start: decide(start, min(start + SAMPLE_BATCH, size))  # noqa: E731
-    # threads only help compiled kernels: pure Python holds the interpreter lock
-    pool = ThreadPoolExecutor(workers) if workers > 1 and K.NUMBA_ENABLED else None
     examined = kept = nviol = 0
     stored: list = []
     extras: list = []
     aborted = False
-    try:
-        for part_examined, part_kept, bad, aborted, *extra in (
-            map(run, starts) if pool is None else pool.map(run, starts)
-        ):
-            examined += part_examined
-            kept += part_kept
-            nviol += len(bad)
-            stored += bad[: VIOLATION_BUFFER - len(stored)].tolist()
-            extras += extra
-            if aborted:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for start in range(0, size, SAMPLE_BATCH):
+        part_examined, part_kept, bad, aborted, *extra = decide(
+            start, min(start + SAMPLE_BATCH, size)
+        )
+        examined += part_examined
+        kept += part_kept
+        nviol += len(bad)
+        stored += bad[: VIOLATION_BUFFER - len(stored)].tolist()
+        extras += extra
+        if aborted:
+            break
     if nviol > len(stored):
         problems.append(f"{nviol} violations found; the report keeps the first {len(stored)}")
     return examined, kept, stored, aborted, extras
@@ -354,7 +344,7 @@ def _condition_rows(degs: np.ndarray, clauses) -> np.ndarray:
     return ((d[:, table[:, 0]] >= table[:, 1]) | (d[:, table[:, 2]] >= table[:, 3])).all(axis=1)
 
 
-def _batch_decide(adjs: np.ndarray, n: int, r: int, node_cap: int, colouring: bool = False):
+def _decide_rows(adjs: np.ndarray, n: int, r: int, node_cap: int, colouring: bool = False):
     """Exact decision for each row of ``adjs``: a perfect r-clique packing,
     or a Hamilton path at r = 0.  Returns (decisions as a bool array,
     aborted), the decisions stopping at the first row that hit the node cap.
@@ -362,20 +352,24 @@ def _batch_decide(adjs: np.ndarray, n: int, r: int, node_cap: int, colouring: bo
     Hamilton paths are decided across the block in numpy, and so are
     packings when r | n, n <= ``_PACK_ROWS_MAX_N`` and the node cap is one
     the packing search can never reach (``K.pack_node_bound``).  Otherwise
-    each row is decided by packing search.  With ``colouring`` (r | n) the
+    ``K._pack_decide`` decides one row at a time.  With ``colouring`` (r | n) the
     equitable (n/r)-colouring search decides the complements across the
     block.  Both searches may abort on the cap."""
     if r == 0:
         return K.hampath_rows(adjs, n), False
     if colouring:
-        out = K.colour_rows(_complement_rows(n, adjs), n, n // r, node_cap)[0]
+        out = K.colour_rows(_complement_rows(n, adjs), n, n // r, node_cap)[0].tolist()
     elif n <= _PACK_ROWS_MAX_N and n % r == 0 and node_cap >= K.pack_node_bound(n, r):
         return K.packable_rows(adjs, n, r), False
     else:
-        out = np.zeros(len(adjs), np.int64)
-        K.batch_decide(adjs, n, r, node_cap, *K.pack_work_arrays(n), out)
-    done = (out.tolist() + [-1]).index(-1)  # the first row on the cap
-    return out[:done] == 1, done < len(adjs)
+        work = K.pack_work_arrays(n)
+        out = []
+        for adj in adjs:
+            out.append(K._pack_decide(adj, n, r, node_cap, *work)[0])
+            if out[-1] == -1:
+                break
+    done = (out + [-1]).index(-1)  # the first row on the cap
+    return np.array(out[:done], np.int64) == 1, done < len(adjs)
 
 
 def _decide_block(n: int, r: int, rows, cap: int, keep, visit, complement: bool = False,
@@ -383,7 +377,7 @@ def _decide_block(n: int, r: int, rows, cap: int, keep, visit, complement: bool 
     """One block of every scan and sampler.  ``rows`` holds edge words as
     ``_expand_words`` takes them; the rows are expanded, complemented when
     asked, and those whose degrees ``keep`` accepts are decided with
-    ``_batch_decide`` (``colouring`` passed on).  ``visit(rows, degrees,
+    ``_decide_rows`` (``colouring`` passed on).  ``visit(rows, degrees,
     decisions)`` gets the decided rows in order and returns their violations
     (rows, or sample indices).  Returns (examined, kept, violations,
     aborted); after a node-cap abort both counts stop at the aborting row
@@ -393,7 +387,7 @@ def _decide_block(n: int, r: int, rows, cap: int, keep, visit, complement: bool 
         adjs = _complement_rows(n, adjs)
     degs = np.bitwise_count(adjs)
     hits = np.flatnonzero(keep(degs))
-    decisions, aborted = _batch_decide(adjs[hits], n, r, cap, colouring)
+    decisions, aborted = _decide_rows(adjs[hits], n, r, cap, colouring)
     done = hits[: len(decisions)]
     bad = visit(rows[done], degs[done], decisions)
     if aborted:
@@ -445,7 +439,7 @@ class ThresholdSpec:
         return beyond and not perfect_kr_packing(g, self.r, cap).decision
 
 
-def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, problems,
+def _scan_threshold(spec: ThresholdSpec, cap: int, n_cap: int, problems,
                     colouring: bool = False):
     """All 2^C(n,2) graphs through the block pipeline; returns (examined,
     violation masks, aborted, per-D table).  ``colouring`` decides every
@@ -477,7 +471,7 @@ def _scan_threshold(spec: ThresholdSpec, workers: int, cap: int, n_cap: int, pro
             lambda degs: degs.min(axis=1) >= d_lo, visit, spec.complement, colouring,
         ) + tuple(extremum)
 
-    examined, _, masks, aborted, extrema = _run_blocks(1 << slots, workers, decide, problems)
+    examined, _, masks, aborted, extrema = _run_blocks(1 << slots, decide, problems)
     found, value, mask = _merge_extrema(extrema, d_hi + 1)
     per_d = {}
     for dd, threshold in spec.thresholds.items():
@@ -523,7 +517,7 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
         return bad
 
     examined, _, bad, aborted, _ = _run_blocks(
-        len(colours) - 1 if capped else len(masks), 1,
+        len(colours) - 1 if capped else len(masks),
         lambda s, e: _decide_block(n, spec.r, _word_rows(n, masks[s:e]), cap,
                                    lambda degs: np.ones(len(degs), bool), visit, spec.complement),
         problems,
@@ -534,7 +528,7 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
     return examined, sorted({masks[i] for i in bad}), aborted, starved, ok
 
 
-def _dual_agrees(spec, examined, violations, per_d, workers, cap, n_cap):
+def _dual_agrees(spec, examined, violations, per_d, cap, n_cap):
     """The colouring-side cross-check of ``verify_mainthm1_threshold``'s
     exhaustive mode: the t1 scan at the complementary degree parameters.
     It decides every row by the equitable-colouring search on the graph
@@ -543,7 +537,7 @@ def _dual_agrees(spec, examined, violations, per_d, workers, cap, n_cap):
     n, r = spec.n, spec.r
     dual = _colouring_spec(n, r, [n - 1 - dd for dd in reversed(spec.thresholds)])
     dual_examined, dual_masks, dual_capped, dual_per_d = _scan_threshold(
-        dual, workers, cap, n_cap, [], colouring=True
+        dual, cap, n_cap, [], colouring=True
     )
     ok = dual_examined == examined
     dual_viols = sorted(
@@ -567,8 +561,8 @@ def _dual_agrees(spec, examined, violations, per_d, workers, cap, n_cap):
     return ok, dual_capped
 
 
-def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, workers: int,
-                      node_cap: int | None, n_cap: int, timing: bool) -> VerificationReport:
+def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int | None,
+                      n_cap: int, timing: bool) -> VerificationReport:
     """Run ``spec`` in ``task.mode`` and build its report."""
     cap = resolve_node_cap(node_cap)
     t0 = perf_counter()
@@ -576,7 +570,7 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, workers: int,
     per_d = extremal = None
     starved = False
     if task.mode == "exhaustive":
-        examined, masks, capped, per_d = _scan_threshold(spec, workers, cap, n_cap, problems)
+        examined, masks, capped, per_d = _scan_threshold(spec, cap, n_cap, problems)
         ok = all(row["found"] and row["edges"] == row["threshold"] for row in per_d.values())
         extremal = _pick_boundary(per_d, prefer_larger=not spec.complement)
     else:
@@ -589,9 +583,7 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, workers: int,
     violations = tuple(_witness(spec.n, m) for m in masks)
     _recheck(violations, lambda g: spec.refuted_by(g, cap), problems)
     if spec.dual and per_d is not None:
-        dual_ok, dual_capped = _dual_agrees(
-            spec, examined, violations, per_d, workers, cap, n_cap
-        )
+        dual_ok, dual_capped = _dual_agrees(spec, examined, violations, per_d, cap, n_cap)
         ok, capped = ok and dual_ok, capped or dual_capped
     if capped:
         problems.append(f"node cap of {cap} reached")
@@ -640,6 +632,7 @@ def verify_matching_threshold(
     threshold, recording the extremal witness; any richer non-matchable graph
     is a violation.  Sampled mode draws uniformly from the family
     {min degree >= d, edges > threshold} and re-decides matchability.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     if n < 4 or n % 2:
         raise ParameterRangeError("need n >= 4 even")
@@ -648,7 +641,7 @@ def verify_matching_threshold(
         "matching", n, 2, False, {dd: matching_threshold(n, dd).value for dd in armed}
     )
     task = _task(spec.predicate, n, mode, d=d, seed=seed, samples=samples)
-    return _verify_threshold(spec, task, workers, node_cap, n_cap, timing)
+    return _verify_threshold(spec, task, node_cap, n_cap, timing)
 
 
 def _colouring_spec(n: int, r: int, armed) -> ThresholdSpec:
@@ -676,12 +669,13 @@ def verify_t1_threshold(
     non-colourable graph meeting the threshold exactly exists (the recorded
     extremal).  Sampled mode draws uniformly from {max degree <= D, edges <
     threshold} and re-decides colourability.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     if r < 3 or n % r or n < 2 * r:
         raise ParameterRangeError("need r >= 3 and r | n with n >= 2r")
     spec = _colouring_spec(n, r, _armed(big_d, n // r, n - r, "need n/r <= D <= n - r"))
     task = _task(spec.predicate, n, mode, r=r, d=big_d, seed=seed, samples=samples)
-    return _verify_threshold(spec, task, workers, node_cap, n_cap, timing)
+    return _verify_threshold(spec, task, node_cap, n_cap, timing)
 
 
 def verify_mainthm1_threshold(
@@ -705,6 +699,7 @@ def verify_mainthm1_threshold(
     parameter: examined counts match, violation sets are complement images,
     per-D extremal edge counts are complementary, and the complement of each
     recorded extremal is itself a colouring-side boundary witness.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     if r < 3 or n % r or n < 2 * r:
         raise ParameterRangeError("need r >= 3 and r | n with n >= 2r")
@@ -714,7 +709,7 @@ def verify_mainthm1_threshold(
         {dd: packing_threshold(n, r, dd).value for dd in armed}, dual=True,
     )
     task = _task(spec.predicate, n, mode, r=r, d=big_d, seed=seed, samples=samples)
-    return _verify_threshold(spec, task, workers, node_cap, n_cap, timing)
+    return _verify_threshold(spec, task, node_cap, n_cap, timing)
 
 
 # ---------------------------------------------------------------------------
@@ -765,12 +760,12 @@ def _degree_clauses(predicate: str, n: int, r: int = 0) -> tuple:
     return tuple((i - 1, (r - 2) * q + i, n - i * (r - 1), n - i) for i in range(1, q + 1))
 
 
-def _scan_condition(n: int, r: int, clauses, workers: int, cap: int, n_cap: int, problems):
+def _scan_condition(n: int, r: int, clauses, cap: int, n_cap: int, problems):
     """All 2^C(n,2) graphs through the block driver, deciding those that
     meet the clause table (r = 0 decides Hamilton paths); returns (examined,
     condition-true count, violation masks, aborted)."""
     _check_exhaustive(n, n_cap)
-    return _run_blocks(1 << comb(n, 2), workers, lambda s, e: _decide_block(
+    return _run_blocks(1 << comb(n, 2), lambda s, e: _decide_block(
         n, r, np.arange(s, e, dtype=np.int64), cap, lambda degs: _condition_rows(degs, clauses),
         lambda masks, degs, decisions: masks[~decisions],
     ), problems)[:4]
@@ -784,7 +779,7 @@ def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int
     e_total = comb(n, 2)
     nwords = (e_total + 63) // 64
     rng = SplitMix64(seed)
-    examined, kept, rows, aborted, _ = _run_blocks(samples, 1, lambda s, e: _decide_block(
+    examined, kept, rows, aborted, _ = _run_blocks(samples, lambda s, e: _decide_block(
         n, r, rng.words((e - s) * nwords).reshape(-1, nwords), cap,
         lambda degs: _condition_rows(degs, clauses), lambda rows, degs, decisions: rows[~decisions],
     ), problems)
@@ -800,7 +795,6 @@ def _condition_search(
     mode: str,
     seed: int | None,
     samples: int | None,
-    workers: int,
     node_cap: int | None,
     n_cap: int,
     timing: bool,
@@ -817,7 +811,7 @@ def _condition_search(
     clauses = _degree_clauses(predicate, n, r)
     if mode == "exhaustive":
         examined, cond_true, viol_masks, aborted = _scan_condition(
-            n, r, clauses, workers, cap, n_cap, problems
+            n, r, clauses, cap, n_cap, problems
         )
     else:
         if seed is None or samples is None or samples < 1:
@@ -864,9 +858,10 @@ def conjecture1_search(
 ) -> VerificationReport:
     """Search for a counterexample to the banded degree condition: a graph
     satisfying d_i >= (r-2)n/r + i for all i < n/r and d_{n/r+1} >= (r-1)n/r
-    yet admitting no perfect r-clique packing.  Expected empty."""
+    yet admitting no perfect r-clique packing.  Expected empty.
+    ``workers`` is accepted for compatibility and has no effect."""
     return _condition_search(
-        "conj1", n, r, mode, seed, samples, workers, node_cap, n_cap, timing,
+        "conj1", n, r, mode, seed, samples, node_cap, n_cap, timing,
     )
 
 
@@ -884,9 +879,10 @@ def question1_search(
     """Search for a counterexample to the disjunctive degree condition
     (d_i >= (r-2)n/r + i or d_{n-i(r-1)+1} >= n - i for all i <= n/r), and
     check the condition's sharpness: every extremal witness graph fails it at
-    exactly index k, with d_{n-k(r-1)+1} = n - k - 1."""
+    exactly index k, with d_{n-k(r-1)+1} = n - k - 1.
+    ``workers`` is accepted for compatibility and has no effect."""
     return _condition_search(
-        "ques1", n, r, mode, seed, samples, workers, node_cap, n_cap, timing,
+        "ques1", n, r, mode, seed, samples, node_cap, n_cap, timing,
     )
 
 
@@ -902,12 +898,13 @@ def sweep_hampath_condition(
     violation witnesses); soundness means no witnesses.  Past
     ``VIOLATION_BUFFER`` violations the first ones, in mask order, are kept
     and a ``RuntimeWarning`` gives the full count; a witness that fails its
-    re-check by the solvers gets a ``RuntimeWarning`` too."""
+    re-check by the solvers gets a ``RuntimeWarning`` too.
+    ``workers`` is accepted for compatibility and has no effect."""
     if n < 2:
         raise ParameterRangeError("need n >= 2")
     problems: list[str] = []
     examined, cond_true, masks, _ = _scan_condition(  # r = 0 needs no node cap
-        n, 0, _degree_clauses("hampath", n), workers, 1, n_cap, problems
+        n, 0, _degree_clauses("hampath", n), 1, n_cap, problems
     )
     witnesses = tuple(_witness(n, m) for m in masks)
     _recheck(

@@ -1,12 +1,7 @@
-"""JIT kernels against their pure-Python originals and against brute force.
-
-Every compiled kernel must agree with its uncompiled ``py_func`` bit for bit,
-including explored-node counts, so the accelerated and fallback paths are
-interchangeable.
-"""
+"""The search kernels against brute force, the block deciders against the
+searches they run across rows, and pins on the searches' node counts."""
 
 import hashlib
-import os
 import subprocess
 import sys
 
@@ -47,12 +42,9 @@ def _adj_for(n, mask):
 def test_pack_decide_brute_and_pure_parity(r):
     n = 6
     cand, chosen, comm = K.pack_work_arrays(n)
-    pure_fn = K.pure(K._pack_decide)
     for mask in _random_masks(n, 60):
         adj = _adj_for(n, mask)
-        st, nodes = K._pack_decide(adj, n, r, 10**7, cand, chosen, comm)
-        st_p, nodes_p = pure_fn(adj, n, r, 10**7, cand, chosen, comm)
-        assert (st, nodes) == (st_p, nodes_p)
+        st, _ = K._pack_decide(adj, n, r, 10**7, cand, chosen, comm)
         g = Graph.from_edge_mask(n, mask)
         assert (st == 1) == has_perfect_packing_brute(g, r)
         if st == 1:
@@ -71,12 +63,9 @@ def test_colour_decide_brute_parity():
     chosen = np.zeros(n, np.int64)
     classmask = np.zeros(k, np.int64)
     classsize = np.zeros(k, np.int64)
-    pure_fn = K.pure(K._colour_decide)
     for mask in _random_masks(n, 60):
         adj = _adj_for(n, mask)
-        st, nodes = K._colour_decide(adj, n, k, 10**7, candc, chosen, classmask, classsize)
-        st_p, nodes_p = pure_fn(adj, n, k, 10**7, candc, chosen, classmask, classsize)
-        assert (st, nodes) == (st_p, nodes_p)
+        st, _ = K._colour_decide(adj, n, k, 10**7, candc, chosen, classmask, classsize)
         g = Graph.from_edge_mask(n, mask)
         assert (st == 1) == has_equitable_colouring_brute(g, k)
 
@@ -85,12 +74,9 @@ def test_hampath_brute_parity():
     n = 6
     dp = np.zeros(1 << n, np.int64)
     order = np.zeros(n, np.int64)
-    pure_fn = K.pure(K._hampath_decide)
     for mask in _random_masks(n, 60):
         adj = _adj_for(n, mask)
-        found, states = K._hampath_decide(adj, n, dp)
-        found_p, states_p = pure_fn(adj, n, dp.copy())
-        assert (found, states) == (found_p, states_p)
+        found, _ = K._hampath_decide(adj, n, dp)
         g = Graph.from_edge_mask(n, mask)
         assert bool(found) == has_hamilton_path_brute(g)
         if found:
@@ -116,6 +102,37 @@ def test_hampath_decide_pinned():
     assert tables.hexdigest() == "4b72506d8daa356a300ed60f5f186baad1188779a75690d4404a523ccad96530"
 
 
+def test_pack_and_clique_searches_pinned():
+    """Status, node count and chosen vertices of ``_pack_decide`` at r = 2
+    and 3, and of ``_has_clique`` at q = 3 and 4, over every labelled
+    6-vertex graph in mask order, as computed while the searches counted
+    and found bits with loop helpers.  ``solve --stats`` prints these node
+    counts."""
+    n = 6
+    adjs = V._expand_words(n, np.arange(1 << 15))
+    cand, chosen, comm = K.pack_work_arrays(n)
+    cands, clique = np.zeros((2, n + 1), np.int64)
+    digests = []
+    for r in (2, 3):
+        runs = hashlib.sha256()
+        for adj in adjs:
+            st, nodes = K._pack_decide(adj, n, r, 10**7, cand, chosen, comm)
+            runs.update(repr((st, nodes, chosen.tolist())).encode())
+        digests.append(runs.hexdigest())
+    for q in (3, 4):
+        runs = hashlib.sha256()
+        for adj in adjs:
+            st, nodes = K._has_clique(adj, n, q, 10**7, cands, clique)
+            runs.update(repr((st, nodes, clique.tolist())).encode())
+        digests.append(runs.hexdigest())
+    assert digests == [
+        "b5418a267639d6f3bd98929ce4dedb3cd35ec5301efb88bca5f420734527503c",
+        "8a42916d52f5ebf0d3d680f1ddd010fcc11b7de2c66fbf1397cec479fe9986ce",
+        "28423444652f80b3074d17463472fcf3a97b1cecf0e0c51bd128859001921708",
+        "7067537fbff8557ef37bc392fef3de8ad26d0643873ac3eed1facee800d9cefd",
+    ]
+
+
 def test_has_clique_brute_parity():
     n = 7
     cands = np.zeros(n + 1, np.int64)
@@ -125,20 +142,6 @@ def test_has_clique_brute_parity():
             adj = _adj_for(n, mask)
             st, _ = K._has_clique(adj, n, q, 10**7, cands, chosen)
             assert (st == 1) == has_clique_brute(Graph.from_edge_mask(n, mask), q)
-
-
-def test_batch_decide_jit_pure_parity():
-    """Every labelled 4-vertex graph decided by matching, compiled and pure;
-    the pure path must agree with brute force."""
-    n = 4
-    adjs = np.array([_adj_for(n, mask) for mask in range(1 << 6)])
-    outs = []
-    for fn in (K.batch_decide, K.pure(K.batch_decide)):
-        out = np.zeros(len(adjs), np.int64)
-        outs.append((fn(adjs, n, 2, 10**7, *K.pack_work_arrays(n), out), out.tolist()))
-    assert outs[0] == outs[1]
-    graphs = [Graph.from_edge_mask(n, mask) for mask in range(1 << 6)]
-    assert outs[0] == (64, [int(has_perfect_packing_brute(g, 2)) for g in graphs])
 
 
 def _all_graphs(n):
@@ -199,9 +202,9 @@ def test_packable_rows_matches_brute_drawn(data):
         if n <= 10:
             want = [has_perfect_packing_brute(h, r)]
         else:
-            out = np.zeros(1, np.int64)
-            assert K.batch_decide(adjs, n, r, 10**7, *K.pack_work_arrays(n), out) == 1
-            want = [out[0] == 1]
+            st, _ = K._pack_decide(adjs[0], n, r, 10**7, *K.pack_work_arrays(n))
+            assert st != -1
+            want = [st == 1]
         assert K.packable_rows(adjs, n, r).tolist() == want
 
 
@@ -310,13 +313,11 @@ def test_small_cap_takes_backtracking_path(monkeypatch):
         calls.clear()
         adjs = np.array([Graph.complete(n).adjacency_array()])
         assert K.pack_node_bound(n, r) == bound
-        assert V._batch_decide(adjs, n, r, bound)[0].tolist() == [True]
+        assert V._decide_rows(adjs, n, r, bound)[0].tolist() == [True]
         assert len(calls) == 1
-        out = np.zeros(1, np.int64)
-        assert K.batch_decide(adjs, n, r, bound, *K.pack_work_arrays(n), out) == 1
-        assert out.tolist() == [1]
-        assert V._batch_decide(adjs, n, r, bound - 1)[0].tolist() == [True]
-        decisions, aborted = V._batch_decide(adjs, n, r, 3)
+        assert K._pack_decide(adjs[0], n, r, bound, *K.pack_work_arrays(n))[0] == 1
+        assert V._decide_rows(adjs, n, r, bound - 1)[0].tolist() == [True]
+        decisions, aborted = V._decide_rows(adjs, n, r, 3)
         assert len(calls) == 1 and (decisions.tolist(), aborted) == ([], True)
 
 
@@ -328,7 +329,7 @@ def test_scan_pack_threshold_complement_matches_brute():
     # one edge above the true threshold (3), so the 3-edge blockers violate
     spec = V.ThresholdSpec("t1", n, r, True, {2: 4, 3: 4})
     problems = []
-    examined, viol, aborted, per_d = V._scan_threshold(spec, 1, 10**7, 7, problems)
+    examined, viol, aborted, per_d = V._scan_threshold(spec, 10**7, 7, problems)
     want = {dd: None for dd in (2, 3)}
     want_viol = []
     for mask in range(1 << 15):
@@ -373,7 +374,7 @@ def test_scan_degree_condition_matches_references(predicate, n, r, monkeypatch):
     total = 1 << (n * (n - 1) // 2)
     monkeypatch.setattr(V, "VIOLATION_BUFFER", total)
     problems = []
-    examined, cond_true, viol, aborted = V._scan_condition(n, r, clauses, 1, 10**7, 11, problems)
+    examined, cond_true, viol, aborted = V._scan_condition(n, r, clauses, 10**7, 11, problems)
     holds = CONDITION_REFERENCES[predicate]
     graphs = [(m, Graph.from_edge_mask(n, m)) for m in range(total)]
     meet = [(m, g) for m, g in graphs if holds(g, r)]
@@ -404,25 +405,29 @@ def test_words_to_adj_matches_graph():
             assert adjs[b].tolist() == [g.neighbour_mask(v) for v in range(n)]
 
 
-def test_batch_kernels_match_scalar():
+def test_batch_kernels_match_scalar(monkeypatch):
+    """The row-by-row packing search of ``V._decide_rows``, which the scans
+    run past n = 12 (forced here below it), against ``_pack_decide`` on each
+    row, and against brute force on the complements and on every labelled
+    4-vertex graph by matching."""
+    monkeypatch.setattr(V, "_PACK_ROWS_MAX_N", 0)
     n, r = 6, 3
     masks = _random_masks(n, 32)
     adjs = np.array([_adj_for(n, mask) for mask in masks])
     cand, chosen, comm = K.pack_work_arrays(n)
-    out = np.zeros(len(masks), np.int64)
-    assert K.batch_decide(adjs, n, r, 10**7, cand, chosen, comm, out) == len(masks)
-    for b, mask in enumerate(masks):
-        st, _ = K._pack_decide(adjs[b], n, r, 10**7, cand, chosen, comm)
-        assert out[b] == st
+    want = [K._pack_decide(adj, n, r, 10**7, cand, chosen, comm)[0] == 1 for adj in adjs]
+    decisions, aborted = V._decide_rows(adjs, n, r, 10**7)
+    assert (decisions.tolist(), aborted) == (want, False)
 
     # equitable (n/r)-colourability is packing on the complemented rows
-    full = (1 << n) - 1
-    comp = full & ~adjs & ~(1 << np.arange(n, dtype=np.int64))
-    outc = np.zeros(len(masks), np.int64)
-    assert K.batch_decide(comp, n, r, 10**7, cand, chosen, comm, outc) == len(masks)
-    for b, mask in enumerate(masks):
-        g = Graph.from_edge_mask(n, mask)
-        assert (outc[b] == 1) == has_equitable_colouring_brute(g, n // r)
+    decisions, aborted = V._decide_rows(V._complement_rows(n, adjs), n, r, 10**7)
+    want = [has_equitable_colouring_brute(Graph.from_edge_mask(n, m), n // r) for m in masks]
+    assert (decisions.tolist(), aborted) == (want, False)
+
+    graphs, adjs = _all_graphs(4)
+    want = [has_perfect_packing_brute(g, 2) for g in graphs]
+    decisions, aborted = V._decide_rows(adjs, 4, 2, 10**7)
+    assert (decisions.tolist(), aborted) == (want, False)
 
 
 def test_hampath_rows_matches_scalar():
@@ -439,45 +444,16 @@ def test_node_cap_aborts():
     cand, chosen, comm = K.pack_work_arrays(n)
     st, nodes = K._pack_decide(adj, n, 2, 3, cand, chosen, comm)
     assert st == -1 and nodes >= 3
-    # a batch stops at its first row that hits the cap, after one decided row
+    # a block stops at its first row that hits the cap, after one decided row
     adjs = np.array([Graph(n).adjacency_array(), adj, adj])
-    out = np.full(3, 7, np.int64)
-    assert K.batch_decide(adjs, n, 2, 3, cand, chosen, comm, out) == 1
-    assert out.tolist() == [0, -1, 7]
+    decisions, aborted = V._decide_rows(adjs, n, 2, 3)
+    assert (decisions.tolist(), aborted) == ([False], True)
 
 
-def test_import_without_numba_is_silent():
-    """Without numba (an optional extra) importing packlab warns nothing."""
-    env = dict(os.environ)
-    env.pop("PACKLAB_NO_NUMBA", None)
+def test_import_is_silent():
+    """Importing packlab warns nothing."""
     out = subprocess.run(
-        [sys.executable, "-W", "error", "-c", "import packlab"],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-W", "error", "-c", "import packlab"], capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
-
-
-def test_pure_fallback_env_flag():
-    """PACKLAB_NO_NUMBA=1 must produce identical results in a fresh process."""
-    code = (
-        "from packlab import Graph, _kernels as K\n"
-        "adj = Graph.from_edge_mask(6, 0b101011001010111).adjacency_array()\n"
-        "cand, chosen, comm = K.pack_work_arrays(6)\n"
-        "print(K.NUMBA_ENABLED, K._pack_decide(adj, 6, 3, 10**6, cand, chosen, comm))\n"
-    )
-    env_on = dict(os.environ)
-    env_on.pop("PACKLAB_NO_NUMBA", None)
-    env_off = dict(os.environ, PACKLAB_NO_NUMBA="1")
-    out_on = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env_on
-    )
-    out_off = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env_off
-    )
-    assert out_on.returncode == 0, out_on.stderr
-    assert out_off.returncode == 0, out_off.stderr
-    res_on = out_on.stdout.split(None, 1)
-    res_off = out_off.stdout.split(None, 1)
-    assert res_off[0] == "False"
-    assert res_on[1] == res_off[1]

@@ -436,18 +436,6 @@ def test_exhaustive_abort_stops_at_first_capped_graph():
     assert ABORTED_RUNS["t1(6,3)"](node_cap=8).examined == 45
 
 
-def test_thread_pool_merge_keeps_reports(monkeypatch):
-    """With the thread pool forced on, workers=2 runs the blocks on threads
-    (pure Python here) and the reports keep their digests."""
-    monkeypatch.setattr(K, "NUMBA_ENABLED", True)
-    assert _report_digest(GOLDEN_RUNS["conj1(6,3,workers=2)"]()) == GOLDEN_REPORTS[
-        "conj1(6,3,workers=2)"
-    ]
-    for name in ABORTED_REPORTS:
-        if "(12," not in name:
-            assert _aborted_digest(name, workers=2) == ABORTED_REPORTS[name], name
-
-
 def test_block_size_does_not_change_sampled_aborted_report(monkeypatch):
     """The samplers draw the same stream in blocks of 7, so their reports
     keep their digests and an abort stops the counts at the same sample."""
@@ -548,12 +536,12 @@ def test_sampler_reads_next_below_words(n):
         assert got == want, (m_lo, m_hi)
 
 
-def _low_bound_report(n=4, workers=1):
+def _low_bound_report(n=4):
     """A matching check whose bound (0 edges) every non-matchable graph
     with min degree >= 1 exceeds, so each one is a violation."""
     spec = V.ThresholdSpec("matching", n, 2, False, {1: 0})
     task = V.EnumerationTask("matching", n, "exhaustive")
-    return V._verify_threshold(spec, task, workers, None, V.EXHAUSTIVE_DEFAULT_CAP, False)
+    return V._verify_threshold(spec, task, None, V.EXHAUSTIVE_DEFAULT_CAP, False)
 
 
 def test_witness_recheck_failure_is_reported(monkeypatch):
@@ -579,7 +567,7 @@ def test_witness_recheck_reports_under_python_O():
         "V.perfect_kr_packing = lambda *args, **kwargs: Yes()\n"
         "spec = V.ThresholdSpec('matching', 4, 2, False, {1: 0})\n"
         "task = V.EnumerationTask('matching', 4, 'exhaustive')\n"
-        "rep = V._verify_threshold(spec, task, 1, None, 7, False)\n"
+        "rep = V._verify_threshold(spec, task, None, 7, False)\n"
         "print(rep.status, len(rep.problems))\n"
     )
     src = str(Path(V.__file__).resolve().parents[1])
@@ -592,10 +580,10 @@ def test_witness_recheck_reports_under_python_O():
 
 
 def test_violation_overflow_keeps_first_witnesses(monkeypatch):
-    full = _low_bound_report(n=6, workers=2)  # eight blocks of masks
+    full = _low_bound_report(n=6)  # eight blocks of masks
     assert full.problems == () and len(full.violations) > 5
     monkeypatch.setattr(V, "VIOLATION_BUFFER", 5)
-    rep = _low_bound_report(n=6, workers=2)
+    rep = _low_bound_report(n=6)
     assert rep.status == "fail"
     assert rep.violations == full.violations[:5]
     assert rep.problems == (
