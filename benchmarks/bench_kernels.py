@@ -29,41 +29,32 @@ def _timed(fn, repeat=3):
     return out, best
 
 
-def _adjs(n, words):
-    adjs = np.zeros((len(words), n), np.int64)
-    K.words_to_adj(words, n, adjs)
-    return adjs
-
-
 def _random_adjs(n, rows, seed):
     words = np.random.default_rng(seed).integers(
         0, 1 << 62, size=(rows, (comb(n, 2) + 63) // 64)
-    ).astype(np.int64)
-    return _adjs(n, words)
+    )
+    return K.words_to_adj(words, n)
 
 
 def _all_adjs(n):
-    return _adjs(n, np.arange(1 << comb(n, 2), dtype=np.int64)[:, None])
+    return K.words_to_adj(np.arange(1 << comb(n, 2)), n)
 
 
 def _packing(adjs, n, r):
     """The packing search ``_pack_decide`` on every row."""
-    work = K.pack_work_arrays(n)
-    return lambda: [K._pack_decide(adj, n, r, 10**9, *work)[0] == 1 for adj in adjs]
+    return lambda: [K._pack_decide(adj, n, r, 10**9)[0] == 1 for adj in adjs.tolist()]
 
 
 def _hampath(adjs, n):
     """The Hamilton-path programme ``_hampath_decide`` on every row."""
-    dp = np.zeros(1 << n, np.int64)
-    return lambda: [K._hampath_decide(adj, n, dp)[0] == 1 for adj in adjs]
+    return lambda: [K._hampath_decide(adj, n)[0] == 1 for adj in adjs.tolist()]
 
 
 def _colouring(adjs, n, k):
     """The equitable-colouring search ``_colour_decide`` on every row:
     statuses and node counts."""
-    work = [np.zeros(size, np.int64) for size in (n, n, k, k)]
     return lambda: [
-        list(x) for x in zip(*(K._colour_decide(adj, n, k, 10**9, *work) for adj in adjs))
+        list(x) for x in zip(*(K._colour_decide(adj, n, k, 10**9)[:2] for adj in adjs.tolist()))
     ]
 
 

@@ -1,14 +1,17 @@
 """Bitmask search kernels shared by the solvers and the verification scans.
 
-Every search kernel is a plain Python function over ``int64`` numpy arrays
-that reports its explored nodes (or states) next to its answer.
+The per-graph searches are plain Python functions over a sequence of
+Python-int neighbour masks; each keeps its state in local lists and returns
+its explored nodes (or states) next to its answer.  The block deciders are
+plain numpy over rows of ``int64`` neighbour masks.
 
-Graphs are encoded as one ``int64`` neighbour bitmask per vertex (bit ``j`` of
-``adj[i]`` set iff ``ij`` is an edge), which caps kernel inputs at
-``KERNEL_MAX_N`` = 62 vertices.  Labeled-graph enumeration walks an edge-mask
-integer whose bit ``s`` is edge slot ``s``; slots order pairs ``(i, j)`` with
-``i < j`` by ``s = j*(j-1)//2 + i``, the same column-major upper-triangle
-order graph6 uses, so witness masks and graph6 strings agree bit for bit.
+Graphs are encoded as one neighbour bitmask per vertex (bit ``j`` of
+``adj[i]`` set iff ``ij`` is an edge); the ``int64`` rows cap kernel inputs
+at ``KERNEL_MAX_N`` = 62 vertices, and the solvers keep that cap.
+Labeled-graph enumeration walks an edge-mask integer whose bit ``s`` is
+edge slot ``s``; slots order pairs ``(i, j)`` with ``i < j`` by
+``s = j*(j-1)//2 + i``, the same column-major upper-triangle order graph6
+uses, so witness masks and graph6 strings agree bit for bit.
 
 Every scan, exhaustive or sampled, works on blocks of graphs: it hands a
 block of 64-bit edge words to ``words_to_adj``, plain numpy with one vector
@@ -43,49 +46,45 @@ KERNEL_MAX_N = 62
 NUMBA_ENABLED = False
 
 
-def _pack_decide(adj, n, r, node_cap, cand, chosen, comm):
+def _pack_decide(adj, n, r, node_cap):
     """Exact search for a partition of all vertices into r-cliques.
 
     Branches on the lowest-index uncovered vertex and enumerates candidate
     cliques in lexicographic bitset order; each committed vertex counts as one
-    search node.  ``cand``, ``chosen`` and ``comm`` are int64 work arrays of
-    length n.  Returns ``(status, nodes)`` with status 1 = partition found
-    (``chosen`` then holds it, block b at ``chosen[b*r:(b+1)*r]``), 0 = none
-    exists, -1 = node cap hit.
+    search node.  Returns ``(status, nodes, chosen)`` with status 1 =
+    partition found (block b at ``chosen[b*r:(b+1)*r]``), 0 = none exists,
+    -1 = node cap hit.
     """
+    cand, chosen, comm = [0] * n, [0] * n, [0] * n
     if n == 0:
-        return 1, 0
-    full = (1 << n) - 1
+        return 1, 0, chosen
     # root prune: an r-clique needs r-1 neighbours at every vertex
-    for w in range(n):
-        if int(adj[w]).bit_count() < r - 1:
-            return 0, 0
+    if any(a.bit_count() < r - 1 for a in adj):
+        return 0, 0, chosen
+    full = (1 << n) - 1
     covered = 0
     nodes = 0
     level = 0
     cand[0] = 1
     while True:
-        cm = int(cand[level])
+        cm = cand[level]
         if cm == 0:
             level -= 1
             if level < 0:
-                return 0, nodes
-            covered &= ~(1 << int(chosen[level]))
+                return 0, nodes, chosen
+            covered &= ~(1 << chosen[level])
             continue
         vb = cm & -cm
         cand[level] = cm - vb
         v = vb.bit_length() - 1
         nodes += 1
         if nodes > node_cap:
-            return -1, nodes
+            return -1, nodes, chosen
         chosen[level] = v
         covered |= vb
-        if level % r == 0:
-            comm[level] = int(adj[v])
-        else:
-            comm[level] = int(comm[level - 1]) & int(adj[v])
+        comm[level] = adj[v] if level % r == 0 else comm[level - 1] & adj[v]
         if level == n - 1:
-            return 1, nodes
+            return 1, nodes, chosen
         nxt = level + 1
         unc = full & ~covered
         if nxt % r == 0:
@@ -94,7 +93,7 @@ def _pack_decide(adj, n, r, node_cap, cand, chosen, comm):
             while m:
                 w = (m & -m).bit_length() - 1
                 m &= m - 1
-                if (int(adj[w]) & unc).bit_count() < r - 1:
+                if (adj[w] & unc).bit_count() < r - 1:
                     ok = False
                     break
             if not ok:
@@ -102,40 +101,37 @@ def _pack_decide(adj, n, r, node_cap, cand, chosen, comm):
                 continue
             cand[nxt] = unc & -unc
         else:
-            cand[nxt] = int(comm[level]) & unc & ~((vb << 1) - 1)
+            cand[nxt] = comm[level] & unc & ~((vb << 1) - 1)
         level = nxt
 
 
-def _colour_decide(adj, n, k, node_cap, candc, chosen, classmask, classsize):
+def _colour_decide(adj, n, k, node_cap):
     """Exact search for an equitable proper k-colouring.
 
     Vertices are assigned in index order; a vertex may join any compatible
     occupied class or open the first empty one, classes ascending.  With
     ``q, s = divmod(n, k)`` a class may grow to q+1 only while fewer than s
     classes have done so, which forces every completed assignment to be
-    equitable.  Work arrays: ``candc``/``chosen`` length n, ``classmask``/
-    ``classsize`` length k.  Returns ``(status, nodes)``; on status 1,
+    equitable.  Returns ``(status, nodes, chosen)``; on status 1,
     ``chosen[v]`` is the class of vertex v.
     """
+    candc, chosen = [0] * n, [0] * n
     if n == 0:
-        return 1, 0
-    q = n // k
-    s = n - q * k
-    for c in range(k):
-        classmask[c] = 0
-        classsize[c] = 0
+        return 1, 0, chosen
+    q, s = divmod(n, k)
+    classmask, classsize = [0] * k, [0] * k
     nodes = 0
     nbig = 0
     used = 0
     level = 0
     candc[0] = 1
     while True:
-        cm = int(candc[level])
+        cm = candc[level]
         if cm == 0:
             level -= 1
             if level < 0:
-                return 0, nodes
-            c = int(chosen[level])
+                return 0, nodes, chosen
+            c = chosen[level]
             classmask[c] &= ~(1 << level)
             classsize[c] -= 1
             if classsize[c] == q:
@@ -148,7 +144,7 @@ def _colour_decide(adj, n, k, node_cap, candc, chosen, classmask, classsize):
         c = cb.bit_length() - 1
         nodes += 1
         if nodes > node_cap:
-            return -1, nodes
+            return -1, nodes, chosen
         chosen[level] = c
         classmask[c] |= 1 << level
         classsize[c] += 1
@@ -157,85 +153,71 @@ def _colour_decide(adj, n, k, node_cap, candc, chosen, classmask, classsize):
         if classsize[c] == 1:
             used += 1
         if level == n - 1:
-            return 1, nodes
+            return 1, nodes, chosen
         v = level + 1
-        av = int(adj[v])
-        lim = used + 1 if used < k else k
+        av = adj[v]
         out = 0
-        for cc in range(lim):
-            nsz = int(classsize[cc]) + 1
-            if nsz > q + 1:
-                continue
-            if nsz == q + 1 and nbig >= s:
-                continue
-            if av & int(classmask[cc]):
+        for cc in range(min(used + 1, k)):
+            nsz = classsize[cc] + 1
+            if nsz > q + 1 or (nsz == q + 1 and nbig >= s) or av & classmask[cc]:
                 continue
             out |= 1 << cc
         candc[v] = out
         level = v
 
 
-def _hampath_decide(adj, n, dp):
+def _hampath_decide(adj, n):
     """Subset dynamic programme for Hamilton-path existence.
 
-    ``dp`` is an int64 work array of size at least ``1 << n``; on return
-    ``dp[mask]`` is the bitmask of vertices able to end a path spanning
-    ``mask``.  Returns ``(found, states)`` where states counts processed
+    Returns ``(found, states, dp)``: ``dp[mask]`` is the bitmask of vertices
+    able to end a path spanning ``mask``, and states counts processed
     (mask, endpoint) pairs.  Each vertex w outside a reachable ``mask`` is
     written once, when some endpoint is adjacent to it, rather than once
     per such endpoint.
     """
     full = (1 << n) - 1
-    dp[: full + 1] = 0
+    dp = [0] * (full + 1)
     for v in range(n):
         dp[1 << v] = 1 << v
     states = 0
     for m in range(1, full + 1):
-        ends = int(dp[m])
+        ends = dp[m]
         if ends == 0:
             continue
         states += ends.bit_count()
         for w in range(n):
             wb = 1 << w
-            if m & wb == 0 and ends & int(adj[w]):
+            if m & wb == 0 and ends & adj[w]:
                 dp[m | wb] |= wb
-    return (1 if int(dp[full]) != 0 else 0), states
+    return (1 if dp[full] else 0), states, dp
 
 
-def _hampath_extract(adj, n, dp, order):
-    """Write one Hamilton path (lowest-vertex choices) into ``order``.
-
-    Requires ``dp`` as filled by a successful ``_hampath_decide`` run.
-    """
-    full = (1 << n) - 1
-    m = full
-    ends = int(dp[m])
-    if ends == 0:
-        return 0
-    v = (ends & -ends).bit_length() - 1
-    i = n - 1
-    while True:
+def _hampath_extract(adj, n, dp):
+    """One Hamilton path (lowest-vertex choices) as a vertex list, from the
+    ``dp`` of a successful ``_hampath_decide`` run."""
+    m = (1 << n) - 1
+    order = [0] * n
+    ends = dp[m]
+    for i in range(n - 1, -1, -1):
+        v = (ends & -ends).bit_length() - 1
         order[i] = v
-        if i == 0:
-            return 1
         m &= ~(1 << v)
-        prevs = int(dp[m]) & int(adj[v])
-        v = (prevs & -prevs).bit_length() - 1
-        i -= 1
+        ends = dp[m] & adj[v]
+    return order
 
 
-def _has_clique(adj, n, q, node_cap, cands, chosen):
+def _has_clique(adj, n, q, node_cap):
     """Exact test for a clique on q vertices; returns (status, nodes)."""
     if q <= 0:
         return 1, 0
     if q == 1:
         return (1 if n >= 1 else 0), 0
-    full = (1 << n) - 1
-    cands[0] = full
+    cands = [0] * q
+    cands[0] = (1 << n) - 1
     d = 0
     nodes = 0
     while True:
-        cm = int(cands[d])
+        cm = cands[d]
         if cm == 0:
             d -= 1
             if d < 0:
@@ -247,24 +229,26 @@ def _has_clique(adj, n, q, node_cap, cands, chosen):
         nodes += 1
         if nodes > node_cap:
             return -1, nodes
-        chosen[d] = v
         if d + 1 == q:
             return 1, nodes
-        nx = (cm - vb) & int(adj[v])
+        nx = (cm - vb) & adj[v]
         if nx.bit_count() < q - d - 1:
             continue
         d += 1
         cands[d] = nx
 
 
-def words_to_adj(words, n, adjs):
-    """Expand packed edge bits into per-vertex masks, one row per graph.
+def words_to_adj(words, n):
+    """Neighbour masks, one int64 row per graph, from rows of unsigned
+    64-bit edge words.
 
-    Edge slot s reads bit ``s & 63`` of ``words[b, s >> 6]``; bits past the
-    last slot are ignored.  Plain numpy: one vector operation per slot over
-    all rows.
+    Edge slot s reads bit ``s & 63`` of word ``s >> 6`` of its row; bits
+    past the last slot are ignored.  Plain numpy: one vector operation per
+    slot over all rows.
     """
-    adjs[:] = 0
+    words = np.asarray(words, np.uint64).reshape(len(words), (comb(n, 2) + 63) // 64)
+    words = words.view(np.int64)
+    adjs = np.zeros((len(words), n), np.int64)
     s = 0
     for j in range(1, n):
         for i in range(j):
@@ -272,7 +256,7 @@ def words_to_adj(words, n, adjs):
             adjs[:, i] |= bit << j
             adjs[:, j] |= bit << i
             s += 1
-    return 0
+    return adjs
 
 
 def hampath_rows(adjs, n):
@@ -487,7 +471,3 @@ def pack_node_bound(n, r):
         f = 1 + sum(comb(u - 1, j) for j in range(1, r)) + comb(u - 1, r - 1) * f
     return f
 
-
-def pack_work_arrays(n: int):
-    """Allocate the three int64 work arrays the packing search needs."""
-    return tuple(np.zeros(max(n, 1), np.int64) for _ in range(3))

@@ -12,8 +12,6 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import _kernels as K
 from .errors import CapExceededError, HypothesisError, ParameterRangeError
 from .graph import (
@@ -69,17 +67,13 @@ def perfect_kr_packing(graph: Graph, r: int, node_cap: int | None = None) -> Sol
         return SolveOutcome(True, PackingCertificate(()), 0)
     if n % r:
         return SolveOutcome(False, None, 0)
-    adj = graph.adjacency_array()
-    cand, chosen, comm = K.pack_work_arrays(n)
-    status, nodes = K._pack_decide(adj, n, r, cap, cand, chosen, comm)
+    status, nodes, chosen = K._pack_decide(graph.adjacency_array().tolist(), n, r, cap)
     if status == -1:
         raise CapExceededError(f"packing search exceeded the node cap of {cap}")
     if status == 0:
-        return SolveOutcome(False, None, int(nodes))
-    blocks = tuple(
-        tuple(int(x) for x in chosen[b * r : (b + 1) * r]) for b in range(n // r)
-    )
-    return SolveOutcome(True, PackingCertificate(blocks), int(nodes))
+        return SolveOutcome(False, None, nodes)
+    blocks = tuple(tuple(chosen[b * r : (b + 1) * r]) for b in range(n // r))
+    return SolveOutcome(True, PackingCertificate(blocks), nodes)
 
 
 def perfect_matching(graph: Graph, node_cap: int | None = None) -> SolveOutcome:
@@ -123,22 +117,15 @@ def equitable_colouring(
             True, ColouringCertificate(out.certificate.blocks), out.nodes_explored
         )
     cap = resolve_node_cap(node_cap)
-    adj = graph.adjacency_array()
-    candc = np.zeros(n, np.int64)
-    chosen = np.zeros(n, np.int64)
-    classmask = np.zeros(k, np.int64)
-    classsize = np.zeros(k, np.int64)
-    status, nodes = K._colour_decide(adj, n, k, cap, candc, chosen, classmask, classsize)
+    status, nodes, chosen = K._colour_decide(graph.adjacency_array().tolist(), n, k, cap)
     if status == -1:
         raise CapExceededError(f"colouring search exceeded the node cap of {cap}")
     if status == 0:
-        return SolveOutcome(False, None, int(nodes))
+        return SolveOutcome(False, None, nodes)
     classes: list[list[int]] = [[] for _ in range(k)]
-    for v in range(n):
-        classes[int(chosen[v])].append(v)
-    return SolveOutcome(
-        True, ColouringCertificate(tuple(tuple(c) for c in classes)), int(nodes)
-    )
+    for v, c in enumerate(chosen):
+        classes[c].append(v)
+    return SolveOutcome(True, ColouringCertificate(tuple(tuple(c) for c in classes)), nodes)
 
 
 def hajnal_szemeredi_guarantee(graph: Graph, r: int) -> bool:
@@ -274,9 +261,7 @@ def turan_partition(graph: Graph, r: int, node_cap: int | None = None) -> list[t
         raise ParameterRangeError("need r | n with n >= r")
     q = n // r
     cap = resolve_node_cap(node_cap)
-    adjarr = graph.adjacency_array()
-    work = max(r + 2, 2)
-    status, _ = K._has_clique(adjarr, n, r + 1, cap, np.zeros(work, np.int64), np.zeros(work, np.int64))
+    status, _ = K._has_clique(graph.adjacency_array().tolist(), n, r + 1, cap)
     if status == -1:
         raise CapExceededError(f"clique search exceeded the node cap of {cap}")
     if status == 1:
@@ -361,21 +346,19 @@ def hamilton_path_exact(graph: Graph, n_cap: int = HAMILTON_DEFAULT_N_CAP) -> So
     """Exact Hamilton-path decision by dynamic programming over vertex subsets.
 
     The certificate is a vertex order.  ``n_cap`` bounds the subset table
-    (memory 8 * 2^n bytes); exceeding it raises ``CapExceededError``.
+    (a list of 2^n Python ints, at most about 40 * 2^n bytes); exceeding it
+    raises ``CapExceededError``.
     """
     n = graph.n
     if n > n_cap:
         raise CapExceededError(f"Hamilton-path search capped at n <= {n_cap}, got {n}")
     if n == 0:
         return SolveOutcome(True, (), 0)
-    adj = graph.adjacency_array()
-    dp = np.zeros(1 << n, np.int64)
-    found, states = K._hampath_decide(adj, n, dp)
+    adj = graph.adjacency_array().tolist()
+    found, states, dp = K._hampath_decide(adj, n)
     if not found:
-        return SolveOutcome(False, None, int(states))
-    order = np.zeros(n, np.int64)
-    K._hampath_extract(adj, n, dp, order)
-    return SolveOutcome(True, tuple(int(v) for v in order), int(states))
+        return SolveOutcome(False, None, states)
+    return SolveOutcome(True, tuple(K._hampath_extract(adj, n, dp)), states)
 
 
 def square_hamilton_obstructions(graph: Graph) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ import json
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from math import comb
 from time import perf_counter
 
@@ -57,39 +57,23 @@ class SplitMix64:
 
     Counter-based: word k (from 1) is ``mix(seed + k * 0x9E3779B97F4A7C15)``
     modulo 2^64, the value the classic state-stepping loop yields on its
-    k-th call.  Words are made in numpy ``uint64`` buffers of
-    ``_BUFFER`` words; ``next_word`` hands them out one at a time and
-    ``words`` takes the next ones as an array, so the two may be mixed
-    freely and still read one stream.
+    k-th call.  ``words`` makes the next ones as a numpy ``uint64`` array.
     """
 
     _GAMMA = np.uint64(0x9E3779B97F4A7C15)
-    _BUFFER = 4096
 
     def __init__(self, seed: int):
         self._seed = np.uint64(seed & _WORD)
         self._made = 0  # words made so far
-        self._buffered = iter(())
 
-    def _make(self, count: int) -> np.ndarray:
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` words of the stream, as a ``uint64`` array."""
         k = np.arange(self._made + 1, self._made + 1 + count, dtype=np.uint64)
         self._made += count
         z = self._seed + k * self._GAMMA
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
-
-    def next_word(self) -> int:
-        try:
-            return next(self._buffered)
-        except StopIteration:
-            self._buffered = iter(self._make(self._BUFFER).tolist())
-            return next(self._buffered)
-
-    def words(self, count: int) -> np.ndarray:
-        """The next ``count`` words of the stream, as a ``uint64`` array."""
-        head = np.fromiter(islice(self._buffered, count), np.uint64)
-        return np.concatenate([head, self._make(count - len(head))])
 
     def next_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by bit-rejection: the top bits of
@@ -100,8 +84,8 @@ class SplitMix64:
         x = bound
         while x >= bound:
             x = 0
-            for _ in range(-(-bits // 64)):  # no word for a bound of 1
-                x = x << 64 | self.next_word()
+            for word in self.words(-(-bits // 64)).tolist():  # none for a bound of 1
+                x = x << 64 | word
             x >>= -bits % 64
         return x
 
@@ -315,16 +299,6 @@ def _sample_filtered_window(n: int, rng: SplitMix64, samples: int, m_lo: int, m_
     return out, proposals, len(out) < samples
 
 
-def _expand_words(n: int, rows) -> np.ndarray:
-    """Neighbour masks, one row per graph, from rows of unsigned 64-bit edge
-    words (slot s is bit s & 63 of word s >> 6)."""
-    nwords = (comb(n, 2) + 63) // 64
-    words = np.array(rows, dtype=np.uint64).reshape(len(rows), nwords).view(np.int64)
-    adjs = np.zeros((len(rows), n), np.int64)
-    K.words_to_adj(words, n, adjs)
-    return adjs
-
-
 def _word_rows(n: int, masks) -> np.ndarray:
     """Edge masks as rows of unsigned 64-bit edge words."""
     words = range((comb(n, 2) + 63) // 64)
@@ -362,10 +336,9 @@ def _decide_rows(adjs: np.ndarray, n: int, r: int, node_cap: int, colouring: boo
     elif n <= _PACK_ROWS_MAX_N and n % r == 0 and node_cap >= K.pack_node_bound(n, r):
         return K.packable_rows(adjs, n, r), False
     else:
-        work = K.pack_work_arrays(n)
         out = []
-        for adj in adjs:
-            out.append(K._pack_decide(adj, n, r, node_cap, *work)[0])
+        for adj in adjs.tolist():
+            out.append(K._pack_decide(adj, n, r, node_cap)[0])
             if out[-1] == -1:
                 break
     done = (out + [-1]).index(-1)  # the first row on the cap
@@ -375,14 +348,14 @@ def _decide_rows(adjs: np.ndarray, n: int, r: int, node_cap: int, colouring: boo
 def _decide_block(n: int, r: int, rows, cap: int, keep, visit, complement: bool = False,
                   colouring: bool = False):
     """One block of every scan and sampler.  ``rows`` holds edge words as
-    ``_expand_words`` takes them; the rows are expanded, complemented when
+    ``K.words_to_adj`` takes them; the rows are expanded, complemented when
     asked, and those whose degrees ``keep`` accepts are decided with
     ``_decide_rows`` (``colouring`` passed on).  ``visit(rows, degrees,
     decisions)`` gets the decided rows in order and returns their violations
     (rows, or sample indices).  Returns (examined, kept, violations,
     aborted); after a node-cap abort both counts stop at the aborting row
     and include it, which ``visit`` never sees."""
-    adjs = _expand_words(n, rows)
+    adjs = K.words_to_adj(rows, n)
     if complement:
         adjs = _complement_rows(n, adjs)
     degs = np.bitwise_count(adjs)

@@ -140,6 +140,13 @@ def test_solve_cap_abort_exit(tmp_path, capsys):
     assert code == 3 and "error" in err
 
 
+def test_solve_above_kernel_limit_exit(tmp_path, capsys):
+    t63 = tmp_path / "t63.g6"
+    t63.write_text(encode_graph6(turan_graph(63, 3)) + "\n")
+    code, _, err = run(capsys, "solve", "pack", str(t63), "--r", "3")
+    assert code == 3 and "at most 62 vertices" in err
+
+
 def test_solve_chvatal_and_square(tmp_path, capsys):
     k5 = tmp_path / "k5.g6"
     k5.write_text(encode_graph6(Graph.complete(5)) + "\n")

@@ -35,23 +35,18 @@ def _random_masks(n, count):
 
 
 def _adj_for(n, mask):
-    return Graph.from_edge_mask(n, mask).adjacency_array()
+    return Graph.from_edge_mask(n, mask).adjacency_array().tolist()
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_pack_decide_brute_and_pure_parity(r):
     n = 6
-    cand, chosen, comm = K.pack_work_arrays(n)
     for mask in _random_masks(n, 60):
-        adj = _adj_for(n, mask)
-        st, _ = K._pack_decide(adj, n, r, 10**7, cand, chosen, comm)
+        st, _, chosen = K._pack_decide(_adj_for(n, mask), n, r, 10**7)
         g = Graph.from_edge_mask(n, mask)
         assert (st == 1) == has_perfect_packing_brute(g, r)
         if st == 1:
-            blocks = [
-                tuple(int(v) for v in chosen[b * r : (b + 1) * r])
-                for b in range(n // r)
-            ]
+            blocks = [tuple(chosen[b * r : (b + 1) * r]) for b in range(n // r)]
             assert sorted(v for blk in blocks for v in blk) == list(range(n))
             for blk in blocks:
                 assert all(g.has_edge(u, v) for u in blk for v in blk if u < v)
@@ -59,29 +54,21 @@ def test_pack_decide_brute_and_pure_parity(r):
 
 def test_colour_decide_brute_parity():
     n, k = 6, 3
-    candc = np.zeros(n, np.int64)
-    chosen = np.zeros(n, np.int64)
-    classmask = np.zeros(k, np.int64)
-    classsize = np.zeros(k, np.int64)
     for mask in _random_masks(n, 60):
-        adj = _adj_for(n, mask)
-        st, _ = K._colour_decide(adj, n, k, 10**7, candc, chosen, classmask, classsize)
+        st, _, _ = K._colour_decide(_adj_for(n, mask), n, k, 10**7)
         g = Graph.from_edge_mask(n, mask)
         assert (st == 1) == has_equitable_colouring_brute(g, k)
 
 
 def test_hampath_brute_parity():
     n = 6
-    dp = np.zeros(1 << n, np.int64)
-    order = np.zeros(n, np.int64)
     for mask in _random_masks(n, 60):
         adj = _adj_for(n, mask)
-        found, _ = K._hampath_decide(adj, n, dp)
+        found, _, dp = K._hampath_decide(adj, n)
         g = Graph.from_edge_mask(n, mask)
         assert bool(found) == has_hamilton_path_brute(g)
         if found:
-            K._hampath_extract(adj, n, dp, order)
-            path = [int(v) for v in order]
+            path = K._hampath_extract(adj, n, dp)
             assert sorted(path) == list(range(n))
             assert all(g.has_edge(path[i], path[i + 1]) for i in range(n - 1))
 
@@ -90,63 +77,55 @@ def test_hampath_decide_pinned():
     """Decisions, state counts and subset tables over every labelled 5-vertex
     graph, as computed before the programme wrote each extension once."""
     n = 5
-    dp = np.zeros(1 << n, np.int64)
     found = states = 0
     tables = hashlib.sha256()
     for mask in range(1 << 10):
-        f, s = K._hampath_decide(_adj_for(n, mask), n, dp)
+        f, s, dp = K._hampath_decide(_adj_for(n, mask), n)
         found += f
         states += s
-        tables.update(dp.tobytes())
+        tables.update(np.array(dp, np.int64).tobytes())
     assert (found, states) == (633, 37190)
     assert tables.hexdigest() == "4b72506d8daa356a300ed60f5f186baad1188779a75690d4404a523ccad96530"
 
 
 def test_pack_and_clique_searches_pinned():
-    """Status, node count and chosen vertices of ``_pack_decide`` at r = 2
-    and 3, and of ``_has_clique`` at q = 3 and 4, over every labelled
-    6-vertex graph in mask order, as computed while the searches counted
-    and found bits with loop helpers.  ``solve --stats`` prints these node
-    counts."""
+    """What ``_pack_decide`` returns at r = 2 and 3, status, node count and
+    chosen vertices, and ``_has_clique`` at q = 3 and 4, status and node
+    count, over every labelled 6-vertex graph in mask order, as computed
+    while the searches counted and found bits with loop helpers.  ``solve
+    --stats`` prints these node counts."""
     n = 6
-    adjs = V._expand_words(n, np.arange(1 << 15))
-    cand, chosen, comm = K.pack_work_arrays(n)
-    cands, clique = np.zeros((2, n + 1), np.int64)
+    adjs = K.words_to_adj(np.arange(1 << 15), n).tolist()
     digests = []
     for r in (2, 3):
         runs = hashlib.sha256()
         for adj in adjs:
-            st, nodes = K._pack_decide(adj, n, r, 10**7, cand, chosen, comm)
-            runs.update(repr((st, nodes, chosen.tolist())).encode())
+            runs.update(repr(K._pack_decide(adj, n, r, 10**7)).encode())
         digests.append(runs.hexdigest())
     for q in (3, 4):
         runs = hashlib.sha256()
         for adj in adjs:
-            st, nodes = K._has_clique(adj, n, q, 10**7, cands, clique)
-            runs.update(repr((st, nodes, clique.tolist())).encode())
+            runs.update(repr(K._has_clique(adj, n, q, 10**7)).encode())
         digests.append(runs.hexdigest())
     assert digests == [
-        "b5418a267639d6f3bd98929ce4dedb3cd35ec5301efb88bca5f420734527503c",
-        "8a42916d52f5ebf0d3d680f1ddd010fcc11b7de2c66fbf1397cec479fe9986ce",
-        "28423444652f80b3074d17463472fcf3a97b1cecf0e0c51bd128859001921708",
-        "7067537fbff8557ef37bc392fef3de8ad26d0643873ac3eed1facee800d9cefd",
+        "47a6bbeabda0f2eaf32928f6384f61e632ffba0a0b88adcde7aeeb631741e626",
+        "2a44733fa53d84e315161135d9b9bcd548db054c2a2e084e53ab23c56c9e325c",
+        "07f2fba9d3d6d6d32e187562ec18aa53700bd65ed1b947cd7f208eff332aa88e",
+        "862f1c0ecf050d83c15a292ee01862b8e062e9cb0b9866208122624165873ff6",
     ]
 
 
 def test_has_clique_brute_parity():
     n = 7
-    cands = np.zeros(n + 1, np.int64)
-    chosen = np.zeros(n + 1, np.int64)
     for q in (3, 4):
         for mask in _random_masks(n, 40):
-            adj = _adj_for(n, mask)
-            st, _ = K._has_clique(adj, n, q, 10**7, cands, chosen)
+            st, _ = K._has_clique(_adj_for(n, mask), n, q, 10**7)
             assert (st == 1) == has_clique_brute(Graph.from_edge_mask(n, mask), q)
 
 
 def _all_graphs(n):
     masks = range(1 << (n * (n - 1) // 2))
-    return [Graph.from_edge_mask(n, m) for m in masks], V._expand_words(n, np.array(masks))
+    return [Graph.from_edge_mask(n, m) for m in masks], K.words_to_adj(np.array(masks), n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -202,7 +181,7 @@ def test_packable_rows_matches_brute_drawn(data):
         if n <= 10:
             want = [has_perfect_packing_brute(h, r)]
         else:
-            st, _ = K._pack_decide(adjs[0], n, r, 10**7, *K.pack_work_arrays(n))
+            st, _, _ = K._pack_decide(adjs[0].tolist(), n, r, 10**7)
             assert st != -1
             want = [st == 1]
         assert K.packable_rows(adjs, n, r).tolist() == want
@@ -210,8 +189,8 @@ def test_packable_rows_matches_brute_drawn(data):
 
 def _colour_scalar(adjs, n, k, cap):
     """[statuses, node counts] of ``_colour_decide`` row by row."""
-    work = [np.zeros(size, np.int64) for size in (n, n, k, k)]
-    return [list(x) for x in zip(*(K._colour_decide(adj, n, k, cap, *work) for adj in adjs))]
+    runs = [K._colour_decide(adj, n, k, cap)[:2] for adj in adjs.tolist()]
+    return [list(x) for x in zip(*runs)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -297,9 +276,8 @@ def test_colour_complements_matches_scalar():
 def test_pack_node_bound_covers_search(n, r, bound):
     """No graph makes the packing search use more nodes than the bound."""
     assert K.pack_node_bound(n, r) == bound
-    cand, chosen, comm = K.pack_work_arrays(n)
     _, adjs = _all_graphs(n)
-    most = max(K._pack_decide(adj, n, r, 10**7, cand, chosen, comm)[1] for adj in adjs)
+    most = max(K._pack_decide(adj, n, r, 10**7)[1] for adj in adjs.tolist())
     assert 0 < most <= bound
 
 
@@ -315,7 +293,7 @@ def test_small_cap_takes_backtracking_path(monkeypatch):
         assert K.pack_node_bound(n, r) == bound
         assert V._decide_rows(adjs, n, r, bound)[0].tolist() == [True]
         assert len(calls) == 1
-        assert K._pack_decide(adjs[0], n, r, bound, *K.pack_work_arrays(n))[0] == 1
+        assert K._pack_decide(adjs[0].tolist(), n, r, bound)[0] == 1
         assert V._decide_rows(adjs, n, r, bound - 1)[0].tolist() == [True]
         decisions, aborted = V._decide_rows(adjs, n, r, 3)
         assert len(calls) == 1 and (decisions.tolist(), aborted) == ([], True)
@@ -394,9 +372,7 @@ def test_words_to_adj_matches_graph():
         # full 64-bit words: the sign bit of the int64 view is an edge slot too
         raw = RNG.integers(0, (1 << 64) - 1, size=(batch, nwords), dtype=np.uint64,
                            endpoint=True)
-        words = raw.view(np.int64)
-        adjs = np.zeros((batch, n), np.int64)
-        K.words_to_adj(words, n, adjs)
+        adjs = K.words_to_adj(raw, n)
         for b in range(batch):
             mask = 0
             for w in range(nwords):
@@ -414,8 +390,7 @@ def test_batch_kernels_match_scalar(monkeypatch):
     n, r = 6, 3
     masks = _random_masks(n, 32)
     adjs = np.array([_adj_for(n, mask) for mask in masks])
-    cand, chosen, comm = K.pack_work_arrays(n)
-    want = [K._pack_decide(adj, n, r, 10**7, cand, chosen, comm)[0] == 1 for adj in adjs]
+    want = [K._pack_decide(adj, n, r, 10**7)[0] == 1 for adj in adjs.tolist()]
     decisions, aborted = V._decide_rows(adjs, n, r, 10**7)
     assert (decisions.tolist(), aborted) == (want, False)
 
@@ -433,16 +408,14 @@ def test_batch_kernels_match_scalar(monkeypatch):
 def test_hampath_rows_matches_scalar():
     n = 6
     adjs = np.array([_adj_for(n, mask) for mask in _random_masks(n, 32)])
-    dp = np.zeros(1 << n, np.int64)
-    want = [K._hampath_decide(adj, n, dp)[0] == 1 for adj in adjs]
+    want = [K._hampath_decide(adj, n)[0] == 1 for adj in adjs.tolist()]
     assert K.hampath_rows(adjs, n).tolist() == want
 
 
 def test_node_cap_aborts():
     n = 8
     adj = Graph.complete(n).adjacency_array()
-    cand, chosen, comm = K.pack_work_arrays(n)
-    st, nodes = K._pack_decide(adj, n, 2, 3, cand, chosen, comm)
+    st, nodes, _ = K._pack_decide(adj.tolist(), n, 2, 3)
     assert st == -1 and nodes >= 3
     # a block stops at its first row that hits the cap, after one decided row
     adjs = np.array([Graph(n).adjacency_array(), adj, adj])

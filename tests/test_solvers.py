@@ -88,6 +88,32 @@ def test_colouring_methods_agree():
         equitable_colouring(_random_graph(7), 3, method="complement-packing")
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_direct_colouring_certificates_all_graphs(k):
+    """Every labelled 6-vertex graph: each certificate of the direct search
+    is an equitable k-colouring, and each decision equals the
+    complement-packing route's."""
+    for mask in range(1 << 15):
+        g = Graph.from_edge_mask(6, mask)
+        out = equitable_colouring(g, k, method="direct")
+        assert not out.decision or validate_colouring(g, out.certificate, k), mask
+        via_pack = equitable_colouring(g, k, method="complement-packing").decision
+        assert out.decision == via_pack, mask
+
+
+def test_solvers_stop_above_kernel_limit():
+    """The searches take at most 62 vertices (``KERNEL_MAX_N``); on 63 the
+    solvers raise ``CapExceededError`` instead of deciding."""
+    g = turan_graph(63, 3)
+    for solve in (
+        lambda: perfect_kr_packing(g, 3),
+        lambda: equitable_colouring(g, 3, method="direct"),
+        lambda: turan_partition(g, 3),
+    ):
+        with pytest.raises(CapExceededError):
+            solve()
+
+
 def test_packing_colouring_duality():
     for _ in range(60):
         g = _random_graph(6)
