@@ -26,10 +26,9 @@ row that hits the node cap, when the cap is below ``pack_node_bound`` (the
 most nodes the search can use, so the programme would hide an abort) and
 for n above 12, where the programme's state tables grow quickly.  The
 third, ``colour_rows``, runs the equitable-colouring search
-``_colour_decide`` across the rows, with its node counts and aborts; it
-decides the colouring side of both mainthm1 cross-checks: the exhaustive
-packing/colouring duality run, and, through ``colour_complements`` with an
-expansion of its own, each sample.
+``_colour_decide`` across the rows, with its node counts and aborts; the
+mainthm1 check runs it on the complements of the rows it packs, in the same
+block, as a second decider that must agree row by row.
 """
 
 from __future__ import annotations
@@ -424,40 +423,6 @@ def colour_rows(adjs, n, k, node_cap):
                 classsize = classsize[keep]
                 at = np.arange(len(rows))
     return status, nodes
-
-
-def complement_adjs(masks, n):
-    """Neighbour masks of the complement of each edge mask's graph (Python
-    ints), one row each, by an expansion that shares no code with
-    ``words_to_adj``: the mask bytes are unpacked into a (rows, n, n)
-    boolean adjacency matrix, complemented with the diagonal cleared and
-    packed back into bits."""
-    j, i = np.tril_indices(n, -1)  # edge slot s joins i < j, in slot order
-    width = (len(i) + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    edge = np.unpackbits(
-        raw.reshape(len(masks), width), axis=1, count=len(i), bitorder="little"
-    ).view(bool)
-    mat = np.ones((len(masks), n, n), bool)
-    mat[:, i, j] = mat[:, j, i] = ~edge
-    mat[:, range(n), range(n)] = False
-    words = np.zeros((len(masks), n, 8), np.uint8)
-    words[..., : (n + 7) // 8] = np.packbits(mat, axis=2, bitorder="little")
-    return words.view("<i8")[..., 0]
-
-
-def colour_complements(masks, n, k, node_cap):
-    """``colour_rows`` statuses for the complement of each edge mask's graph
-    (Python ints), in order, up to and including the first that hits the
-    node cap, as a list.  The complements come from ``complement_adjs``, in
-    sub-blocks sized so its matrix and masks stay at 256 KB."""
-    step = max(1, (1 << 18) // (n * max(n, 8)))
-    out = []
-    for lo in range(0, len(masks), step):
-        out += colour_rows(complement_adjs(masks[lo : lo + step], n), n, k, node_cap)[0].tolist()
-        if -1 in out:
-            return out[: out.index(-1) + 1]
-    return out
 
 
 def pack_node_bound(n, r):

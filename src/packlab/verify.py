@@ -318,7 +318,7 @@ def _condition_rows(degs: np.ndarray, clauses) -> np.ndarray:
     return ((d[:, table[:, 0]] >= table[:, 1]) | (d[:, table[:, 2]] >= table[:, 3])).all(axis=1)
 
 
-def _decide_rows(adjs: np.ndarray, n: int, r: int, node_cap: int, colouring: bool = False):
+def _decide_rows(adjs: np.ndarray, n: int, r: int, node_cap: int):
     """Exact decision for each row of ``adjs``: a perfect r-clique packing,
     or a Hamilton path at r = 0.  Returns (decisions as a bool array,
     aborted), the decisions stopping at the first row that hit the node cap.
@@ -326,41 +326,47 @@ def _decide_rows(adjs: np.ndarray, n: int, r: int, node_cap: int, colouring: boo
     Hamilton paths are decided across the block in numpy, and so are
     packings when r | n, n <= ``_PACK_ROWS_MAX_N`` and the node cap is one
     the packing search can never reach (``K.pack_node_bound``).  Otherwise
-    ``K._pack_decide`` decides one row at a time.  With ``colouring`` (r | n) the
-    equitable (n/r)-colouring search decides the complements across the
-    block.  Both searches may abort on the cap."""
+    ``K._pack_decide`` decides one row at a time and may abort on the cap."""
     if r == 0:
         return K.hampath_rows(adjs, n), False
-    if colouring:
-        out = K.colour_rows(_complement_rows(n, adjs), n, n // r, node_cap)[0].tolist()
-    elif n <= _PACK_ROWS_MAX_N and n % r == 0 and node_cap >= K.pack_node_bound(n, r):
+    if n <= _PACK_ROWS_MAX_N and n % r == 0 and node_cap >= K.pack_node_bound(n, r):
         return K.packable_rows(adjs, n, r), False
-    else:
-        out = []
-        for adj in adjs.tolist():
-            out.append(K._pack_decide(adj, n, r, node_cap)[0])
-            if out[-1] == -1:
-                break
+    out = []
+    for adj in adjs.tolist():
+        out.append(K._pack_decide(adj, n, r, node_cap)[0])
+        if out[-1] == -1:
+            break
     done = (out + [-1]).index(-1)  # the first row on the cap
     return np.array(out[:done], np.int64) == 1, done < len(adjs)
 
 
 def _decide_block(n: int, r: int, rows, cap: int, keep, visit, complement: bool = False,
-                  colouring: bool = False):
+                  mismatches: list | None = None):
     """One block of every scan and sampler.  ``rows`` holds edge words as
     ``K.words_to_adj`` takes them; the rows are expanded, complemented when
     asked, and those whose degrees ``keep`` accepts are decided with
-    ``_decide_rows`` (``colouring`` passed on).  ``visit(rows, degrees,
+    ``_decide_rows``.  With a ``mismatches`` list (r | n) the same rows'
+    complements are also equitably (n/r)-coloured across the block
+    (``K.colour_rows``), and the neighbour masks of every row where the two
+    answers disagree are appended to it.  ``visit(rows, degrees,
     decisions)`` gets the decided rows in order and returns their violations
     (rows, or sample indices).  Returns (examined, kept, violations,
-    aborted); after a node-cap abort both counts stop at the aborting row
-    and include it, which ``visit`` never sees."""
+    aborted): the block stops at the first row on which either search hits
+    the node cap, and both counts include that row, which ``visit`` never
+    sees and whose answers are not compared."""
     adjs = K.words_to_adj(rows, n)
     if complement:
         adjs = _complement_rows(n, adjs)
     degs = np.bitwise_count(adjs)
     hits = np.flatnonzero(keep(degs))
-    decisions, aborted = _decide_rows(adjs[hits], n, r, cap, colouring)
+    decisions, aborted = _decide_rows(adjs[hits], n, r, cap)
+    if mismatches is not None:
+        colours = K.colour_rows(_complement_rows(n, adjs[hits]), n, n // r, cap)[0]
+        # up to the first row on which either search hit the cap
+        decisions = decisions[: (colours.tolist()[: len(decisions)] + [-1]).index(-1)]
+        aborted = len(decisions) < len(hits)
+        disagree = hits[: len(decisions)][(colours[: len(decisions)] == 1) != decisions]
+        mismatches += adjs[disagree].tolist()
     done = hits[: len(decisions)]
     bad = visit(rows[done], degs[done], decisions)
     if aborted:
@@ -383,8 +389,8 @@ class ThresholdSpec:
     <= D" and every member with fewer edges must be equitably
     (n/r)-colourable, which the scan decides as packing on the complement:
     min degree >= n-1-D and more than C(n,2) - threshold edges.  ``dual``
-    cross-checks an exhaustive run against the colouring-side scan and each
-    sample against a direct colouring search.
+    cross-checks every decided graph by an equitable (n/r)-colouring search
+    on its complement.
     """
 
     predicate: str
@@ -412,11 +418,12 @@ class ThresholdSpec:
         return beyond and not perfect_kr_packing(g, self.r, cap).decision
 
 
-def _scan_threshold(spec: ThresholdSpec, cap: int, n_cap: int, problems,
-                    colouring: bool = False):
+def _scan_threshold(spec: ThresholdSpec, cap: int, n_cap: int, problems, mismatches):
     """All 2^C(n,2) graphs through the block pipeline; returns (examined,
-    violation masks, aborted, per-D table).  ``colouring`` decides every
-    row by the colouring search on its complement."""
+    violation masks, aborted, per-D table).  With a ``mismatches`` list
+    (``dual``) every decided graph is cross-checked as ``_decide_block``
+    describes, and the scan stops at the first graph in mask order on which
+    the packing or the colouring search hits the node cap."""
     n = spec.n
     _check_exhaustive(n, n_cap)
     bounds = spec.packing_bounds()
@@ -441,7 +448,7 @@ def _scan_threshold(spec: ThresholdSpec, cap: int, n_cap: int, problems,
 
         return _decide_block(
             n, spec.r, np.arange(start, stop, dtype=np.int64), cap,
-            lambda degs: degs.min(axis=1) >= d_lo, visit, spec.complement, colouring,
+            lambda degs: degs.min(axis=1) >= d_lo, visit, spec.complement, mismatches,
         ) + tuple(extremum)
 
     examined, _, masks, aborted, extrema = _run_blocks(1 << slots, decide, problems)
@@ -459,13 +466,13 @@ def _scan_threshold(spec: ThresholdSpec, cap: int, n_cap: int, problems,
     return examined, masks, aborted, per_d
 
 
-def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, problems):
-    """Uniform samples from the single armed family past its threshold, decided
-    by ``_run_blocks``; returns (examined, violation masks, aborted on the
-    node cap, starved, cross-check ok).  ``dual`` first runs the colouring
-    search across the samples' complements (``K.colour_complements``, with
-    its own expansion); the first sample it caps on is the last counted, and
-    the results cover the samples before it."""
+def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, problems,
+                      mismatches):
+    """Uniform samples from the single armed family past its threshold,
+    decided by ``_run_blocks``; returns (examined, violation masks, aborted
+    on the node cap, starved).  With a ``mismatches`` list (``dual``) every
+    sample is cross-checked as ``_decide_block`` describes, and the run
+    stops at the first sample on which either search hits the node cap."""
     n = spec.n
     ((dd, threshold),) = spec.thresholds.items()
     if spec.complement:
@@ -479,59 +486,16 @@ def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, pr
         problems.append(
             f"sampler starved: {len(masks)} of {samples} samples after {proposals} proposals"
         )
-    # the cross-check: 1 colourable, 0 not, -1 on the node cap
-    colours = K.colour_complements(masks, n, n // spec.r, cap) if spec.dual else []
-    capped = colours[-1:] == [-1]
-    decided: list[bool] = []  # the driver's decisions, in sample order
-
-    def visit(rows, degs, decisions):  # violations as sample indices
-        bad = len(decided) + np.flatnonzero(~decisions)
-        decided.extend(decisions.tolist())
-        return bad
-
     examined, _, bad, aborted, _ = _run_blocks(
-        len(colours) - 1 if capped else len(masks),
-        lambda s, e: _decide_block(n, spec.r, _word_rows(n, masks[s:e]), cap,
-                                   lambda degs: np.ones(len(degs), bool), visit, spec.complement),
+        len(masks),
+        lambda s, e: _decide_block(  # violations as sample indices
+            n, spec.r, _word_rows(n, masks[s:e]), cap, lambda degs: np.ones(len(degs), bool),
+            lambda rows, degs, decisions: s + np.flatnonzero(~decisions),
+            spec.complement, mismatches,
+        ),
         problems,
     )
-    if capped and not aborted:
-        examined, aborted = examined + 1, True
-    ok = all((c == 1) == d for c, d in zip(colours, decided))
-    return examined, sorted({masks[i] for i in bad}), aborted, starved, ok
-
-
-def _dual_agrees(spec, examined, violations, per_d, cap, n_cap):
-    """The colouring-side cross-check of ``verify_mainthm1_threshold``'s
-    exhaustive mode: the t1 scan at the complementary degree parameters.
-    It decides every row by the equitable-colouring search on the graph
-    itself, while the main scan decides packings, so two deciders are
-    compared.  Returns (agrees, dual run aborted on the node cap)."""
-    n, r = spec.n, spec.r
-    dual = _colouring_spec(n, r, [n - 1 - dd for dd in reversed(spec.thresholds)])
-    dual_examined, dual_masks, dual_capped, dual_per_d = _scan_threshold(
-        dual, cap, n_cap, [], colouring=True
-    )
-    ok = dual_examined == examined
-    dual_viols = sorted(
-        encode_graph6(Graph.from_edge_mask(n, m).complement()) for m in dual_masks
-    )
-    ok = ok and dual_viols == sorted(violations)
-    half = comb(n, 2)
-    for dd, row in per_d.items():
-        drow = dual_per_d[n - 1 - dd]
-        if not (row["found"] and drow["found"]):
-            ok = False
-            continue
-        comp = decode_graph6(row["graph6"]).complement()
-        ok = (
-            ok
-            and row["edges"] + drow["edges"] == half
-            and max(comp.degrees()) <= n - 1 - dd
-            and comp.edge_count == drow["edges"]
-            and not equitable_colouring(comp, n // r, cap).decision
-        )
-    return ok, dual_capped
+    return examined, sorted({masks[i] for i in bad}), aborted, starved
 
 
 def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int | None,
@@ -540,29 +504,44 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
     cap = resolve_node_cap(node_cap)
     t0 = perf_counter()
     problems: list[str] = []
+    mismatches = [] if spec.dual else None
     per_d = extremal = None
     starved = False
+    name = "d" if task.r is None else "D"
     if task.mode == "exhaustive":
-        examined, masks, capped, per_d = _scan_threshold(spec, cap, n_cap, problems)
-        ok = all(row["found"] and row["edges"] == row["threshold"] for row in per_d.values())
+        examined, masks, capped, per_d = _scan_threshold(spec, cap, n_cap, problems, mismatches)
         extremal = _pick_boundary(per_d, prefer_larger=not spec.complement)
     else:
         if task.d is None or task.seed is None or task.samples is None or task.samples < 1:
-            name = "d" if task.r is None else "D"
             raise ParameterRangeError(f"sampled mode needs {name}, seed and samples >= 1")
-        examined, masks, capped, starved, ok = _sample_threshold(
-            spec, task.seed, task.samples, cap, problems
+        examined, masks, capped, starved = _sample_threshold(
+            spec, task.seed, task.samples, cap, problems, mismatches
         )
     violations = tuple(_witness(spec.n, m) for m in masks)
     _recheck(violations, lambda g: spec.refuted_by(g, cap), problems)
-    if spec.dual and per_d is not None:
-        dual_ok, dual_capped = _dual_agrees(spec, examined, violations, per_d, cap, n_cap)
-        ok, capped = ok and dual_ok, capped or dual_capped
+    if mismatches:
+        problems.append(
+            f"packing and colouring searches disagree on {len(mismatches)} of the decided "
+            f"graphs; the first is {encode_graph6(Graph._from_masks(mismatches[0]))}"
+        )
+    for dd, row in (per_d or {}).items():
+        # a node-cap abort or a violation already explains a missed closed form
+        if row["edges"] != row["threshold"] and not (capped or violations):
+            found = f"{row['edges']} edges" if row["found"] else "none"
+            problems.append(f"{name}={dd}: extremal {found}, threshold {row['threshold']}")
+        if row["found"] and spec.dual:
+            # the duality: the complement of a non-packable extremal has max
+            # degree <= n-1-D and no equitable (n/r)-colouring
+            comp = decode_graph6(row["graph6"]).complement()
+            if max(comp.degrees()) > spec.n - 1 - dd or equitable_colouring(
+                comp, spec.n // spec.r, cap
+            ).decision:
+                problems.append(f"{name}={dd}: extremal {row['graph6']} failed the duality")
     if capped:
         problems.append(f"node cap of {cap} reached")
     return VerificationReport(
         task, examined, violations, extremal,
-        _status(capped or starved, ok and not violations and not problems),
+        _status(capped or starved, not violations and not problems),
         _elapsed_ms(t0, timing), per_d, problems=tuple(problems),
     )
 
@@ -617,11 +596,6 @@ def verify_matching_threshold(
     return _verify_threshold(spec, task, node_cap, n_cap, timing)
 
 
-def _colouring_spec(n: int, r: int, armed) -> ThresholdSpec:
-    """The equitable-colouring check at the max-degree caps ``armed``."""
-    return ThresholdSpec("t1", n, r, True, {dd: colouring_threshold(n, r, dd).value for dd in armed})
-
-
 def verify_t1_threshold(
     n: int,
     r: int,
@@ -646,7 +620,10 @@ def verify_t1_threshold(
     """
     if r < 3 or n % r or n < 2 * r:
         raise ParameterRangeError("need r >= 3 and r | n with n >= 2r")
-    spec = _colouring_spec(n, r, _armed(big_d, n // r, n - r, "need n/r <= D <= n - r"))
+    armed = _armed(big_d, n // r, n - r, "need n/r <= D <= n - r")
+    spec = ThresholdSpec(
+        "t1", n, r, True, {dd: colouring_threshold(n, r, dd).value for dd in armed}
+    )
     task = _task(spec.predicate, n, mode, r=r, d=big_d, seed=seed, samples=samples)
     return _verify_threshold(spec, task, node_cap, n_cap, timing)
 
@@ -667,11 +644,12 @@ def verify_mainthm1_threshold(
 
     Exhaustive mode scans min-degree families directly (for each floor D in
     r-1..n-1-n/r: maximum edge count among non-packable graphs with min degree
-    >= D must equal the packing threshold) and additionally cross-checks the
-    whole run against the colouring-side scan at the complementary degree
-    parameter: examined counts match, violation sets are complement images,
-    per-D extremal edge counts are complementary, and the complement of each
-    recorded extremal is itself a colouring-side boundary witness.
+    >= D must equal the packing threshold); sampled mode draws uniformly from
+    {min degree >= D, edges > threshold} and re-decides packability.  Both
+    cross-check the duality graph by graph: every decided graph's complement
+    is also searched for an equitable (n/r)-colouring, which must exist
+    exactly when the graph packs, and the complement of each recorded
+    extremal must have max degree <= n-1-D and no such colouring.
     ``workers`` is accepted for compatibility and has no effect.
     """
     if r < 3 or n % r or n < 2 * r:

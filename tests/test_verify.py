@@ -455,14 +455,102 @@ def test_node_cap_abort_gives_reason(name):
     assert rep.problems == ("node cap of 8 reached",)
 
 
+def _first_capped_masks(n, r, floor, cap):
+    """The first graph in mask order with min degree >= ``floor`` on which
+    the packing search reaches ``cap``, and the first whose complement the
+    equitable (n/r)-colouring search cannot decide within it; None where no
+    graph does."""
+    first = [None, None]
+    for mask in range(1 << comb(n, 2)):
+        g = Graph.from_edge_mask(n, mask)
+        if min(g.degrees()) < floor:
+            continue
+        searches = (
+            lambda: K._pack_decide(g.adjacency_array().tolist(), n, r, cap),
+            lambda: K._colour_decide(g.complement().adjacency_array().tolist(), n, n // r, cap),
+        )
+        for i, search in enumerate(searches):
+            if first[i] is None and search()[0] == -1:
+                first[i] = mask
+    return tuple(first)
+
+
 def test_exhaustive_duality_cap_aborts_on_colouring_nodes():
-    """The duality run's colouring search can need more nodes than the
-    packing scan (at most 25 against 15 over all 6-vertex graphs): with a cap
-    between the two the scan finishes and the cross-check aborts the run."""
+    """The duality check's colouring search can need more nodes than the
+    packing search (at most 25 against 15 over all 6-vertex graphs).  The run
+    stops at the first graph on which either search reaches the cap: at a
+    cap of 20 the colouring search's, at 8 the graph where both first do."""
+    assert _first_capped_masks(6, 3, 2, 20) == (None, 7167)
     rep = verify_mainthm1_threshold(6, 3, node_cap=20)
-    assert (rep.status, rep.examined) == ("aborted", 1 << 15)
+    assert (rep.status, rep.examined) == ("aborted", 7168)
     assert rep.problems == ("node cap of 20 reached",)
+    assert _first_capped_masks(6, 3, 2, 8) == (3295, 3295)
+    assert ABORTED_RUNS["mainthm1(6,3)"](node_cap=8).examined == 3296
+    assert _aborted_digest("mainthm1(6,3)") == ABORTED_REPORTS["mainthm1(6,3)"]
     assert verify_mainthm1_threshold(6, 3, node_cap=25).status == "pass"
+
+
+def test_mainthm1_names_disagreeing_graph(monkeypatch):
+    """A packing decider that calls one non-packable 8-edge graph packable
+    (mask 3294; the threshold is 12) moves no total, so only the row-by-row
+    cross-check catches it.  A flipped colouring status in a sampled run
+    is caught the same way, and so is an extremal whose complement the
+    colouring solver colours."""
+    g6 = V._witness(6, 3294)
+    target = Graph.from_edge_mask(6, 3294).adjacency_array()
+    packable = K.packable_rows
+
+    def flipped(adjs, n, r):
+        out = packable(adjs, n, r)
+        return out ^ (adjs == target).all(axis=1)
+
+    monkeypatch.setattr(K, "packable_rows", flipped)
+    rep = verify_mainthm1_threshold(6, 3)
+    assert rep.status == "fail" and not rep.violations
+    assert rep.problems == (
+        f"packing and colouring searches disagree on 1 of the decided graphs; the first is {g6}",
+    )
+    monkeypatch.setattr(K, "packable_rows", packable)
+
+    colour = K.colour_rows
+    calls = []
+
+    def flip_first(adjs, *args):
+        status, nodes = colour(adjs, *args)
+        if not calls:
+            status[0] = 1 - status[0]
+        calls.append(len(adjs))
+        return status, nodes
+
+    monkeypatch.setattr(K, "colour_rows", flip_first)
+    rep = GOLDEN_RUNS["mainthm1(12,3,D=4)"]()
+    assert rep.status == "fail" and calls
+    assert [p.split(";")[0] for p in rep.problems] == [
+        "packing and colouring searches disagree on 1 of the decided graphs"
+    ]
+    monkeypatch.setattr(K, "colour_rows", colour)
+
+    class Yes:
+        decision = True
+
+    # a colouring solver that colours each extremal's complement
+    monkeypatch.setattr(V, "equitable_colouring", lambda *args, **kwargs: Yes())
+    rep = verify_mainthm1_threshold(6, 3)
+    assert rep.status == "fail"
+    assert rep.problems == tuple(
+        f"D={dd}: extremal {rep.per_d[dd]['graph6']} failed the duality" for dd in (2, 3)
+    )
+
+
+def test_missed_closed_form_is_named():
+    """An exhaustive extremum below its threshold leaves no violation; the
+    report says which parameter missed and by how much."""
+    true = V.matching_threshold(6, 1).value
+    spec = V.ThresholdSpec("matching", 6, 2, False, {1: true + 1})
+    task = V.EnumerationTask("matching", 6, "exhaustive")
+    rep = V._verify_threshold(spec, task, None, V.EXHAUSTIVE_DEFAULT_CAP, False)
+    assert (rep.status, rep.violations) == ("fail", ())
+    assert rep.problems == (f"d=1: extremal {true} edges, threshold {true + 1}",)
 
 
 def test_sampled_duality_cap_aborts_with_report():
