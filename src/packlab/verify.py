@@ -2,15 +2,15 @@
 graphs, uniform sampling from filtered families, construction audits, and
 counterexample searches for the degree-condition conjectures.
 
-Scans and samplers run in blocks of edge words: ``_decide_block``
-expands one block, filters it by degrees and decides it exactly, and
-``_run_blocks`` merges the blocks in order, buffers the first violations
-and stops at the first graph that hits the node cap.  Scans decide
-the ``C(n,2)``-bit edge masks; samplers the words of the explicitly seeded
-``splitmix64`` generator, or the graphs they accepted from it; all
-randomness flows from that seed.  Reports serialize to a stable canonical
-JSON schema with ``elapsed_ms`` zeroed unless timing is requested, so
-repeated runs are byte-identical.
+Scans and samplers share one loop, ``_search``: it takes blocks of rows of
+edge words, expands them, filters them by degrees, decides them exactly,
+buffers the first violations, keeps the per-floor extremum and stops at
+the first graph that hits the node cap.  The modes differ only in where
+the rows come from: scans give each ``C(n,2)``-bit edge mask as one word;
+samplers give the words of the explicitly seeded ``splitmix64`` generator,
+or the graphs they accepted from it; all randomness flows from that seed.
+Reports serialize to a stable canonical JSON schema with ``elapsed_ms``
+zeroed unless timing is requested, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -179,48 +179,6 @@ def _check_exhaustive(n: int, n_cap: int) -> None:
         )
 
 
-def _run_blocks(size: int, decide, problems: list[str]):
-    """``decide(start, stop)`` over range(size) in ranges of
-    ``SAMPLE_BATCH``.  Each part is (examined, kept, violations, aborted,
-    *extras); the parts are merged in order up to and including the first
-    that hit the node cap.  Returns (examined, kept, the first
-    ``VIOLATION_BUFFER`` violations, aborted, the merged parts' extras);
-    past the buffer the count is recorded in ``problems``."""
-    examined = kept = nviol = 0
-    stored: list = []
-    extras: list = []
-    aborted = False
-    for start in range(0, size, SAMPLE_BATCH):
-        part_examined, part_kept, bad, aborted, *extra = decide(
-            start, min(start + SAMPLE_BATCH, size)
-        )
-        examined += part_examined
-        kept += part_kept
-        nviol += len(bad)
-        stored += bad[: VIOLATION_BUFFER - len(stored)].tolist()
-        extras += extra
-        if aborted:
-            break
-    if nviol > len(stored):
-        problems.append(f"{nviol} violations found; the report keeps the first {len(stored)}")
-    return examined, kept, stored, aborted, extras
-
-
-def _merge_extrema(parts, width: int):
-    """Merge per-d (found, max edges, mask) triples in mask order; strict
-    comparison keeps the earliest (lowest-mask) attaining graph on ties."""
-    found = [False] * width
-    value = [0] * width
-    mask = [0] * width
-    for pf, pv, pm in parts:
-        for dd in range(width):
-            if pf[dd] and (not found[dd] or pv[dd] > value[dd]):
-                found[dd] = True
-                value[dd] = int(pv[dd])
-                mask[dd] = int(pm[dd])
-    return found, value, mask
-
-
 def _witness(n: int, mask: int) -> str:
     return encode_graph6(Graph.from_edge_mask(n, mask))
 
@@ -340,38 +298,85 @@ def _decide_rows(adjs: np.ndarray, n: int, r: int, node_cap: int):
     return np.array(out[:done], np.int64) == 1, done < len(adjs)
 
 
-def _decide_block(n: int, r: int, rows, cap: int, keep, visit, complement: bool = False,
-                  mismatches: list | None = None):
-    """One block of every scan and sampler.  ``rows`` holds edge words as
-    ``K.words_to_adj`` takes them; the rows are expanded, complemented when
-    asked, and those whose degrees ``keep`` accepts are decided with
-    ``_decide_rows``.  With a ``mismatches`` list (r | n) the same rows'
-    complements are also equitably (n/r)-coloured across the block
-    (``K.colour_rows``), and the neighbour masks of every row where the two
-    answers disagree are appended to it.  ``visit(rows, degrees,
-    decisions)`` gets the decided rows in order and returns their violations
-    (rows, or sample indices).  Returns (examined, kept, violations,
-    aborted): the block stops at the first row on which either search hits
-    the node cap, and both counts include that row, which ``visit`` never
-    sees and whose answers are not compared."""
-    adjs = K.words_to_adj(rows, n)
-    if complement:
-        adjs = _complement_rows(n, adjs)
-    degs = np.bitwise_count(adjs)
-    hits = np.flatnonzero(keep(degs))
-    decisions, aborted = _decide_rows(adjs[hits], n, r, cap)
-    if mismatches is not None:
-        colours = K.colour_rows(_complement_rows(n, adjs[hits]), n, n // r, cap)[0]
-        # up to the first row on which either search hit the cap
-        decisions = decisions[: (colours.tolist()[: len(decisions)] + [-1]).index(-1)]
-        aborted = len(decisions) < len(hits)
-        disagree = hits[: len(decisions)][(colours[: len(decisions)] == 1) != decisions]
-        mismatches += adjs[disagree].tolist()
-    done = hits[: len(decisions)]
-    bad = visit(rows[done], degs[done], decisions)
-    if aborted:
-        return int(hits[len(decisions)]) + 1, len(decisions) + 1, bad, True
-    return len(rows), len(hits), bad, False
+def _mask_rows(start: int, stop: int) -> np.ndarray:
+    """Exhaustive mode's rows: each edge mask as its one edge word."""
+    return np.arange(start, stop, dtype=np.int64)[:, None]
+
+
+def _row_mask(n: int, row: list[int]) -> int:
+    """The edge mask of one row of edge words, without the stream bits past
+    the last edge slot."""
+    return sum(x << (64 * w) for w, x in enumerate(row)) & ((1 << comb(n, 2)) - 1)
+
+
+def _search(n: int, r: int, size: int, rows, keep, cap: int, problems: list[str],
+            complement: bool = False, mismatches: list | None = None, bounds=None):
+    """Every scan and sampler: graphs 0..size-1 in blocks of ``SAMPLE_BATCH``.
+
+    ``rows(start, stop)`` gives a block's edge words as ``K.words_to_adj``
+    takes them.  The rows are expanded, complemented when asked, and those
+    whose degrees ``keep`` accepts are decided with ``_decide_rows``.  With a
+    ``mismatches`` list (r | n) the same rows' complements are also
+    equitably (n/r)-coloured (``K.colour_rows``), and the neighbour masks of
+    every row where the two answers disagree are appended to it.
+
+    ``bounds`` maps degree floors to edge bounds: a decided graph that does
+    not pack violates them when its edge count exceeds the lowest bound over
+    the floors up to its min degree.  Without ``bounds`` every such graph is
+    a violation.  Returns (examined, kept, violation masks without repeats
+    and ascending, aborted, extremum), where ``extremum[f]`` is (edges, mask)
+    of the first graph that does not pack with the most edges among those
+    with min degree >= f, or None.  The run stops at the first row on which
+    either search hits the node cap: both counts include that row, which is
+    neither a violation nor an extremum.  The first ``VIOLATION_BUFFER``
+    violations are kept; past them the count is recorded in ``problems``."""
+    bounds = {0: -1} if bounds is None else bounds
+    # the lowest bound over the floors up to each min degree (no graph has
+    # more than C(n,2) edges)
+    floor_bound = np.array(list(accumulate((bounds.get(f, comb(n, 2)) for f in range(n)), min)))
+    floors = np.arange(max(bounds) + 1)
+    best: list = [None] * len(floors)  # (edges, row) per floor
+    examined = kept = nviol = 0
+    stored: list = []
+    aborted = False
+    for start in range(0, size, SAMPLE_BATCH):
+        block = rows(start, min(start + SAMPLE_BATCH, size))
+        adjs = K.words_to_adj(block, n)
+        if complement:
+            adjs = _complement_rows(n, adjs)
+        degs = np.bitwise_count(adjs)
+        hits = np.flatnonzero(keep(degs))
+        decisions, aborted = _decide_rows(adjs[hits], n, r, cap)
+        if mismatches is not None:
+            colours = K.colour_rows(_complement_rows(n, adjs[hits]), n, n // r, cap)[0]
+            # up to the first row on which either search hit the cap
+            decisions = decisions[: (colours.tolist()[: len(decisions)] + [-1]).index(-1)]
+            aborted = len(decisions) < len(hits)
+            disagree = hits[: len(decisions)][(colours[: len(decisions)] == 1) != decisions]
+            mismatches += adjs[disagree].tolist()
+        done = hits[: len(decisions)]
+        e = degs[done].sum(axis=1, dtype=np.int64) // 2
+        mindeg = degs[done].min(axis=1)
+        if len(done):
+            # member[b, f]: row b does not pack and has min degree >= f
+            member = ~decisions[:, None] & (mindeg[:, None] >= floors)
+            top = np.where(member, e[:, None], -1).argmax(axis=0)  # first max: earliest row
+            for f, i in enumerate(top.tolist()):
+                if member[i, f] and (best[f] is None or e[i] > best[f][0]):
+                    best[f] = (int(e[i]), block[done[i]].tolist())
+        bad = block[done[~decisions & (e > floor_bound[mindeg])]]
+        nviol += len(bad)
+        stored += bad[: VIOLATION_BUFFER - len(stored)].tolist()
+        if aborted:
+            examined += int(hits[len(decisions)]) + 1
+            kept += len(decisions) + 1
+            break
+        examined += len(block)
+        kept += len(hits)
+    if nviol > len(stored):
+        problems.append(f"{nviol} violations found; the report keeps the first {len(stored)}")
+    extremum = [b and (b[0], _row_mask(n, b[1])) for b in best]
+    return examined, kept, sorted({_row_mask(n, row) for row in stored}), aborted, extremum
 
 
 # ---------------------------------------------------------------------------
@@ -418,89 +423,13 @@ class ThresholdSpec:
         return beyond and not perfect_kr_packing(g, self.r, cap).decision
 
 
-def _scan_threshold(spec: ThresholdSpec, cap: int, n_cap: int, problems, mismatches):
-    """All 2^C(n,2) graphs through the block pipeline; returns (examined,
-    violation masks, aborted, per-D table).  With a ``mismatches`` list
-    (``dual``) every decided graph is cross-checked as ``_decide_block``
-    describes, and the scan stops at the first graph in mask order on which
-    the packing or the colouring search hits the node cap."""
-    n = spec.n
-    _check_exhaustive(n, n_cap)
-    bounds = spec.packing_bounds()
-    d_lo, d_hi = min(bounds), max(bounds)
-    slots = comb(n, 2)
-    # a blocked graph with min degree m violates the lowest bound over d_lo..m
-    # (no graph has more than C(n,2) edges)
-    floor_bound = np.array(list(accumulate((bounds.get(dd, slots) for dd in range(n)), min)))
-
-    def decide(start, stop):
-        extremum = []  # (found, max edges, mask) per degree floor, once a row is decided
-
-        def visit(masks, degs, decisions):
-            e = degs.sum(axis=1, dtype=np.int64) // 2
-            mindeg = degs.min(axis=1)
-            if len(masks):
-                # member[b, D]: row b is not packable and has min degree >= D
-                member = ~decisions[:, None] & (mindeg[:, None] >= np.arange(d_hi + 1))
-                top = np.where(member, e[:, None], -1).argmax(axis=0)  # first max: lowest mask
-                extremum.append((member.any(axis=0), e[top], masks[top]))
-            return masks[~decisions & (e > floor_bound[mindeg])]
-
-        return _decide_block(
-            n, spec.r, np.arange(start, stop, dtype=np.int64), cap,
-            lambda degs: degs.min(axis=1) >= d_lo, visit, spec.complement, mismatches,
-        ) + tuple(extremum)
-
-    examined, _, masks, aborted, extrema = _run_blocks(1 << slots, decide, problems)
-    found, value, mask = _merge_extrema(extrema, d_hi + 1)
-    per_d = {}
-    for dd, threshold in spec.thresholds.items():
-        k = n - 1 - dd if spec.complement else dd
-        per_d[dd] = {
-            "found": found[k],
-            "edges": (slots - value[k] if spec.complement else value[k]) if found[k] else None,
-            "graph6": _witness(n, mask[k]) if found[k] else None,
-            "mask": mask[k] if found[k] else None,
-            "threshold": threshold,
-        }
-    return examined, masks, aborted, per_d
-
-
-def _sample_threshold(spec: ThresholdSpec, seed: int, samples: int, cap: int, problems,
-                      mismatches):
-    """Uniform samples from the single armed family past its threshold,
-    decided by ``_run_blocks``; returns (examined, violation masks, aborted
-    on the node cap, starved).  With a ``mismatches`` list (``dual``) every
-    sample is cross-checked as ``_decide_block`` describes, and the run
-    stops at the first sample on which either search hits the node cap."""
-    n = spec.n
-    ((dd, threshold),) = spec.thresholds.items()
-    if spec.complement:
-        window, keep = (0, threshold - 1), lambda degs: max(degs, default=0) <= dd
-    else:
-        window, keep = (threshold + 1, comb(n, 2)), lambda degs: min(degs) >= dd
-    masks, proposals, starved = _sample_filtered_window(
-        n, SplitMix64(seed), samples, *window, keep
-    )
-    if starved:
-        problems.append(
-            f"sampler starved: {len(masks)} of {samples} samples after {proposals} proposals"
-        )
-    examined, _, bad, aborted, _ = _run_blocks(
-        len(masks),
-        lambda s, e: _decide_block(  # violations as sample indices
-            n, spec.r, _word_rows(n, masks[s:e]), cap, lambda degs: np.ones(len(degs), bool),
-            lambda rows, degs, decisions: s + np.flatnonzero(~decisions),
-            spec.complement, mismatches,
-        ),
-        problems,
-    )
-    return examined, sorted({masks[i] for i in bad}), aborted, starved
-
-
 def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int | None,
                       n_cap: int, timing: bool) -> VerificationReport:
-    """Run ``spec`` in ``task.mode`` and build its report."""
+    """Run ``spec`` in ``task.mode`` and build its report.  Exhaustive mode
+    searches all 2^C(n,2) graphs; sampled mode uniform samples from the
+    single armed family past its threshold.  With ``dual`` every decided
+    graph is cross-checked as ``_search`` describes."""
+    n = spec.n
     cap = resolve_node_cap(node_cap)
     t0 = perf_counter()
     problems: list[str] = []
@@ -509,15 +438,42 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
     starved = False
     name = "d" if task.r is None else "D"
     if task.mode == "exhaustive":
-        examined, masks, capped, per_d = _scan_threshold(spec, cap, n_cap, problems, mismatches)
-        extremal = _pick_boundary(per_d, prefer_larger=not spec.complement)
+        _check_exhaustive(n, n_cap)
+        size, rows = 1 << comb(n, 2), _mask_rows
     else:
         if task.d is None or task.seed is None or task.samples is None or task.samples < 1:
             raise ParameterRangeError(f"sampled mode needs {name}, seed and samples >= 1")
-        examined, masks, capped, starved = _sample_threshold(
-            spec, task.seed, task.samples, cap, problems, mismatches
+        ((dd, threshold),) = spec.thresholds.items()
+        if spec.complement:
+            window, fits = (0, threshold - 1), lambda degs: max(degs, default=0) <= dd
+        else:
+            window, fits = (threshold + 1, comb(n, 2)), lambda degs: min(degs) >= dd
+        drawn, proposals, starved = _sample_filtered_window(
+            n, SplitMix64(task.seed), task.samples, *window, fits
         )
-    violations = tuple(_witness(spec.n, m) for m in masks)
+        if starved:
+            problems.append(f"sampler starved: {len(drawn)} of {task.samples} samples "
+                            f"after {proposals} proposals")
+        size, rows = len(drawn), lambda s, e: _word_rows(n, drawn[s:e])
+    bounds = spec.packing_bounds()
+    d_lo = min(bounds)
+    examined, _, masks, capped, extremum = _search(
+        n, spec.r, size, rows, lambda degs: degs.min(axis=1) >= d_lo, cap, problems,
+        spec.complement, mismatches, bounds,
+    )
+    if task.mode == "exhaustive":
+        per_d = {}
+        for dd, threshold in spec.thresholds.items():
+            best = extremum[n - 1 - dd if spec.complement else dd]
+            per_d[dd] = {
+                "found": best is not None,
+                "edges": best and (comb(n, 2) - best[0] if spec.complement else best[0]),
+                "graph6": best and _witness(n, best[1]),
+                "mask": best and best[1],
+                "threshold": threshold,
+            }
+        extremal = _pick_boundary(per_d, prefer_larger=not spec.complement)
+    violations = tuple(_witness(n, m) for m in masks)
     _recheck(violations, lambda g: spec.refuted_by(g, cap), problems)
     if mismatches:
         problems.append(
@@ -531,10 +487,12 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
             problems.append(f"{name}={dd}: extremal {found}, threshold {row['threshold']}")
         if row["found"] and spec.dual:
             # the duality: the complement of a non-packable extremal has max
-            # degree <= n-1-D and no equitable (n/r)-colouring
+            # degree <= n-1-D and no equitable (n/r)-colouring.  The colouring
+            # search cannot hit the cap here: ``K.colour_rows`` already ran it
+            # on this complement within the cap, with the same node counts.
             comp = decode_graph6(row["graph6"]).complement()
-            if max(comp.degrees()) > spec.n - 1 - dd or equitable_colouring(
-                comp, spec.n // spec.r, cap
+            if max(comp.degrees()) > n - 1 - dd or equitable_colouring(
+                comp, n // spec.r, cap, method="direct"
             ).decision:
                 problems.append(f"{name}={dd}: extremal {row['graph6']} failed the duality")
     if capped:
@@ -711,34 +669,6 @@ def _degree_clauses(predicate: str, n: int, r: int = 0) -> tuple:
     return tuple((i - 1, (r - 2) * q + i, n - i * (r - 1), n - i) for i in range(1, q + 1))
 
 
-def _scan_condition(n: int, r: int, clauses, cap: int, n_cap: int, problems):
-    """All 2^C(n,2) graphs through the block driver, deciding those that
-    meet the clause table (r = 0 decides Hamilton paths); returns (examined,
-    condition-true count, violation masks, aborted)."""
-    _check_exhaustive(n, n_cap)
-    return _run_blocks(1 << comb(n, 2), lambda s, e: _decide_block(
-        n, r, np.arange(s, e, dtype=np.int64), cap, lambda degs: _condition_rows(degs, clauses),
-        lambda masks, degs, decisions: masks[~decisions],
-    ), problems)[:4]
-
-
-def _sample_condition(n: int, r: int, clauses, seed: int, samples: int, cap: int, problems):
-    """``samples`` uniform graphs, 64 raw stream bits per edge word, through
-    the block driver as in ``_scan_condition``; returns (examined,
-    condition-true count, violation masks, aborted), the masks without
-    repeats and ascending."""
-    e_total = comb(n, 2)
-    nwords = (e_total + 63) // 64
-    rng = SplitMix64(seed)
-    examined, kept, rows, aborted, _ = _run_blocks(samples, lambda s, e: _decide_block(
-        n, r, rng.words((e - s) * nwords).reshape(-1, nwords), cap,
-        lambda degs: _condition_rows(degs, clauses), lambda rows, degs, decisions: rows[~decisions],
-    ), problems)
-    full = (1 << e_total) - 1  # drops the stream bits past the edge slots
-    masks = {sum(x << (64 * w) for w, x in enumerate(row)) & full for row in rows}
-    return examined, kept, sorted(masks), aborted
-
-
 def _condition_search(
     predicate: str,
     n: int,
@@ -761,15 +691,18 @@ def _condition_search(
     problems: list[str] = []
     clauses = _degree_clauses(predicate, n, r)
     if mode == "exhaustive":
-        examined, cond_true, viol_masks, aborted = _scan_condition(
-            n, r, clauses, cap, n_cap, problems
-        )
+        _check_exhaustive(n, n_cap)
+        size, rows = 1 << comb(n, 2), _mask_rows
     else:
         if seed is None or samples is None or samples < 1:
             raise ParameterRangeError("sampled mode needs seed and samples >= 1")
-        examined, cond_true, viol_masks, aborted = _sample_condition(
-            n, r, clauses, seed, samples, cap, problems
-        )
+        # uniform graphs: 64 raw stream bits per edge word
+        nwords = (comb(n, 2) + 63) // 64
+        rng = SplitMix64(seed)
+        size, rows = samples, lambda s, e: rng.words((e - s) * nwords).reshape(-1, nwords)
+    examined, cond_true, viol_masks, aborted, _ = _search(
+        n, r, size, rows, lambda degs: _condition_rows(degs, clauses), cap, problems
+    )
     if aborted:
         problems.append(f"node cap of {cap} reached")
     violations = tuple(_witness(n, m) for m in viol_masks)
@@ -853,9 +786,12 @@ def sweep_hampath_condition(
     ``workers`` is accepted for compatibility and has no effect."""
     if n < 2:
         raise ParameterRangeError("need n >= 2")
+    _check_exhaustive(n, n_cap)
+    clauses = _degree_clauses("hampath", n)
     problems: list[str] = []
-    examined, cond_true, masks, _ = _scan_condition(  # r = 0 needs no node cap
-        n, 0, _degree_clauses("hampath", n), 1, n_cap, problems
+    examined, cond_true, masks, _, _ = _search(  # r = 0 needs no node cap
+        n, 0, 1 << comb(n, 2), _mask_rows, lambda degs: _condition_rows(degs, clauses), 1,
+        problems,
     )
     witnesses = tuple(_witness(n, m) for m in masks)
     _recheck(

@@ -20,6 +20,7 @@ from packlab import (
 )
 from packlab import verify as V
 from packlab.solvers import DEFAULT_NODE_CAP
+from packlab.thresholds import colouring_threshold, packing_threshold
 from packlab.verify import _degree_clauses
 from oracles import (
     has_clique_brute,
@@ -276,14 +277,17 @@ def test_small_cap_takes_backtracking_path(monkeypatch):
 
 
 def test_scan_pack_threshold_complement_matches_brute():
-    """``_scan_threshold`` on the colouring side, over every labelled
-    6-vertex graph: each mask is decided through its complement, and
-    extrema, tie masks and violations are keyed by the enumerated mask."""
+    """``_search`` on the colouring side, over every labelled 6-vertex
+    graph: each mask is decided through its complement, and extrema, tie
+    masks and violations are keyed by the enumerated mask."""
     n, r = 6, 3
     # one edge above the true threshold (3), so the 3-edge blockers violate
-    spec = V.ThresholdSpec("t1", n, r, True, {2: 4, 3: 4})
+    bounds = V.ThresholdSpec("t1", n, r, True, {2: 4, 3: 4}).packing_bounds()
     problems = []
-    examined, viol, aborted, per_d = V._scan_threshold(spec, 10**7, 7, problems, None)
+    examined, _, viol, aborted, extremum = V._search(
+        n, r, 1 << 15, V._mask_rows, lambda degs: degs.min(axis=1) >= min(bounds), 10**7,
+        problems, True, None, bounds,
+    )
     want = {dd: None for dd in (2, 3)}
     want_viol = []
     for mask in range(1 << 15):
@@ -299,7 +303,8 @@ def test_scan_pack_threshold_complement_matches_brute():
     assert (examined, aborted, problems) == (1 << 15, False, [])
     assert viol == want_viol and viol
     for dd, best in want.items():
-        assert (per_d[dd]["edges"], per_d[dd]["mask"]) == best
+        edges, mask = extremum[n - 1 - dd]  # the complement's edge count
+        assert (15 - edges, mask) == best
 
 
 # The independent predicate behind each clause table; "none" is the empty
@@ -320,15 +325,17 @@ CONDITION_CASES = (
 
 @pytest.mark.parametrize("predicate, n, r", CONDITION_CASES)
 def test_scan_degree_condition_matches_references(predicate, n, r, monkeypatch):
-    """Every labelled n-vertex graph: the clause-table scan
-    (``_scan_condition``) counts the graphs the reference predicate accepts
-    and flags exactly those among them that the brute-force oracle rejects,
-    in mask order."""
+    """Every labelled n-vertex graph: the clause-table search (``_search``
+    without bounds) counts the graphs the reference predicate accepts and
+    flags exactly those among them that the brute-force oracle rejects, in
+    mask order."""
     clauses = () if predicate == "none" else _degree_clauses(predicate, n, r)
     total = 1 << (n * (n - 1) // 2)
     monkeypatch.setattr(V, "VIOLATION_BUFFER", total)
     problems = []
-    examined, cond_true, viol, aborted = V._scan_condition(n, r, clauses, 10**7, 11, problems)
+    examined, cond_true, viol, aborted, _ = V._search(
+        n, r, total, V._mask_rows, lambda degs: V._condition_rows(degs, clauses), 10**7, problems
+    )
     holds = CONDITION_REFERENCES[predicate]
     graphs = [(m, Graph.from_edge_mask(n, m)) for m in range(total)]
     meet = [(m, g) for m, g in graphs if holds(g, r)]
@@ -338,6 +345,53 @@ def test_scan_degree_condition_matches_references(predicate, n, r, monkeypatch):
         want = [m for m, g in meet if not has_perfect_packing_brute(g, r)]
     assert (examined, cond_true, aborted, problems) == (total, len(meet), False, [])
     assert viol == want
+
+
+def _junk_rows(start, stop, junk):
+    """Six-vertex edge masks start..stop-1 as the samplers' ``uint64`` rows,
+    with ``junk`` setting stream bits above the 15 edge slots."""
+    return (np.arange(start, stop, dtype=np.uint64) | junk[start:stop])[:, None]
+
+
+ROW_SOURCE_CASES = {
+    "t1(6,3)": dict(
+        r=3, complement=True,
+        bounds=V.ThresholdSpec(
+            "t1", 6, 3, True, {dd: colouring_threshold(6, 3, dd).value for dd in (2, 3)}
+        ).packing_bounds(),
+    ),
+    "mainthm1(6,3)": dict(
+        r=3, mismatches=True,
+        bounds={dd: packing_threshold(6, 3, dd).value for dd in (2, 3)},
+    ),
+    "empty table": dict(r=3),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_SOURCE_CASES))
+def test_row_sources_give_same_search(case, monkeypatch):
+    """Every 6-vertex mask through ``_search`` as exhaustive rows and as
+    sampler-shaped rows with junk past the last slot: the junk is dropped
+    on expansion and on read-back, so counts, violations and extrema agree."""
+    kw = ROW_SOURCE_CASES[case]
+    bounds = kw.get("bounds")
+    if bounds is None:  # the empty clause table: every non-packable graph violates
+        keep = lambda degs: V._condition_rows(degs, ())  # noqa: E731
+        monkeypatch.setattr(V, "VIOLATION_BUFFER", 1 << 15)
+    else:
+        keep = lambda degs: degs.min(axis=1) >= min(bounds)  # noqa: E731
+    junk = RNG.integers(0, 1 << 49, size=1 << 15, dtype=np.uint64) << np.uint64(15)
+    runs = []
+    for rows in (V._mask_rows, lambda s, e: _junk_rows(s, e, junk)):
+        problems, mismatches = [], [] if kw.get("mismatches") else None
+        out = V._search(6, kw["r"], 1 << 15, rows, keep, 10**7, problems,
+                        kw.get("complement", False), mismatches, bounds)
+        runs.append((out, problems, mismatches))
+    assert runs[0] == runs[1]
+    (examined, kept, viol, aborted, extremum), problems, mismatches = runs[0]
+    assert (examined, aborted, problems, mismatches or []) == (1 << 15, False, [], [])
+    assert any(extremum)
+    assert bool(viol) == (bounds is None)
 
 
 def test_words_to_adj_matches_graph():

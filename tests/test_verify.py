@@ -444,7 +444,11 @@ def test_block_size_does_not_change_sampled_aborted_report(monkeypatch):
     # with ``examined`` at the sample that aborts
     for batch in (7, 4096):
         monkeypatch.setattr(V, "SAMPLE_BATCH", batch)
-        examined, cond_true, viol, aborted = V._sample_condition(12, 3, (), 34, 5000, 100, [])
+        rng = SplitMix64(34)  # two 64-bit words per 66-slot row
+        examined, cond_true, viol, aborted, _ = V._search(
+            12, 3, 5000, lambda s, e: rng.words(2 * (e - s)).reshape(-1, 2),
+            lambda degs: V._condition_rows(degs, ()), 100, [],
+        )
         assert (examined, cond_true, len(viol), aborted) == (16, 16, 6, True)
 
 
@@ -540,6 +544,19 @@ def test_mainthm1_names_disagreeing_graph(monkeypatch):
     assert rep.problems == tuple(
         f"D={dd}: extremal {rep.per_d[dd]['graph6']} failed the duality" for dd in (2, 3)
     )
+
+
+def test_extremal_duality_runs_colouring_search(monkeypatch):
+    """The extremal's duality re-solve runs the direct colouring search, not
+    a packing of the complement's complement: a colouring search that
+    colours everything makes it fail, though ``K.colour_rows`` is honest."""
+    def colour_all(adj, n, k, cap):
+        return 1, 0, [v % k for v in range(n)]
+
+    monkeypatch.setattr(K, "_colour_decide", colour_all)
+    rep = verify_mainthm1_threshold(6, 3)
+    assert rep.status == "fail" and not rep.violations
+    assert rep.problems == tuple(f"D={dd}: extremal E~z_ failed the duality" for dd in (2, 3))
 
 
 def test_missed_closed_form_is_named():
