@@ -29,6 +29,16 @@ third, ``colour_rows``, runs the equitable-colouring search
 ``_colour_decide`` across the rows, with its node counts and aborts; the
 mainthm1 check runs it on the complements of the rows it packs, in the same
 block, as a second decider that must agree row by row.
+
+The two subset programmes are bit-sliced: a sub-block of rows is unpacked
+to edge bits (``_mask_bits``) and packed 64 graphs per ``uint64`` word
+(``_to_bits``), graph i of the sub-block as bit ``i % 64`` of word
+``i // 64``, so each table cell is one row of words and one numpy AND or
+OR decides 64 graphs.  The last word's padding bits never reach a result:
+``_from_bits`` unpacks only the sub-block's rows.  Sub-blocks are whole
+words, sized (``_sub_block_rows``) so that the unpacked mask bits and the
+widest programme table each stay at 256 KB, as the int64 and bool tables
+they replace did.
 """
 
 from __future__ import annotations
@@ -258,15 +268,53 @@ def words_to_adj(words, n):
     return adjs
 
 
+def _to_bits(mat):
+    """A (rows, ...) bool array as (..., words) ``uint64`` words: row i
+    becomes bit ``i % 64`` of word ``i // 64``, and the padding bits of the
+    last word are 0."""
+    padded = np.zeros(mat.shape[1:] + (-(-len(mat) // 64) * 64,), bool)
+    padded[..., : len(mat)] = np.moveaxis(mat, 0, -1)  # packing a contiguous axis is 4x faster
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+
+
+def _from_bits(words, rows):
+    """The first ``rows`` bits of one contiguous row of words, as a bool
+    array."""
+    return np.unpackbits(words.view(np.uint8), count=rows, bitorder="little").view(bool)
+
+
+def _mask_width(n):
+    """Bits per neighbour mask when unpacked: 8, 16, 32 or 64."""
+    return 8 << max(0, (n - 1).bit_length() - 3)
+
+
+def _mask_bits(adj, n):
+    """Rows of neighbour masks unpacked as a (rows, n, ``_mask_width(n)``)
+    bool array: ``[i, v, w]`` is set iff vw is an edge of graph i."""
+    width = _mask_width(n)
+    masks = np.ascontiguousarray(adj, f"<u{width // 8}").view(np.uint8)
+    return np.unpackbits(masks, axis=1, bitorder="little").view(bool).reshape(len(adj), n, width)
+
+
+def _sub_block_rows(n, row_bytes):
+    """Rows per sub-block: whole words, sized so that the unpacked mask bits
+    and a table of ``row_bytes`` bytes per row both stay at 256 KB, or one
+    word when a single word is larger."""
+    return max(64, (1 << 18) // max(n * _mask_width(n), row_bytes) // 64 * 64)
+
+
 def hampath_rows(adjs, n):
     """Hamilton-path existence for every row of ``adjs``, as a bool array.
 
-    The subset programme of ``_hampath_decide`` run across the rows: subsets
-    are taken layer by layer in order of popcount, and for each vertex w a
-    path ending next to w on subset m extends to m | w.  Plain numpy, in
-    sub-blocks of ``2^15 >> n`` rows so the (2^n, rows) table stays at
-    256 KB: 512 KB sub-blocks raised the peak memory of the n = 6 scans by
-    about 0.9 MB for no gain in speed there.
+    The subset programme of ``_hampath_decide`` run across the rows,
+    bit-sliced: graph i of a sub-block is bit ``i % 64`` of word ``i // 64``
+    of every table cell.  ``edge[v, w]`` holds the rows' vw edge bits, and
+    ``dp[m, v]`` has a row's bit set when some path over subset m ends at v.
+    Subsets are taken layer by layer in order of popcount; for each vertex
+    w, ``dp[m | w, w]`` is the OR over v of ``dp[m, v] & edge[v, w]``.
+    Plain numpy, in sub-blocks of whole words (``_sub_block_rows``) that
+    keep the (2^n, n, words) table and the unpacked mask bits at 256 KB;
+    from n = 12 one word's table is already larger.
     """
     subsets = np.arange(1 << n, dtype=np.int64)
     sizes = np.bitwise_count(subsets)
@@ -276,16 +324,17 @@ def hampath_rows(adjs, n):
         for layer in (subsets[sizes == k] for k in range(1, n))
     ]
     out = np.zeros(len(adjs), bool)
-    step = max(1, (1 << 15) >> n)
+    step = _sub_block_rows(n, n << n >> 3)
     for lo in range(0, len(adjs), step):
-        adj = adjs[lo : lo + step].T
-        dp = np.zeros((1 << n, adj.shape[1]), np.int64)  # one row per subset
+        rows = adjs[lo : lo + step]
+        edge = _to_bits(_mask_bits(rows, n)[:, :, :n])  # (n, n, words)
+        dp = np.zeros((1 << n, n, edge.shape[2]), np.uint64)
         for v in range(n):
-            dp[1 << v] = 1 << v
+            dp[1 << v, v] = ~np.uint64(0)
         for layer in layers:
             for w, src in layer:
-                dp[src | (1 << w)] |= ((dp[src] & adj[w]) != 0).astype(np.int64) << w
-        out[lo : lo + adj.shape[1]] = dp[-1] != 0
+                dp[src | (1 << w), w] = np.bitwise_or.reduce(dp[src] & edge[:, w], axis=1)
+        out[lo : lo + len(rows)] = _from_bits(np.bitwise_or.reduce(dp[-1], axis=0), len(rows))
     return out
 
 
@@ -338,26 +387,28 @@ def packable_rows(adjs, n, r):
     """Perfect r-clique packing existence for every row of ``adjs`` (r | n),
     as a bool array.
 
-    The subset programme of ``_pack_programme`` run across the rows, layer
-    by layer from the smallest sets: gathers of the block-clique and
-    good-set columns, then ``np.logical_or.reduceat`` over each set's
-    pairs.  Plain numpy, in sub-blocks of rows sized so that no temporary
-    (the int64 edge-bit test included) exceeds 256 KB.
+    The subset programme of ``_pack_programme`` run across the rows,
+    bit-sliced: graph i of a sub-block is bit ``i % 64`` of word ``i // 64``
+    of every table cell.  Each edge slot becomes one row of words,
+    ``clique[b]`` is the AND of block b's slot rows, and each layer, from
+    the smallest sets, ORs ``clique[block] & good[child]`` over each set's
+    pairs with ``np.bitwise_or.reduceat``.  Plain numpy, in sub-blocks of
+    whole words (``_sub_block_rows``) that keep the unpacked mask bits and
+    the widest (set, block) table at 256 KB.
     """
     tail, head, block_slots, layers = _pack_programme(n, r)
-    row_bytes = max([8 * len(tail), len(block_slots)] + [len(lay[0]) for lay in layers])
-    step = max(1, (1 << 18) // row_bytes)
+    step = _sub_block_rows(n, max([len(block_slots)] + [len(lay[0]) for lay in layers]) >> 3)
     out = np.zeros(len(adjs), bool)
     for lo in range(0, len(adjs), step):
-        adj = adjs[lo : lo + step]
-        edge = ((adj[:, tail] >> head) & 1).astype(bool)
-        clique = np.ones((len(adj), len(block_slots)), bool)
+        rows = adjs[lo : lo + step]
+        edge = _to_bits(_mask_bits(rows, n)[:, tail, head])  # (slots, words)
+        clique = np.full((len(block_slots), edge.shape[1]), ~np.uint64(0))
         for slots in block_slots.T:
-            clique &= edge[:, slots]
-        good = np.ones((len(adj), 1), bool)  # the empty set
+            clique &= edge[slots]
+        good = np.full((1, edge.shape[1]), ~np.uint64(0))  # the empty set
         for block, child, starts in layers:
-            good = np.logical_or.reduceat(clique[:, block] & good[:, child], starts, axis=1)
-        out[lo : lo + len(adj)] = good[:, 0]
+            good = np.bitwise_or.reduceat(clique[block] & good[child], starts, axis=0)
+        out[lo : lo + len(rows)] = _from_bits(good[0], len(rows))
     return out
 
 

@@ -336,7 +336,7 @@ def expected_degree_bands(token: str, **params: int) -> list[tuple[int, int]] | 
             if size:
                 bands[size - 1] = bands.get(size - 1, 0) + size
         bands[big_d] = bands.get(big_d, 0) + 1
-        return sorted((cnt, deg) for deg, cnt in bands.items())
+        return [(cnt, deg) for deg, cnt in sorted(bands.items())]
     if token == "af_i":
         n, r = params["n"], params["r"]
         q = n // r
@@ -348,7 +348,7 @@ def expected_degree_bands(token: str, **params: int) -> list[tuple[int, int]] | 
         bands[n - 2] = bands.get(n - 2, 0) + leaves + 2 * j
         if r - j - 2:
             bands[n - 1] = bands.get(n - 1, 0) + (r - j - 2)
-        return sorted((cnt, deg) for deg, cnt in bands.items())
+        return [(cnt, deg) for deg, cnt in sorted(bands.items())]
     if token == "extremal1":
         n, r, k = params["n"], params["r"], params["k"]
         q = n // r
@@ -372,5 +372,5 @@ def expected_degree_bands(token: str, **params: int) -> list[tuple[int, int]] | 
         for size in [q] * (r - 2) + [q - 1, q + 1]:
             if size:
                 bands[n - size] = bands.get(n - size, 0) + size
-        return sorted((cnt, deg) for deg, cnt in bands.items())
+        return [(cnt, deg) for deg, cnt in sorted(bands.items())]
     return None

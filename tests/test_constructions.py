@@ -28,6 +28,7 @@ from packlab import (
     square_hamilton_obstructions,
     t_star,
 )
+from packlab.verify import _audit_grid
 from oracles import has_perfect_matching_brute
 
 
@@ -202,6 +203,24 @@ def test_expected_edges_and_bands_agree_with_builders():
         if e is not None:
             assert g.edge_count == e
     assert expected_degree_bands("square_cx", n=69, C=1, K=5) is None
+
+
+def test_degree_bands_ascend_over_audit_grid():
+    """Every instance of the audit grid up to n = 30 whose bands are closed
+    form lists them in ascending degree order, and the bands flattened in
+    that order are the built graph's degree sequence."""
+    checked = 0
+    for token, params in _audit_grid(30):
+        bands = expected_degree_bands(token, **params)
+        if bands is None:
+            continue
+        degrees = [deg for _, deg in bands]
+        assert degrees == sorted(degrees), (token, params, bands)
+        flat = [deg for cnt, deg in bands for _ in range(cnt)]
+        assert flat == degree_sequence(FAMILIES[token].build(**params)), (token, params)
+        checked += 1
+    assert checked > 1000
+    assert expected_degree_bands("G2", n=12, r=3, D=6) == [(6, 1), (5, 4), (1, 6)]
 
 
 def test_family_registry_complete():

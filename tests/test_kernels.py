@@ -1,10 +1,13 @@
 """The search kernels against brute force, the block deciders against the
 searches they run across rows, and pins on the searches' node counts."""
 
+import functools
 import hashlib
+import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +443,103 @@ def test_hampath_rows_matches_scalar():
     adjs = np.array([_adj_for(n, mask) for mask in _random_masks(n, 32)])
     want = [K._hampath_decide(adj, n)[0] == 1 for adj in adjs.tolist()]
     assert K.hampath_rows(adjs, n).tolist() == want
+
+
+# Bit-slicing packs 64 graphs per word, so the last word of a block is
+# padded: blocks one short of, at and one past a word boundary, and empty.
+RAGGED_SIZES = (0, 1, 7, 63, 64, 65)
+
+
+def _drawn_block(draw, n, size):
+    """``size`` drawn n-vertex graphs as rows of neighbour masks; each edge
+    mask ORs one to three drawn masks, as in ``_drawn_graph``."""
+    dense = draw(strategies.integers(1, 3))
+    full = (1 << (n * (n - 1) // 2)) - 1
+    masks = draw(strategies.lists(
+        strategies.integers(0, full), min_size=size * dense, max_size=size * dense))
+    graphs = [Graph.from_edge_mask(n, functools.reduce(operator.or_, masks[i::size]))
+              for i in range(size)]
+    return np.array([g.adjacency_array() for g in graphs], np.int64).reshape(size, n)
+
+
+def _pack_want(adjs, n, r):
+    return [K._pack_decide(adj, n, r, 10**9)[0] == 1 for adj in adjs.tolist()]
+
+
+def _hampath_want(adjs, n):
+    return [K._hampath_decide(adj, n)[0] == 1 for adj in adjs.tolist()]
+
+
+_RAGGED = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("size", RAGGED_SIZES)
+@_RAGGED
+@given(data=strategies.data())
+def test_packable_rows_ragged_blocks(size, data):
+    """Drawn blocks on 7 <= n <= 12 vertices and their complements, at
+    every r | n, against the uncapped packing search row by row."""
+    n = data.draw(strategies.integers(7, 12))
+    adjs = _drawn_block(data.draw, n, size)
+    for r in (r for r in range(2, n + 1) if n % r == 0):
+        for rows in (adjs, V._complement_rows(n, adjs)):
+            assert K.packable_rows(rows, n, r).tolist() == _pack_want(rows, n, r), r
+
+
+@pytest.mark.parametrize("size", RAGGED_SIZES)
+@_RAGGED
+@given(data=strategies.data())
+def test_hampath_rows_ragged_blocks(size, data):
+    """Drawn blocks on 2 <= n <= 11 vertices against the Hamilton-path
+    programme row by row."""
+    n = data.draw(strategies.integers(2, 11))
+    adjs = _drawn_block(data.draw, n, size)
+    assert K.hampath_rows(adjs, n).tolist() == _hampath_want(adjs, n)
+
+
+def _mixed_block(n, size):
+    """``size`` random n-vertex graphs whose edge masks OR one to four
+    random masks in turn, so sparse and dense graphs alternate."""
+    words = (n * (n - 1) // 2 + 63) // 64
+    draws = np.random.default_rng(n).integers(0, 1 << 64, size=(4, size, words), dtype=np.uint64)
+    depth = np.arange(size) % 4
+    picked = np.where((np.arange(4)[:, None] <= depth)[:, :, None], draws, np.uint64(0))
+    return K.words_to_adj(np.bitwise_or.reduce(picked, axis=0), n)
+
+
+def test_block_deciders_span_sub_blocks():
+    """Blocks of more than two sub-blocks, the last one ragged, with both
+    answers present: packing at (12, 4) and Hamilton paths at n = 10."""
+    adjs = _mixed_block(12, 700)
+    assert K._sub_block_rows(12, 5775 >> 3) == 320  # the widest (12, 4) layer
+    for rows in (adjs, V._complement_rows(12, adjs)):
+        want = _pack_want(rows, 12, 4)
+        assert K.packable_rows(rows, 12, 4).tolist() == want
+        assert any(want) and not all(want)
+    adjs = _mixed_block(10, 450)
+    assert K._sub_block_rows(10, (10 << 10) >> 3) == 192
+    want = _hampath_want(adjs, 10)
+    assert K.hampath_rows(adjs, 10).tolist() == want
+    assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("decide, n, r", [
+    (K.packable_rows, 12, 2), (K.packable_rows, 12, 3), (K.packable_rows, 12, 4),
+    (K.hampath_rows, 6, None), (K.hampath_rows, 7, None), (K.hampath_rows, 11, None),
+])
+def test_block_decider_memory(decide, n, r):
+    """A 4,096-row block stays under 1 MB of numpy and Python allocations:
+    every sub-block table is capped at 256 KB."""
+    adjs = _mixed_block(n, 4096)
+    args = (adjs, n) if r is None else (adjs, n, r)
+    decide(*args)  # warm-up: the cached programme tables
+    tracemalloc.start()
+    try:
+        decide(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_node_cap_aborts():
