@@ -80,7 +80,7 @@ def build_star_plus_cliques(n: int, r: int, big_d: int) -> Graph:
     offset = big_d + 1
     for size in turan_sizes(n - big_d - 1, r - 2):
         part = _block(offset, size)
-        masks.extend(part & ~(1 << v) for v in range(offset, offset + size))
+        masks += [part & ~(1 << v) for v in range(offset, offset + size)]
         offset += size
     return Graph._from_masks(masks)
 
@@ -172,8 +172,8 @@ def build_extremal2(n: int, r: int, k: int) -> Graph:
     mask_b = _block(a, b)
     mask_bc = _block(a, n - a)
     masks = [mask_b] * a
-    masks.extend(full & ~(1 << v) for v in range(a, a + b))
-    masks.extend(mask_bc & ~(1 << v) for v in range(a + b, n))
+    masks += [full & ~(1 << v) for v in range(a, a + b)]
+    masks += [mask_bc & ~(1 << v) for v in range(a + b, n)]
     return Graph._from_masks(masks)
 
 

@@ -12,10 +12,17 @@ pair per line.
 
 from __future__ import annotations
 
+from binascii import a2b_base64, b2a_base64
+
 from .errors import Graph6Error, ParameterRangeError
 from .graph import Graph
 
 _G6_MAX = 258047
+# graph6 writes six-bit group v as chr(63 + v), base64 as its v-th letter
+_G6_ALPHABET = bytes(range(63, 127))
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_BASE64_ALPHABET, _G6_ALPHABET)
+_FROM_G6 = bytes.maketrans(_G6_ALPHABET, _BASE64_ALPHABET)
 
 
 def encode_graph6(graph: Graph) -> str:
@@ -28,17 +35,15 @@ def encode_graph6(graph: Graph) -> str:
         )
     else:  # unreachable under the vertex cap, kept for safety
         raise ParameterRangeError(f"graph6 encoder supports n <= {_G6_MAX}")
-    mask = graph.edge_mask()
     nslots = n * (n - 1) // 2
-    out = bytearray(header)
-    for start in range(0, nslots, 6):
-        group = 0
-        for t in range(6):
-            s = start + t
-            bit = (mask >> s) & 1 if s < nslots else 0
-            group = (group << 1) | bit
-        out.append(63 + group)
-    return out.decode("ascii")
+    quanta = -(-nslots // 24)
+    # slot s is bit s of the edge mask and bit s of the body counted from its
+    # first byte's top bit: reverse the mask's bits, left-align them in whole
+    # 24-bit base64 quanta and let base64 cut the six-bit groups
+    value = int(format(graph.edge_mask(), f"0{nslots}b")[::-1], 2) if nslots else 0
+    raw = (value << (24 * quanta - nslots)).to_bytes(3 * quanta, "big")
+    body = b2a_base64(raw, newline=False).translate(_TO_G6)[: (nslots + 5) // 6]
+    return (header + body).decode("ascii")
 
 
 def decode_graph6(text: str) -> Graph:
@@ -51,9 +56,9 @@ def decode_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise Graph6Error("graph6 strings are ASCII") from exc
-    for b in data:
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b!r} outside the graph6 alphabet")
+    outside = data.translate(None, _G6_ALPHABET)
+    if outside:
+        raise Graph6Error(f"byte {outside[0]!r} outside the graph6 alphabet")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise Graph6Error("graph6 sizes beyond 258047 are not supported")
@@ -72,16 +77,12 @@ def decode_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}"
         )
-    mask = 0
-    for idx, b in enumerate(body):
-        group = b - 63
-        for t in range(6):
-            s = idx * 6 + t
-            bit = (group >> (5 - t)) & 1
-            if s < nslots:
-                mask |= bit << s
-            elif bit:
-                raise Graph6Error("nonzero padding bits in graph6 body")
+    # the inverse of the encoder's base64 step; "A" (zero) fills the last quantum
+    raw = a2b_base64(body.translate(_FROM_G6) + b"A" * (-nbytes % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    if "1" in bits[nslots:]:
+        raise Graph6Error("nonzero padding bits in graph6 body")
+    mask = int(bits[nslots - 1::-1], 2) if nslots else 0
     return Graph.from_edge_mask(n, mask)
 
 

@@ -68,31 +68,40 @@ class Graph:
 
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
-        """Decode an edge-mask integer; bit ``j*(j-1)//2 + i`` is edge (i, j)."""
+        """Decode an edge-mask integer; bit ``j*(j-1)//2 + i`` is edge (i, j).
+
+        Runs in time linear in the slot count: the mask is read once as a
+        binary string, cut into one column of lower neighbours per vertex,
+        and the upper neighbours are that triangle transposed by ``zip``.
+        """
         nslots = n * (n - 1) // 2
         if mask < 0 or mask >> nslots:
             raise ParameterRangeError("edge mask has bits beyond the slot count")
-        adj = [0] * n
-        s = 0
-        for j in range(1, n):
-            for i in range(j):
-                if (mask >> s) & 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                s += 1
-        return cls._from_masks(adj)
+        bits = format(mask, f"0{nslots}b")
+        # rows[j] holds bit i of vertex j's lower neighbours at character
+        # n - 1 - i, zero-padded on the left to n characters
+        rows = []
+        end = nslots
+        for j in range(n):
+            rows.append("0" * (n - j) + bits[end - j:end])
+            end -= j
+        # reading the rows' column for vertex i in j order gives its upper
+        # neighbours with bit j at character j, so reverse before parsing
+        upper = ["".join(col)[::-1] for col in zip(*rows)][::-1]
+        return cls._from_masks(
+            [int(low, 2) | int(up, 2) for low, up in zip(rows, upper)]
+        )
 
     def edge_mask(self) -> int:
         """Encode as an edge-mask integer (inverse of ``from_edge_mask``)."""
-        mask = 0
-        s = 0
-        for j in range(1, self.n):
-            aj = self._adj[j]
-            for i in range(j):
-                if (aj >> i) & 1:
-                    mask |= 1 << s
-                s += 1
-        return mask
+        adj = self._adj
+        # column j is vertex j's lower neighbours, j bits at slot j*(j-1)//2;
+        # one binary string, highest column first, keeps this linear-time
+        return int(
+            "".join(format(adj[j] & ((1 << j) - 1), f"0{j}b") for j in range(self.n - 1, 0, -1))
+            or "0",
+            2,
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self._adj[u] >> v) & 1)
@@ -108,11 +117,11 @@ class Graph:
 
     def degrees(self) -> list[int]:
         """Degrees in vertex order (not sorted)."""
-        return [a.bit_count() for a in self._adj]
+        return list(map(int.bit_count, self._adj))
 
     @property
     def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self._adj) // 2
+        return sum(map(int.bit_count, self._adj)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):

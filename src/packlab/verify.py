@@ -26,7 +26,12 @@ from time import perf_counter
 import numpy as np
 
 from . import _kernels as K
-from .constructions import FAMILIES, expected_degree_bands, expected_edges
+from .constructions import (
+    FAMILIES,
+    build_clique_plus_isolates,
+    expected_degree_bands,
+    expected_edges,
+)
 from .errors import ParameterRangeError
 from .formats import decode_graph6, encode_graph6
 from .graph import Graph, degree_sequence
@@ -634,8 +639,12 @@ def banded_condition_profile(graph: Graph, r: int):
     n = graph.n
     if r < 2 or n % r or n < r:
         raise ParameterRangeError("need r >= 2 and r | n with n >= r")
-    q = n // r
-    d = degree_sequence(graph)
+    return _banded_profile(degree_sequence(graph), r)
+
+
+def _banded_profile(d: list[int], r: int):
+    """``banded_condition_profile`` on an ascending degree list."""
+    q = len(d) // r
     fails = tuple(i for i in range(1, q) if d[i - 1] < (r - 2) * q + i)
     return fails, d[q] >= (r - 1) * q
 
@@ -646,8 +655,13 @@ def disjunctive_condition_failures(graph: Graph, r: int) -> tuple[int, ...]:
     n = graph.n
     if r < 2 or n % r or n < r:
         raise ParameterRangeError("need r >= 2 and r | n with n >= r")
+    return _disjunctive_failures(degree_sequence(graph), r)
+
+
+def _disjunctive_failures(d: list[int], r: int) -> tuple[int, ...]:
+    """``disjunctive_condition_failures`` on an ascending degree list."""
+    n = len(d)
     q = n // r
-    d = degree_sequence(graph)
     return tuple(
         i
         for i in range(1, q + 1)
@@ -828,44 +842,46 @@ def audit_instance(
     degrees and condition-failure indices) are checked at any size; the
     blocking property (non-packability / non-colourability / the square
     obstruction) is re-confirmed by the exact solvers when n is within
-    ``solver_cap`` (two more for matching-sized blocks).
+    ``solver_cap`` (two more for matching-sized blocks).  Every degree
+    check reads one ascending degree list.
     """
-    family = FAMILIES[token]
-    g = family.build(**params)
+    g = FAMILIES[token].build(**params)
     problems: list[str] = []
     n = params["n"]
-    expected = expected_edges(token, **params)
-    if expected is not None and g.edge_count != expected:
-        problems.append(f"edge count {g.edge_count} != {expected}")
+    d = g.degrees()
+    d.sort()
+    edges, expected = sum(d) // 2, expected_edges(token, **params)
+    if expected is not None and edges != expected:
+        problems.append(f"edge count {edges} != {expected}")
     bands = expected_degree_bands(token, **params)
     if bands is not None:
-        want = sorted(deg for cnt, deg in bands for _ in range(cnt))
-        if degree_sequence(g) != want:
+        # bands ascend by degree, so their expansion is already sorted
+        want: list[int] = []
+        for cnt, deg in bands:
+            want += [deg] * cnt
+        if d != want:
             problems.append("degree sequence differs from the claimed bands")
-    cap = resolve_node_cap(node_cap)
     within = n <= _solver_cap_for(token, params, solver_cap)
     if token == "H":
-        if within and perfect_kr_packing(g, 2, cap).decision:
+        if within and perfect_kr_packing(g, 2, node_cap).decision:
             problems.append("unexpected perfect matching")
     elif token in ("G1", "G2"):
-        if within and equitable_colouring(g, n // params["r"], cap).decision:
+        if within and equitable_colouring(g, n // params["r"], node_cap).decision:
             problems.append("unexpected equitable colouring")
     elif token == "af_i" and params["r"] >= 3:
-        from .constructions import build_clique_plus_isolates
-
         if g.complement() != build_clique_plus_isolates(n, params["r"]):
             problems.append("complement is not the clique-plus-isolates graph")
     elif token == "extremal1":
         r, k = params["r"], params["k"]
-        fails, beta_ok = banded_condition_profile(g, r)
+        fails, beta_ok = _banded_profile(d, r)
         if fails != (k,) or not beta_ok:
             problems.append(f"banded condition fails at {fails} (beta {beta_ok})")
     elif token == "extremal2":
         r, k = params["r"], params["k"]
-        fails = disjunctive_condition_failures(g, r)
+        fails = _disjunctive_failures(d, r)
         if fails != (k,):
             problems.append(f"disjunctive condition fails at {fails}")
-        if degree_sequence(g)[n - k * (r - 1)] != n - k - 1:
+        if d[n - k * (r - 1)] != n - k - 1:
             problems.append("boundary degree differs from the claimed value")
     elif token == "square_cx":
         c = params["C"]
@@ -874,14 +890,14 @@ def audit_instance(
             problems.append("centre degree differs from n/3 + C + 1")
         if any(g.degree(v) != n - 2 for v in range(third + c + 2, n)):
             problems.append("clique-part degree differs from n - 2")
-        d = degree_sequence(g)
         bad = [i for i in range(1, third + 1) if d[i - 1] < third + c + i]
         if bad:
             problems.append(f"degree band fails at indices {bad}")
         if 0 not in square_hamilton_obstructions(g):
             problems.append("vertex 0 not flagged by the square obstruction check")
-    if token in _PACKING_BLOCKERS and within and perfect_kr_packing(g, params["r"], cap).decision:
-        problems.append("unexpected perfect packing")
+    if token in _PACKING_BLOCKERS and within:
+        if perfect_kr_packing(g, params["r"], node_cap).decision:
+            problems.append("unexpected perfect packing")
     return problems
 
 
@@ -890,9 +906,7 @@ def _audit_grid(max_n: int):
         for d in range(0, n // 2):
             yield "H", {"n": n, "d": d}
     for r in range(2, max_n + 1):
-        for n in range(r, max_n + 1):
-            if n % r:
-                continue
+        for n in range(r, max_n + 1, r):
             if r >= 3:
                 yield "G1", {"n": n, "r": r}
             yield "af_i", {"n": n, "r": r}

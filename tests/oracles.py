@@ -157,3 +157,99 @@ def chvatal_condition_brute(graph) -> bool:
     return all(
         d[i - 1] >= i or d[n - i] >= n - i for i in range(1, n // 2 + 1)
     )
+
+
+# Per-bit reference codecs: one shift of the whole edge mask per slot, so
+# quadratic in the slot count.  The package's versions must agree with these
+# bit for bit, byte for byte and error for error.
+
+
+def edge_mask_reference(graph) -> int:
+    mask = 0
+    s = 0
+    for j in range(1, graph.n):
+        for i in range(j):
+            if graph.has_edge(i, j):
+                mask |= 1 << s
+            s += 1
+    return mask
+
+
+def from_edge_mask_reference(n: int, mask: int):
+    from packlab import Graph, ParameterRangeError
+
+    nslots = n * (n - 1) // 2
+    if mask < 0 or mask >> nslots:
+        raise ParameterRangeError("edge mask has bits beyond the slot count")
+    edges = []
+    s = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (mask >> s) & 1:
+                edges.append((i, j))
+            s += 1
+    return Graph(n, edges)
+
+
+def encode_graph6_reference(graph) -> str:
+    n = graph.n
+    if n <= 62:
+        out = bytearray([n + 63])
+    else:
+        out = bytearray([126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    mask = edge_mask_reference(graph)
+    nslots = n * (n - 1) // 2
+    for start in range(0, nslots, 6):
+        group = 0
+        for t in range(6):
+            s = start + t
+            bit = (mask >> s) & 1 if s < nslots else 0
+            group = (group << 1) | bit
+        out.append(63 + group)
+    return out.decode("ascii")
+
+
+def decode_graph6_reference(text: str):
+    from packlab import Graph6Error
+
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise Graph6Error("empty graph6 string")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error("graph6 strings are ASCII") from exc
+    for b in data:
+        if not 63 <= b <= 126:
+            raise Graph6Error(f"byte {b!r} outside the graph6 alphabet")
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise Graph6Error("graph6 sizes beyond 258047 are not supported")
+        if len(data) < 4:
+            raise Graph6Error("truncated graph6 size header")
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
+        if n <= 62:
+            raise Graph6Error("non-canonical long size header for n <= 62")
+    else:
+        n = data[0] - 63
+        body = data[1:]
+    nslots = n * (n - 1) // 2
+    nbytes = (nslots + 5) // 6
+    if len(body) != nbytes:
+        raise Graph6Error(
+            f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}"
+        )
+    mask = 0
+    for idx, b in enumerate(body):
+        group = b - 63
+        for t in range(6):
+            s = idx * 6 + t
+            bit = (group >> (5 - t)) & 1
+            if s < nslots:
+                mask |= bit << s
+            elif bit:
+                raise Graph6Error("nonzero padding bits in graph6 body")
+    return from_edge_mask_reference(n, mask)

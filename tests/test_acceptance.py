@@ -4,6 +4,7 @@ Every numeric comparison is exact (tolerance 0) unless stated; time budgets
 are asserted with generous margins for slow machines.
 """
 
+import hashlib
 import random
 import time
 from math import comb
@@ -95,6 +96,9 @@ def test_criterion_4_construction_audit():
     assert rep.status == "pass", rep.problems[:10]
     assert rep.violations == ()
     assert rep.examined > 25000
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
+        "842d5bae94fe330ef2c1ecc23a1dc7da229d50544f3c47db4a6e6cd1b2576443"
+    )
     assert dt < 300.0, f"audit took {dt:.2f}s (budget 300s)"
     _report(4, f"all {rep.examined} construction instances n <= 120 match "
                f"edge counts and degree bands; blockers solver-confirmed "

@@ -2,6 +2,8 @@
 and degree bands, complement relationships, and the blocking properties on
 small instances."""
 
+import hashlib
+
 import pytest
 
 from packlab import (
@@ -18,6 +20,7 @@ from packlab import (
     build_star_plus_cliques,
     degree_sequence,
     disjunctive_condition_failures,
+    encode_graph6,
     equitable_colouring,
     expected_degree_bands,
     expected_edges,
@@ -232,3 +235,14 @@ def test_family_registry_complete():
         assert fam.token == token
         assert fam.params[0] == "n"
         assert fam.summary
+
+
+def test_builders_output_pinned():
+    """sha256 of every audit-grid instance's graph6 line, n <= 60, in grid
+    order, as the per-bit codec wrote it.  The full n <= 120 grid reads
+    6458b15cbfff2642a6f6eb1e85e3340f59f7a5be8f9c93a3190b0fe44eaac466 but
+    takes several seconds to build and encode."""
+    h = hashlib.sha256()
+    for token, params in _audit_grid(60):
+        h.update((encode_graph6(FAMILIES[token].build(**params)) + "\n").encode())
+    assert h.hexdigest() == "d69bf55881bdb05d0ac90a194a2ef6d864a61f6213580d637754679afdc11d16"

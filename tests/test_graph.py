@@ -1,6 +1,7 @@
 """Graph container, certificates, named graphs, and the two wire formats."""
 
 import random
+import time
 
 import pytest
 
@@ -26,6 +27,12 @@ from packlab import (
     turan_sizes,
     validate_colouring,
     validate_packing,
+)
+from oracles import (
+    decode_graph6_reference,
+    edge_mask_reference,
+    encode_graph6_reference,
+    from_edge_mask_reference,
 )
 
 
@@ -155,6 +162,71 @@ def test_graph6_rejects_malformed():
         decode_graph6("B" + chr(30))  # byte below printable range
     with pytest.raises(Graph6Error):
         decode_graph6("Bw~")  # trailing garbage
+
+
+def test_codecs_match_per_bit_reference():
+    rng = random.Random(29)
+    for n in list(range(0, 71)) + [120]:
+        e = n * (n - 1) // 2
+        for _ in range(3):
+            mask = rng.getrandbits(e) if e else 0
+            g = Graph.from_edge_mask(n, mask)
+            assert g == from_edge_mask_reference(n, mask), n
+            assert g.edge_mask() == edge_mask_reference(g) == mask, n
+            text = encode_graph6(g)
+            assert text == encode_graph6_reference(g), n
+            assert decode_graph6(text) == decode_graph6_reference(text) == g, n
+    for n in (0, 1, 5):
+        with pytest.raises(ParameterRangeError):
+            Graph.from_edge_mask(n, 1 << (n * (n - 1) // 2))
+        with pytest.raises(ParameterRangeError):
+            Graph.from_edge_mask(n, -1)
+
+
+def _long_header(n):
+    return "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    ">>graph6<<",
+    "B",  # truncated body
+    "Bw~",  # trailing garbage
+    "B" + chr(30),  # byte below the alphabet
+    "B\x7f",  # byte above the alphabet
+    "B\u00e9",  # not ASCII
+    "~~????",  # sizes beyond 258047
+    "~?",  # truncated long header
+    _long_header(63) + "?" * 11,  # long header for n = 63 with a short body
+    "~???",  # long header for n = 0
+    "A@",  # n = 2: five padding bits, the last one set
+    "B@",  # n = 3: three padding bits, the last one set
+    "BC",  # n = 3: the first padding bit set
+    "BA",  # n = 3: the middle padding bit set
+    _long_header(63) + "?" * 325 + "@",  # n = 63: three padding bits, the last one set
+    _long_header(63) + "~" * 326,  # n = 63: every padding bit set
+])
+def test_graph6_errors_match_reference(text):
+    with pytest.raises(Graph6Error) as got:
+        decode_graph6(text)
+    with pytest.raises(Graph6Error) as want:
+        decode_graph6_reference(text)
+    assert str(got.value) == str(want.value)
+
+
+def test_graph6_roundtrip_is_linear_time_at_n_1000():
+    rng = random.Random(31)
+    n = 1000
+    mask = rng.getrandbits(n * (n - 1) // 2)
+    t0 = time.perf_counter()
+    g = Graph.from_edge_mask(n, mask)
+    text = encode_graph6(g)
+    back = decode_graph6(text)
+    dt = time.perf_counter() - t0
+    assert back == g and back.edge_mask() == mask
+    assert text.startswith(_long_header(n)) and len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
+    # the per-bit codecs (tests/oracles.py) take about 14 s for this round trip
+    assert dt < 5.0, f"n = 1000 graph6 round trip took {dt:.2f}s"
 
 
 def test_edge_list_roundtrip_and_autodetect():

@@ -1,6 +1,7 @@
 """Verification harness: exhaustive scans at enumerable sizes, report schema
 and determinism, sampled-mode reproducibility, and the construction audit."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,6 +25,7 @@ from packlab import (
     conjecture1_search,
     decode_graph6,
     disjunctive_condition_failures,
+    encode_graph6,
     equitable_colouring,
     question1_search,
     sweep_hampath_condition,
@@ -286,6 +288,75 @@ def test_audit_constructions_small_grid():
     assert rep.violations == ()
     blob = json.loads(rep.to_json())
     assert set(blob) == SCHEMA_KEYS
+
+
+# Injected audit faults.  ``verify`` imports ``FAMILIES``, ``expected_edges``
+# and ``expected_degree_bands`` by name, so the claims are patched there; the
+# ``FAMILIES`` dict is shared, so a patched builder is seen by both.
+
+
+def test_audit_catches_an_edge_count_off_by_one(monkeypatch):
+    claimed = V.expected_edges
+    monkeypatch.setattr(V, "expected_edges", lambda token, **p: claimed(token, **p) + 1)
+    assert audit_instance("H", {"n": 6, "d": 2}) == ["edge count 9 != 10"]
+    assert audit_instance("G2", {"n": 24, "r": 3, "D": 21}) == ["edge count 22 != 23"]
+
+
+def test_audit_catches_bands_with_the_right_degree_sum(monkeypatch):
+    """One vertex moves up one degree and another down one: the edge count
+    still matches, so only the degree multiset can tell."""
+    claimed = V.expected_degree_bands
+
+    def shifted(token, **p):
+        bands = claimed(token, **p)
+        (c0, d0), *mid, (c1, d1) = bands
+        return [(c0 - 1, d0), (1, d0 + 1), *mid, (1, d1 - 1), (c1 - 1, d1)]
+
+    monkeypatch.setattr(V, "expected_degree_bands", shifted)
+    params = {"n": 10, "d": 2}
+    bands = shifted("H", **params)
+    assert bands == [(2, 2), (1, 3), (5, 6), (1, 8), (1, 9)]
+    assert sum(c * d for c, d in bands) == 2 * V.expected_edges("H", **params)
+    assert audit_instance("H", params) == ["degree sequence differs from the claimed bands"]
+
+
+def test_audit_reports_a_builder_that_drops_one_edge(monkeypatch):
+    faulty = {"n": 18, "r": 3, "D": 9}
+    real = V.FAMILIES["G2"]
+
+    def build(**p):
+        g = real.build(**p)
+        return Graph(g.n, list(g.edges())[1:]) if p == faulty else g
+
+    monkeypatch.setitem(V.FAMILIES, "G2", dataclasses.replace(real, build=build))
+    rep = audit_constructions(max_n=24)
+    assert rep.status == "fail"
+    assert rep.violations == (encode_graph6(build(**faulty)),)
+    assert rep.violations[0] != encode_graph6(real.build(**faulty))
+    assert rep.problems == (
+        "G2(n=18,r=3,D=9): edge count 36 != 37; degree sequence differs from the claimed bands",
+    )
+
+
+def test_audit_catches_a_wrong_extremal2_boundary_degree(monkeypatch):
+    """The last vertex of C joined to A takes the boundary degree from
+    n - k - 1 to n - 1.  The claimed bands are patched to the faulty graph's
+    own, so the band check passes and the boundary check has to fire."""
+    real = V.FAMILIES["extremal2"]
+
+    def build(n, r, k):
+        g = real.build(n=n, r=r, k=k)
+        return Graph(n, [*g.edges(), *((a, n - 1) for a in range(k))])
+
+    def own_bands(token, **p):
+        d = sorted(build(**p).degrees())
+        return [(d.count(x), x) for x in sorted(set(d))]
+
+    monkeypatch.setitem(V.FAMILIES, "extremal2", dataclasses.replace(real, build=build))
+    monkeypatch.setattr(V, "expected_degree_bands", own_bands)
+    found = audit_instance("extremal2", {"n": 12, "r": 3, "k": 2})
+    assert "boundary degree differs from the claimed value" in found
+    assert "degree sequence differs from the claimed bands" not in found
 
 
 def test_t1_parameter_validation():
