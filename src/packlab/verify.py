@@ -855,7 +855,8 @@ def audit_instance(
         problems.append(f"edge count {edges} != {expected}")
     bands = expected_degree_bands(token, **params)
     if bands is not None:
-        # bands ascend by degree, so their expansion is already sorted
+        # bands ascend by degree, so their expansion is already sorted (a
+        # band list out of order reads as a mismatch, never as a pass)
         want: list[int] = []
         for cnt, deg in bands:
             want += [deg] * cnt
