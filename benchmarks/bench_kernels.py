@@ -30,8 +30,9 @@ def _timed(fn, repeat=3):
 
 
 def _random_adjs(n, rows, seed):
+    # full 64-bit words, so every edge slot of a word can be set
     words = np.random.default_rng(seed).integers(
-        0, 1 << 62, size=(rows, (comb(n, 2) + 63) // 64)
+        0, 1 << 64, size=(rows, (comb(n, 2) + 63) // 64), dtype=np.uint64
     )
     return K.words_to_adj(words, n)
 

@@ -14,21 +14,22 @@ edge slot ``s``; slots order pairs ``(i, j)`` with ``i < j`` by
 uses, so witness masks and graph6 strings agree bit for bit.
 
 Every scan, exhaustive or sampled, works on blocks of graphs: it hands a
-block of 64-bit edge words to ``words_to_adj``, plain numpy with one vector
-operation per edge slot, filters the rows by their degrees in numpy, and
-decides the rows it keeps with one of three plain-numpy block deciders, or
-row by row.  ``hampath_rows`` runs the Hamilton-path subset programme
-across the rows, and ``packable_rows`` runs the packing subset programme,
-over the uncovered vertex sets reached by always covering the lowest
-uncovered vertex with an r-clique; neither aborts.  The scans run the
-packing search ``_pack_decide`` row by row instead, stopping at the first
-row that hits the node cap, when the cap is below ``pack_node_bound`` (the
-most nodes the search can use, so the programme would hide an abort) and
-for n above 12, where the programme's state tables grow quickly.  The
-third, ``colour_rows``, runs the equitable-colouring search
-``_colour_decide`` across the rows, with its node counts and aborts; the
-mainthm1 check runs it on the complements of the rows it packs, in the same
-block, as a second decider that must agree row by row.
+block of 64-bit edge words to ``words_to_adj``, plain numpy with one table
+lookup per edge byte (one vector operation per edge slot past n = 16),
+filters the rows by their degrees in numpy, and decides the rows it keeps
+with one of three plain-numpy block deciders, or row by row.
+``hampath_rows`` runs the Hamilton-path subset programme across the rows,
+and ``packable_rows`` runs the packing subset programme, over the uncovered
+vertex sets reached by always covering the lowest uncovered vertex with an
+r-clique; neither aborts.  The scans run the packing search
+``_pack_decide`` row by row instead, stopping at the first row that hits
+the node cap, when the cap is below ``pack_node_bound`` (the most nodes the
+search can use, so the programme would hide an abort) and for n above 12,
+where the programme's state tables grow quickly.  The third,
+``colour_rows``, runs the equitable-colouring search ``_colour_decide``
+across the rows, one search node per pass, with its node counts and aborts;
+the mainthm1 check runs it on the complements of the rows it packs, in the
+same block, as a second decider that must agree row by row.
 
 The two subset programmes are bit-sliced: a sub-block of rows is unpacked
 to edge bits (``_mask_bits``) and packed 64 graphs per ``uint64`` word
@@ -247,16 +248,9 @@ def _has_clique(adj, n, q, node_cap):
         cands[d] = nx
 
 
-def words_to_adj(words, n):
-    """Neighbour masks, one int64 row per graph, from rows of unsigned
-    64-bit edge words.
-
-    Edge slot s reads bit ``s & 63`` of word ``s >> 6`` of its row; bits
-    past the last slot are ignored.  Plain numpy: one vector operation per
-    slot over all rows.
-    """
-    words = np.asarray(words, np.uint64).reshape(len(words), (comb(n, 2) + 63) // 64)
-    words = words.view(np.int64)
+def _slot_adj(words, n):
+    """``words_to_adj`` by one vector operation per edge slot, on rows of
+    ``int64`` edge words."""
     adjs = np.zeros((len(words), n), np.int64)
     s = 0
     for j in range(1, n):
@@ -266,6 +260,44 @@ def words_to_adj(words, n):
             adjs[:, j] |= bit << i
             s += 1
     return adjs
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_tables(n):
+    """The neighbour masks that each value of each edge byte sets, as a
+    (bytes, 256, n) ``uint16`` array (n <= 16): ``[b, x, v]`` holds v's
+    neighbours among the edge slots ``8b .. 8b + 7`` whose bits are set in
+    x.  Row x of table b is the slot loop's expansion of a row whose only
+    byte b is x."""
+    nbytes = (comb(n, 2) + 7) // 8
+    b, x = np.divmod(np.arange(nbytes * 256, dtype=np.int64), 256)
+    words = np.zeros((len(b), (comb(n, 2) + 63) // 64), np.int64)
+    words[np.arange(len(b)), b >> 3] = x << (b & 7) * 8  # wraps into the sign bit
+    tables = _slot_adj(words, n).astype(np.uint16).reshape(nbytes, 256, n)
+    tables.flags.writeable = False  # cached and shared by every caller
+    return tables
+
+
+def words_to_adj(words, n):
+    """Neighbour masks, one int64 row per graph, from rows of unsigned
+    64-bit edge words.
+
+    Edge slot s reads bit ``s & 63`` of word ``s >> 6`` of its row; bits
+    past the last slot are ignored.  Plain numpy: each row's edge bytes
+    index the cached ``_byte_tables``, one table lookup and OR per byte over
+    all rows, in 16 bits.  Past n = 16 the masks need 32 bits and the tables
+    would pass 256 KB (289 KB at n = 17), and ``_slot_adj`` takes one vector
+    operation per edge slot instead.
+    """
+    words = np.asarray(words, np.uint64).reshape(len(words), (comb(n, 2) + 63) // 64)
+    if n > 16:
+        return _slot_adj(words.view(np.int64), n)
+    tables = _byte_tables(n)
+    octets = words.astype("<u8", copy=False).view(np.uint8)  # byte b: slots 8b .. 8b + 7
+    adjs = np.zeros((len(words), n), np.uint16)
+    for b in range(len(tables)):
+        adjs |= tables[b].take(octets[:, b], axis=0)
+    return adjs.astype(np.int64)
 
 
 def _to_bits(mat):
@@ -416,66 +448,76 @@ def colour_rows(adjs, n, k, node_cap):
     """``_colour_decide`` on every row of ``adjs``: returns its statuses and
     node counts as two int64 arrays, so a row stops at the same node.
 
-    The rows run the search in lockstep, one step of its loop per pass: a
-    row with a class left for the vertex at its level puts the vertex in the
-    lowest one and lists the classes open to the next vertex; a row with none
-    left takes the vertex one level up out of its class.  Rows that finish
-    drop out.  Plain numpy, in sub-blocks of ``2^15 // n`` rows so each
-    (rows, n) table stays at 256 KB.
+    The rows run the search in lockstep, one search node per pass, so every
+    live row has made as many nodes as there were passes.  Levels are kept
+    by depth p = n - 1 - level: ``left`` has bit p set while level n - 1 - p
+    still has a class left, and a row's levels above its own have none, so
+    its lowest bit is the deepest level it can go on from.  A pass takes
+    each row there, clears the vertices it steps back over from
+    ``classmask`` with one AND (back steps count no nodes), puts that
+    level's vertex in its lowest class left, and lists the classes open to
+    the next vertex from the class sizes, the popcounts of ``classmask``.  A
+    row finishes when it colours the last vertex or has no level left.
+    Plain numpy over (levels or classes, rows) tables, in sub-blocks of
+    ``2^15 // (n + 1)`` rows so each stays at 256 KB.
     """
     status = np.ones(len(adjs), np.int64)  # n = 0 is coloured at once
     nodes = np.zeros(len(adjs), np.int64)
     q, s = divmod(n, k)
-    classes = np.arange(k, dtype=np.int64)
-    step = max(1, (1 << 15) // max(n, 1))
+    classes = np.arange(k, dtype=np.int64)[:, None]
+    vbits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)  # the vertex at each depth
+    flat = adjs.reshape(-1)
+    step = (1 << 15) // (n + 1)
     for lo in range(0, len(adjs) if n else 0, step):
         rows = np.arange(lo, min(lo + step, len(adjs)))  # where each live row reports
-        candc = np.zeros((len(rows), n), np.int64)
-        candc[:, 0] = 1
-        chosen = np.zeros_like(candc)
-        classmask = np.zeros((len(rows), k), np.int64)
-        classsize = np.zeros_like(classmask)
-        level, count = np.zeros((2, len(rows)), np.int64)
+        after = rows * n + n  # in ``flat``, one past each row's last vertex
+        candc = np.zeros((n + 1, len(rows)), np.int64)  # classes left at depth p in p + 1
+        candc[n] = 1
+        classmask = np.zeros((k, len(rows)), np.int64)
+        left = np.full(len(rows), 1 << (n - 1), np.int64)
         at = np.arange(len(rows))
+        count = 0
         while len(rows):
-            cm = candc[at, level]
-            fwd = cm != 0
+            if count >= node_cap:
+                status[rows], nodes[rows] = -1, count + 1
+                break
+            count += 1
+            low = left & -left
+            p = np.bitwise_count(low - 1)
+            vb = vbits.take(p)
+            classmask &= vb - 1
+            cm = candc[p + 1, at]
             cb = cm & -cm
-            candc[at, level] = cm - cb
-            sign = fwd * 2 - 1
-            u = level - ~fwd  # the vertex that joins (forward) or leaves (back) a class
-            c = np.where(fwd, np.bitwise_count(cb - 1), chosen[at, u])
-            chosen[at, u] = c
-            classmask[at, c] ^= 1 << u  # a shift by -1 (leaving level 0) is 0
-            classsize[at, c] += sign
-            count += fwd
-            level += sign
-            # the classes open to vertex v: a used class or the first empty
-            # one, below q + 1 vertices (q once s classes have q + 1), and
-            # holding no neighbour of v.  For a row that stepped back, v is
-            # the level it left, which it lists again before it returns.
-            v = np.minimum(u + 1, n - 1)
+            candc[p + 1, at] = cm ^ cb
+            left ^= low * (cm == cb)
+            classmask[np.bitwise_count(cb - 1), at] |= vb
+            # the classes open to the next vertex: a used class or the first
+            # empty one, below q + 1 vertices (q once s classes have q + 1),
+            # and holding no neighbour of it.  A row that coloured the last
+            # vertex (p = 0) lists garbage in row 0 of ``candc`` and stops.
+            sizes = np.bitwise_count(classmask)
+            most = q + ((sizes > q).sum(axis=0) < s) if s else q
             open_ = (
-                (classes <= (classsize > 0).sum(axis=1, keepdims=True))
-                & (classsize < q + ((classsize > q).sum(axis=1, keepdims=True) < s))
-                & (adjs[rows, v, None] & classmask == 0)
+                (classes <= (sizes > 0).sum(axis=0))
+                & (sizes < most)
+                & (flat.take(after - p, mode="clip") & classmask == 0)
             )
-            candc[at, v] = (open_ << classes).sum(axis=1)
-            over = count > node_cap
-            done = over | (level == n) | (level < 0)
+            cv = (open_ << classes).sum(axis=0)
+            candc[p, at] = cv
+            left |= (low >> 1) * (cv != 0)
+            done = np.minimum(p, left) == 0  # coloured, or no level left
             if done.any():
-                status[rows[done]] = np.where(over, -1, level == n)[done]
-                nodes[rows[done]] = count[done]
+                status[rows[done]] = p[done] == 0
+                nodes[rows[done]] = count
                 keep = ~done  # one table at a time, so each old one is freed at once
-                rows, level, count = rows[keep], level[keep], count[keep]
-                candc = candc[keep]
-                chosen = chosen[keep]
-                classmask = classmask[keep]
-                classsize = classsize[keep]
+                rows, after, left = rows[keep], after[keep], left[keep]
+                candc = candc[:, keep]
+                classmask = classmask[:, keep]
                 at = np.arange(len(rows))
     return status, nodes
 
 
+@functools.lru_cache(maxsize=None)
 def pack_node_bound(n, r):
     """The most search nodes ``_pack_decide`` can use on any n-vertex graph
     (r | n): the size of its unpruned search tree, where a block's first

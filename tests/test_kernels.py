@@ -414,6 +414,36 @@ def test_words_to_adj_matches_graph():
             assert adjs[b].tolist() == [g.neighbour_mask(v) for v in range(n)]
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_words_to_adj_byte_tables_match_slot_loop(n):
+    """The byte-table expansion against the slot loop on ragged blocks of
+    full 64-bit words, so the sign bit of each word and the bits past the
+    last slot are set too; up to n = 16 the tables stay at 256 KB."""
+    assert K._byte_tables(n).nbytes <= 1 << 18
+    nwords = (n * (n - 1) // 2 + 63) // 64
+    words = np.random.default_rng(n).integers(0, 1 << 64, size=(4096, nwords), dtype=np.uint64)
+    for size in (0, 1, 7, 4096):
+        got = K.words_to_adj(words[:size], n)
+        assert got.dtype == np.int64 and got.shape == (size, n)
+        assert (got == K._slot_adj(words[:size].view(np.int64), n)).all(), size
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(strategies.data())
+def test_words_to_adj_past_n12(data):
+    """Drawn rows of full 64-bit words, against ``Graph.from_edge_mask``,
+    on both sides of n = 16, where the slot loop takes over."""
+    n = data.draw(strategies.integers(13, K.KERNEL_MAX_N))
+    nwords = (n * (n - 1) // 2 + 63) // 64
+    rows = data.draw(strategies.lists(
+        strategies.lists(strategies.integers(0, (1 << 64) - 1), min_size=nwords, max_size=nwords),
+        min_size=1, max_size=5))
+    adjs = K.words_to_adj(np.array(rows, np.uint64), n)
+    for row, adj in zip(rows, adjs.tolist()):
+        g = Graph.from_edge_mask(n, V._row_mask(n, row))
+        assert adj == [g.neighbour_mask(v) for v in range(n)]
+
+
 def test_batch_kernels_match_scalar(monkeypatch):
     """The row-by-row packing search of ``V._decide_rows``, which the scans
     run past n = 12 (forced here below it), against ``_pack_decide`` on each
@@ -526,12 +556,16 @@ def test_block_deciders_span_sub_blocks():
 @pytest.mark.parametrize("decide, n, r", [
     (K.packable_rows, 12, 2), (K.packable_rows, 12, 3), (K.packable_rows, 12, 4),
     (K.hampath_rows, 6, None), (K.hampath_rows, 7, None), (K.hampath_rows, 11, None),
+    (K.colour_rows, 6, 2), (K.colour_rows, 12, 4),
 ])
 def test_block_decider_memory(decide, n, r):
     """A 4,096-row block stays under 1 MB of numpy and Python allocations:
-    every sub-block table is capped at 256 KB."""
+    every sub-block table is capped at 256 KB.  For ``colour_rows`` r is
+    the number of classes."""
     adjs = _mixed_block(n, 4096)
     args = (adjs, n) if r is None else (adjs, n, r)
+    if decide is K.colour_rows:
+        args += (DEFAULT_NODE_CAP,)
     decide(*args)  # warm-up: the cached programme tables
     tracemalloc.start()
     try:
