@@ -68,17 +68,13 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     kind = args.kind
-    if kind == "f2":
-        n, d = _require(args, "n", "d")
-        tv = matching_threshold(n, d)
-        payload = {"value": tv.value, "branch": tv.branch}
-    elif kind == "f":
-        n, r, big_d = _require(args, "n", "r", "D")
-        tv = colouring_threshold(n, r, big_d)
-        payload = {"value": tv.value, "branch": tv.branch}
-    elif kind == "g":
-        n, r, big_d = _require(args, "n", "r", "D")
-        tv = packing_threshold(n, r, big_d)
+    if kind in ("f2", "f", "g"):
+        threshold, names = {
+            "f2": (matching_threshold, ("n", "d")),
+            "f": (colouring_threshold, ("n", "r", "D")),
+            "g": (packing_threshold, ("n", "r", "D")),
+        }[kind]
+        tv = threshold(*_require(args, *names))
         payload = {"value": tv.value, "branch": tv.branch}
     elif kind == "turan":
         m, s = _require(args, "m", "s")
@@ -240,14 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser("construct", help="emit an extremal construction")
     p_con.add_argument("family", choices=sorted(FAMILIES))
-    p_con.add_argument("--n", type=int)
-    p_con.add_argument("--d", type=int)
-    p_con.add_argument("--r", type=int)
-    p_con.add_argument("--D", type=int)
-    p_con.add_argument("--j", type=int)
-    p_con.add_argument("--k", type=int)
-    p_con.add_argument("--C", type=int)
-    p_con.add_argument("--K", type=int)
+    for name in dict.fromkeys(p for family in FAMILIES.values() for p in family.params):
+        p_con.add_argument(f"--{name}", type=int)
     p_con.add_argument("--out", choices=("graph6", "edges"), default="graph6")
     p_con.add_argument("--audit", action="store_true",
                        help="re-check the instance's claimed properties")

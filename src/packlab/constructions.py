@@ -228,10 +228,6 @@ class Family:
     summary: str
 
 
-def _build_t_star(n: int, r: int) -> Graph:
-    return t_star(n, r)
-
-
 FAMILIES: Mapping[str, Family] = {
     f.token: f
     for f in (
@@ -280,7 +276,7 @@ FAMILIES: Mapping[str, Family] = {
         Family(
             "t_star",
             ("n", "r"),
-            _build_t_star,
+            t_star,
             "near-balanced complete multipartite graph with no perfect packing",
         ),
         Family(

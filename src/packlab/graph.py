@@ -21,6 +21,11 @@ from ._kernels import KERNEL_MAX_N
 MAX_VERTICES = int(os.environ.get("PACKLAB_MAX_N", "4096"))
 
 
+def _check_vertex_cap(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ParameterRangeError(f"n={n} exceeds the configured vertex cap {MAX_VERTICES}")
+
+
 class Graph:
     """A labeled simple graph; instances are immutable and hashable."""
 
@@ -29,10 +34,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ParameterRangeError("vertex count must be non-negative")
-        if n > MAX_VERTICES:
-            raise ParameterRangeError(
-                f"n={n} exceeds the configured vertex cap {MAX_VERTICES}"
-            )
+        _check_vertex_cap(n)
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -59,10 +61,7 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        if n > MAX_VERTICES:
-            raise ParameterRangeError(
-                f"n={n} exceeds the configured vertex cap {MAX_VERTICES}"
-            )
+        _check_vertex_cap(n)
         full = (1 << n) - 1
         return cls._from_masks([full & ~(1 << i) for i in range(n)])
 
@@ -186,10 +185,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
     for g in graphs:
         masks.extend(a << offset for a in g._adj)
         offset += g.n
-    if offset > MAX_VERTICES:
-        raise ParameterRangeError(
-            f"n={offset} exceeds the configured vertex cap {MAX_VERTICES}"
-        )
+    _check_vertex_cap(offset)
     return Graph._from_masks(masks)
 
 
@@ -198,10 +194,7 @@ def complete_multipartite(sizes: Sequence[int]) -> Graph:
     n = sum(sizes)
     if any(s < 0 for s in sizes):
         raise ParameterRangeError("class sizes must be non-negative")
-    if n > MAX_VERTICES:
-        raise ParameterRangeError(
-            f"n={n} exceeds the configured vertex cap {MAX_VERTICES}"
-        )
+    _check_vertex_cap(n)
     full = (1 << n) - 1
     masks = []
     start = 0

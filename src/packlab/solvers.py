@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import _kernels as K
 from .errors import CapExceededError, HypothesisError, ParameterRangeError
@@ -18,6 +17,7 @@ from .graph import (
     ColouringCertificate,
     Graph,
     PackingCertificate,
+    _iter_bits,
     degree_sequence,
     validate_packing,
 )
@@ -63,8 +63,6 @@ def perfect_kr_packing(graph: Graph, r: int, node_cap: int | None = None) -> Sol
         raise ParameterRangeError("need r >= 1")
     cap = resolve_node_cap(node_cap)
     n = graph.n
-    if n == 0:
-        return SolveOutcome(True, PackingCertificate(()), 0)
     if n % r:
         return SolveOutcome(False, None, 0)
     status, nodes, chosen = K._pack_decide(graph.adjacency_array().tolist(), n, r, cap)
@@ -99,8 +97,6 @@ def equitable_colouring(
     if method not in ("auto", "direct", "complement-packing"):
         raise ParameterRangeError(f"unknown colouring method {method!r}")
     n = graph.n
-    if n == 0:
-        return SolveOutcome(True, ColouringCertificate(((),) * k), 0)
     if k >= n:
         classes = tuple((v,) for v in range(n)) + ((),) * (k - n)
         return SolveOutcome(True, ColouringCertificate(classes), 0)
@@ -140,21 +136,6 @@ def hajnal_szemeredi_guarantee(graph: Graph, r: int) -> bool:
     return min(graph.degrees()) * r >= (r - 1) * graph.n
 
 
-def _check_banded_condition(degs: Sequence[int], n: int, r: int) -> None:
-    """Degree hypothesis of the greedy packing routine, re-checked per level:
-    d_i >= (r-2)n/r + i for 1 <= i < n/r, and d_{n/r+1} >= (r-1)n/r."""
-    q = n // r
-    for i in range(1, q):
-        if degs[i - 1] < (r - 2) * q + i:
-            raise HypothesisError(
-                f"degree condition fails at index {i}: d_{i} = {degs[i - 1]} < {(r - 2) * q + i}"
-            )
-    if degs[q] < (r - 1) * q:
-        raise HypothesisError(
-            f"degree condition fails at index {q + 1}: d_{q + 1} = {degs[q]} < {(r - 1) * q}"
-        )
-
-
 def krfree_greedy_packing(graph: Graph, r: int, node_cap: int | None = None) -> SolveOutcome:
     """Perfect r-clique packing under a banded degree condition plus the
     promise that no low-degree vertex lies in a clique on r+1 vertices.
@@ -184,8 +165,14 @@ def krfree_greedy_packing(graph: Graph, r: int, node_cap: int | None = None) -> 
         live = [v for v in range(n) if (alive >> v) & 1]
         deg = {v: (adj[v] & alive).bit_count() for v in live}
         degs_sorted = sorted(deg.values())
-        _check_banded_condition(degs_sorted, n_cur, r)
+        fails, beta_ok = _banded_profile(degs_sorted, r)
         q = n_cur // r
+        if fails or not beta_ok:
+            i = fails[0] if fails else q + 1
+            bound = (r - 2) * q + i if fails else (r - 1) * q
+            raise HypothesisError(
+                f"degree condition fails at index {i}: d_{i} = {degs_sorted[i - 1]} < {bound}"
+            )
         if degs_sorted[0] >= (r - 1) * q:
             sub_index = {v: i for i, v in enumerate(live)}
             sub = Graph(
@@ -317,16 +304,46 @@ def turan_partition(graph: Graph, r: int, node_cap: int | None = None) -> list[t
         covered |= cls
     if covered != (1 << n) - 1:
         raise HypothesisError("classes do not cover the vertex set")
-    out: list[tuple[int, ...]] = []
-    for cls in classes:
-        members = []
-        m = cls
-        while m:
-            b = m & -m
-            members.append(b.bit_length() - 1)
-            m -= b
-        out.append(tuple(members))
-    return out
+    return [tuple(_iter_bits(cls)) for cls in classes]
+
+
+def banded_condition_profile(graph: Graph, r: int):
+    """Failure indices of the banded packing condition.
+
+    Returns ``(alpha_failures, beta_ok)``: the 1-based indices i < n/r with
+    d_i < (r-2)n/r + i, and whether d_{n/r+1} >= (r-1)n/r.
+    """
+    n = graph.n
+    if r < 2 or n % r or n < r:
+        raise ParameterRangeError("need r >= 2 and r | n with n >= r")
+    return _banded_profile(degree_sequence(graph), r)
+
+
+def _banded_profile(d: list[int], r: int):
+    """``banded_condition_profile`` on an ascending degree list."""
+    q = len(d) // r
+    fails = tuple(i for i in range(1, q) if d[i - 1] < (r - 2) * q + i)
+    return fails, d[q] >= (r - 1) * q
+
+
+def disjunctive_condition_failures(graph: Graph, r: int) -> tuple[int, ...]:
+    """1-based indices i <= n/r failing both disjuncts:
+    d_i >= (r-2)n/r + i and d_{n-i(r-1)+1} >= n - i."""
+    n = graph.n
+    if r < 2 or n % r or n < r:
+        raise ParameterRangeError("need r >= 2 and r | n with n >= r")
+    return _disjunctive_failures(degree_sequence(graph), r)
+
+
+def _disjunctive_failures(d: list[int], r: int) -> tuple[int, ...]:
+    """``disjunctive_condition_failures`` on an ascending degree list."""
+    n = len(d)
+    q = n // r
+    return tuple(
+        i
+        for i in range(1, q + 1)
+        if d[i - 1] < (r - 2) * q + i and d[n - i * (r - 1)] < n - i
+    )
 
 
 def chvatal_hampath_condition(graph: Graph) -> bool:

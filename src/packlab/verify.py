@@ -34,9 +34,13 @@ from .constructions import (
 )
 from .errors import ParameterRangeError
 from .formats import decode_graph6, encode_graph6
-from .graph import Graph, degree_sequence
+from .graph import Graph
 from .solvers import (
+    _banded_profile,
+    _disjunctive_failures,
+    banded_condition_profile,
     chvatal_hampath_condition,
+    disjunctive_condition_failures,
     equitable_colouring,
     hamilton_path_exact,
     perfect_kr_packing,
@@ -630,45 +634,6 @@ def verify_mainthm1_threshold(
 # degree-condition searches
 
 
-def banded_condition_profile(graph: Graph, r: int):
-    """Failure indices of the banded packing condition.
-
-    Returns ``(alpha_failures, beta_ok)``: the 1-based indices i < n/r with
-    d_i < (r-2)n/r + i, and whether d_{n/r+1} >= (r-1)n/r.
-    """
-    n = graph.n
-    if r < 2 or n % r or n < r:
-        raise ParameterRangeError("need r >= 2 and r | n with n >= r")
-    return _banded_profile(degree_sequence(graph), r)
-
-
-def _banded_profile(d: list[int], r: int):
-    """``banded_condition_profile`` on an ascending degree list."""
-    q = len(d) // r
-    fails = tuple(i for i in range(1, q) if d[i - 1] < (r - 2) * q + i)
-    return fails, d[q] >= (r - 1) * q
-
-
-def disjunctive_condition_failures(graph: Graph, r: int) -> tuple[int, ...]:
-    """1-based indices i <= n/r failing both disjuncts:
-    d_i >= (r-2)n/r + i and d_{n-i(r-1)+1} >= n - i."""
-    n = graph.n
-    if r < 2 or n % r or n < r:
-        raise ParameterRangeError("need r >= 2 and r | n with n >= r")
-    return _disjunctive_failures(degree_sequence(graph), r)
-
-
-def _disjunctive_failures(d: list[int], r: int) -> tuple[int, ...]:
-    """``disjunctive_condition_failures`` on an ascending degree list."""
-    n = len(d)
-    q = n // r
-    return tuple(
-        i
-        for i in range(1, q + 1)
-        if d[i - 1] < (r - 2) * q + i and d[n - i * (r - 1)] < n - i
-    )
-
-
 def _degree_clauses(predicate: str, n: int, r: int = 0) -> tuple:
     """The degree condition of ``predicate`` ("conj1": banded, "ques1":
     disjunctive, "hampath": the Hamilton-path condition) as clause rows
@@ -694,10 +659,11 @@ def _condition_search(
     n_cap: int,
     timing: bool,
 ) -> VerificationReport:
-    """Counterexample search for the packing degree condition of
-    ``predicate`` ("conj1": banded; "ques1": disjunctive, with its sharpness
-    check) and its report."""
-    if r < 3 or n % r or n < r:
+    """Counterexample search for the degree condition of ``predicate``
+    ("conj1": banded; "ques1": disjunctive, with its sharpness check, both
+    for perfect r-clique packings; "hampath": for Hamilton paths, at r = 0)
+    and its report."""
+    if predicate != "hampath" and (r < 3 or n % r or n < r):
         raise ParameterRangeError("need r >= 3 and r | n with n >= r")
     cap = resolve_node_cap(node_cap)
     task = _task(predicate, n, mode, r=r, seed=seed, samples=samples)
@@ -721,14 +687,15 @@ def _condition_search(
         problems.append(f"node cap of {cap} reached")
     violations = tuple(_witness(n, m) for m in viol_masks)
 
-    if predicate == "conj1":
-        condition = lambda g: banded_condition_profile(g, r) == ((), True)  # noqa: E731
+    if predicate == "hampath":
+        condition, solve = chvatal_hampath_condition, hamilton_path_exact
     else:
-        condition = lambda g: not disjunctive_condition_failures(g, r)  # noqa: E731
-    _recheck(
-        violations, lambda g: condition(g) and not perfect_kr_packing(g, r, cap).decision,
-        problems,
-    )
+        solve = lambda g: perfect_kr_packing(g, r, cap)  # noqa: E731
+        if predicate == "conj1":
+            condition = lambda g: banded_condition_profile(g, r) == ((), True)  # noqa: E731
+        else:
+            condition = lambda g: not disjunctive_condition_failures(g, r)  # noqa: E731
+    _recheck(violations, lambda g: condition(g) and not solve(g).decision, problems)
     if predicate == "ques1":
         # sharpness of the disjunctive condition on the extremal2 family; a
         # solver cap of 0 skips the packing solver, which a small node cap
@@ -784,10 +751,6 @@ def question1_search(
     )
 
 
-# ---------------------------------------------------------------------------
-# Hamilton-path degree-condition sweep
-
-
 def sweep_hampath_condition(
     n: int, workers: int = 1, n_cap: int = EXHAUSTIVE_HARD_CAP
 ) -> tuple[int, int, tuple[str, ...]]:
@@ -800,34 +763,27 @@ def sweep_hampath_condition(
     ``workers`` is accepted for compatibility and has no effect."""
     if n < 2:
         raise ParameterRangeError("need n >= 2")
-    _check_exhaustive(n, n_cap)
-    clauses = _degree_clauses("hampath", n)
-    problems: list[str] = []
-    examined, cond_true, masks, _, _ = _search(  # r = 0 needs no node cap
-        n, 0, 1 << comb(n, 2), _mask_rows, lambda degs: _condition_rows(degs, clauses), 1,
-        problems,
-    )
-    witnesses = tuple(_witness(n, m) for m in masks)
-    _recheck(
-        witnesses,
-        lambda g: chvatal_hampath_condition(g) and not hamilton_path_exact(g).decision,
-        problems,
-    )
-    for problem in problems:
+    # r = 0 needs no node cap
+    report = _condition_search("hampath", n, 0, "exhaustive", None, None, 1, n_cap, False)
+    for problem in report.problems:
         warnings.warn(problem, RuntimeWarning, stacklevel=2)
-    return examined, cond_true, witnesses
+    return report.examined, report.condition_count, report.violations
 
 
 # ---------------------------------------------------------------------------
 # construction audit
 
 
-_PACKING_BLOCKERS = ("af_i", "af_ii", "t_star", "extremal1", "extremal2")
-
-
-def _solver_cap_for(token: str, params: dict, solver_cap: int) -> int:
-    r_like = 2 if token == "H" else params.get("r", 3)
-    return solver_cap + 2 if r_like == 2 else solver_cap
+# what the exact solvers must not find in each blocking family, and whether
+# they look for it as a K_r-packing of the complement, as an equitable
+# (n/r)-colouring is one
+_BLOCKED = {
+    "H": ("perfect matching", False),
+    "G1": ("equitable colouring", True),
+    "G2": ("equitable colouring", True),
+    **dict.fromkeys(("af_i", "af_ii", "t_star", "extremal1", "extremal2"),
+                    ("perfect packing", False)),
+}
 
 
 def audit_instance(
@@ -847,7 +803,7 @@ def audit_instance(
     """
     g = FAMILIES[token].build(**params)
     problems: list[str] = []
-    n = params["n"]
+    n, r = params["n"], params.get("r", 2)  # H blocks perfect matchings: r = 2
     d = g.degrees()
     d.sort()
     edges, expected = sum(d) // 2, expected_edges(token, **params)
@@ -862,23 +818,16 @@ def audit_instance(
             want += [deg] * cnt
         if d != want:
             problems.append("degree sequence differs from the claimed bands")
-    within = n <= _solver_cap_for(token, params, solver_cap)
-    if token == "H":
-        if within and perfect_kr_packing(g, 2, node_cap).decision:
-            problems.append("unexpected perfect matching")
-    elif token in ("G1", "G2"):
-        if within and equitable_colouring(g, n // params["r"], node_cap).decision:
-            problems.append("unexpected equitable colouring")
-    elif token == "af_i" and params["r"] >= 3:
-        if g.complement() != build_clique_plus_isolates(n, params["r"]):
+    if token == "af_i" and r >= 3:
+        if g.complement() != build_clique_plus_isolates(n, r):
             problems.append("complement is not the clique-plus-isolates graph")
     elif token == "extremal1":
-        r, k = params["r"], params["k"]
+        k = params["k"]
         fails, beta_ok = _banded_profile(d, r)
         if fails != (k,) or not beta_ok:
             problems.append(f"banded condition fails at {fails} (beta {beta_ok})")
     elif token == "extremal2":
-        r, k = params["r"], params["k"]
+        k = params["k"]
         fails = _disjunctive_failures(d, r)
         if fails != (k,):
             problems.append(f"disjunctive condition fails at {fails}")
@@ -896,9 +845,10 @@ def audit_instance(
             problems.append(f"degree band fails at indices {bad}")
         if 0 not in square_hamilton_obstructions(g):
             problems.append("vertex 0 not flagged by the square obstruction check")
-    if token in _PACKING_BLOCKERS and within:
-        if perfect_kr_packing(g, params["r"], node_cap).decision:
-            problems.append("unexpected perfect packing")
+    if token in _BLOCKED and n <= solver_cap + 2 * (r == 2):
+        found, complement = _BLOCKED[token]
+        if perfect_kr_packing(g.complement() if complement else g, r, node_cap).decision:
+            problems.append(f"unexpected {found}")
     return problems
 
 

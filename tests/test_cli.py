@@ -2,6 +2,7 @@
 constructions into solvers, and byte-identical verify reruns."""
 
 import json
+import re
 
 import pytest
 
@@ -80,6 +81,20 @@ def test_construct_audit_pass_and_reject(capsys):
         "--audit",
     )
     assert code == 0 and "audit: ok" in out
+
+
+def test_construct_takes_every_family_parameter(capsys):
+    from packlab import build_matching_blocker
+
+    names = ["--n", "--d", "--r", "--D", "--j", "--k", "--C", "--K"]
+    with pytest.raises(SystemExit) as done:
+        main(["construct", "--help"])
+    assert done.value.code == 0
+    options = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+    assert options[:8] == names
+    values = ["6", "2", "3", "4", "1", "1", "1", "5"]
+    code, out, _ = run(capsys, "construct", "H", *(x for pair in zip(names, values) for x in pair))
+    assert code == 0 and out.strip() == encode_graph6(build_matching_blocker(6, 2))
 
 
 def test_construct_missing_param(capsys):

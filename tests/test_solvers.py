@@ -196,6 +196,31 @@ def test_krfree_rejects_clique_neighbourhood():
     assert out.decision and validate_packing(Graph.complete(8), out.certificate, 4)
 
 
+def test_krfree_banded_condition_messages():
+    # n = 6, r = 3: the bands ask d_1 >= 3 and d_3 >= 4
+    low = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                    if (u, v) not in {(0, 3), (0, 4), (0, 5)}])
+    with pytest.raises(HypothesisError) as caught:
+        krfree_greedy_packing(low, 3)
+    assert str(caught.value) == "degree condition fails at index 1: d_1 = 2 < 3"
+    k33 = complete_multipartite([3, 3])
+    with pytest.raises(HypothesisError) as caught:
+        krfree_greedy_packing(k33, 3)
+    assert str(caught.value) == "degree condition fails at index 3: d_3 = 3 < 4"
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_empty_graph_packs_and_colours(r):
+    from packlab import ColouringCertificate, PackingCertificate
+
+    packed = perfect_kr_packing(Graph(0), r)
+    assert (packed.decision, packed.certificate, packed.nodes_explored) == (
+        True, PackingCertificate(()), 0)
+    coloured = equitable_colouring(Graph(0), r)
+    assert (coloured.decision, coloured.certificate, coloured.nodes_explored) == (
+        True, ColouringCertificate(((),) * r), 0)
+
+
 def test_krfree_relabeled():
     rng = random.Random(3)
     for _ in range(10):

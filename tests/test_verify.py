@@ -359,6 +359,55 @@ def test_audit_catches_a_wrong_extremal2_boundary_degree(monkeypatch):
     assert "degree sequence differs from the claimed bands" not in found
 
 
+@pytest.mark.parametrize("token, params, graph, problem", [
+    ("H", {"n": 6, "d": 2}, Graph.complete(6), "unexpected perfect matching"),
+    ("G1", {"n": 6, "r": 3}, Graph(6), "unexpected equitable colouring"),
+    ("t_star", {"n": 6, "r": 3}, turan_graph(6, 3), "unexpected perfect packing"),
+])
+def test_audit_blocking_check_reports_what_the_solvers_find(monkeypatch, token, params, graph,
+                                                            problem):
+    """A builder that returns a graph with the property its family blocks;
+    the structural claims are switched off, so only the solvers can tell."""
+    monkeypatch.setitem(V.FAMILIES, token, dataclasses.replace(V.FAMILIES[token],
+                                                               build=lambda **p: graph))
+    monkeypatch.setattr(V, "expected_edges", lambda token, **p: None)
+    monkeypatch.setattr(V, "expected_degree_bands", lambda token, **p: None)
+    assert audit_instance(token, params) == [problem]
+
+
+def test_audit_blocking_check_stops_at_the_solver_cap(monkeypatch):
+    """At the default solver cap of 12, or 14 for r = 2 (H counts as r = 2),
+    the solvers run; past it they do not run at all."""
+    calls = []
+
+    class Yes:
+        decision = True
+
+    def found(*args, **kwargs):
+        calls.append(args)
+        return Yes()
+
+    monkeypatch.setattr(V, "perfect_kr_packing", found)
+    monkeypatch.setattr(V, "equitable_colouring", found)
+    for token, params, problem in (
+        ("H", {"n": 14, "d": 3}, "unexpected perfect matching"),
+        ("af_i", {"n": 14, "r": 2}, "unexpected perfect packing"),
+        ("t_star", {"n": 12, "r": 3}, "unexpected perfect packing"),
+        ("G1", {"n": 12, "r": 3}, "unexpected equitable colouring"),
+    ):
+        assert audit_instance(token, params) == [problem]
+    assert len(calls) == 4
+    for token, params in (
+        ("H", {"n": 16, "d": 3}),
+        ("af_i", {"n": 16, "r": 2}),
+        ("t_star", {"n": 15, "r": 3}),
+        ("G1", {"n": 15, "r": 3}),
+        ("t_star", {"n": 14, "r": 7}),
+    ):
+        assert audit_instance(token, params) == []
+    assert len(calls) == 4
+
+
 def test_t1_parameter_validation():
     with pytest.raises(ParameterRangeError):
         verify_t1_threshold(7, 3)
@@ -784,3 +833,11 @@ def test_starved_sampler_reports_reason(monkeypatch):
     assert rep.problems == (
         f"sampler starved: {rep.examined} of 2000 samples after 1000 proposals",
     )
+
+
+def test_condition_predicates_are_exported_by_packlab_and_verify():
+    import packlab
+
+    for name in ("banded_condition_profile", "disjunctive_condition_failures"):
+        assert name in packlab.__all__
+        assert getattr(V, name) is getattr(packlab, name)
