@@ -3,26 +3,48 @@ are sharp.
 
 Every builder lays vertices out class by class in a fixed documented order,
 so the resulting graphs (and their graph6 encodings) are reproducible.
-Builders assemble per-vertex neighbour masks directly (O(n) big-int work per
-graph), which keeps full parameter sweeps up to n = 120 cheap.  Each family
-records the closed-form edge count it must hit; the audit in
-:mod:`packlab.verify` checks those counts and re-confirms the blocking
-properties with the exact solvers on small instances.
+Builders assemble per-vertex neighbour masks directly, dense families
+included, with no complement taken: a part's shared mask is repeated, and
+``_less_self`` XORs each vertex's own bit out of it by ``map`` over one
+table of single bits, so no Python loop runs per vertex.  That keeps full
+parameter sweeps up to n = 120 cheap.  Each family records the closed-form
+edge count it must hit; the audit in :mod:`packlab.verify` checks those
+counts and re-confirms the blocking properties with the exact solvers on
+small instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import comb
+from operator import lshift, xor
 from typing import Callable, Mapping
 
 from .errors import ParameterRangeError
-from .graph import Graph, t_star, turan_sizes
+from .graph import Graph, t_star
 from .thresholds import matching_blocker_edges, turan_complement_edges
 
 
 def _block(start: int, size: int) -> int:
     return ((1 << size) - 1) << start
+
+
+_BITS = [1]  # _BITS[v] == 1 << v, grown on demand to the largest n built
+
+
+def _own_bits(start: int, stop: int) -> list[int]:
+    global _BITS
+    bits = _BITS
+    if len(bits) < stop:  # rebinding a whole new table is safe under threads
+        bits = _BITS = [1 << v for v in range(stop)]
+    return bits[start:stop]
+
+
+def _less_self(mask: int, start: int, stop: int) -> list[int]:
+    """``mask`` less its own bit for each vertex start..stop-1; ``mask``
+    must hold all of them."""
+    return list(map(xor, repeat(mask, stop - start), _own_bits(start, stop)))
 
 
 def build_matching_blocker(n: int, d: int) -> Graph:
@@ -41,13 +63,11 @@ def build_matching_blocker(n: int, d: int) -> Graph:
     mask_a = _block(0, d + 1)
     mask_b = _block(d + 1, d)
     mask_bc = _block(d + 1, n - d - 1)
-    masks = [mask_b] * (d + 1)
-    for v in range(d + 1, n):
-        m = mask_bc & ~(1 << v)
-        if v <= 2 * d:
-            m |= mask_a
-        masks.append(m)
-    return Graph._from_masks(masks)
+    return Graph._from_masks(
+        [mask_b] * (d + 1)
+        + _less_self(mask_a | mask_bc, d + 1, 2 * d + 1)
+        + _less_self(mask_bc, 2 * d + 1, n)
+    )
 
 
 def build_clique_plus_isolates(n: int, r: int) -> Graph:
@@ -57,10 +77,7 @@ def build_clique_plus_isolates(n: int, r: int) -> Graph:
     if r < 3 or n < r or n % r:
         raise ParameterRangeError("need r >= 3 and r | n with n >= r")
     q = n // r
-    cl = _block(0, q + 1)
-    return Graph._from_masks(
-        [cl & ~(1 << v) for v in range(q + 1)] + [0] * (n - q - 1)
-    )
+    return Graph._from_masks(_less_self(_block(0, q + 1), 0, q + 1) + [0] * (n - q - 1))
 
 
 def build_star_plus_cliques(n: int, r: int, big_d: int) -> Graph:
@@ -77,11 +94,15 @@ def build_star_plus_cliques(n: int, r: int, big_d: int) -> Graph:
     if big_d * (r - 1) < n or big_d > n - r:
         raise ParameterRangeError("need n/(r-1) <= big_d <= n - r")
     masks = [_block(1, big_d)] + [1] * big_d
-    offset = big_d + 1
-    for size in turan_sizes(n - big_d - 1, r - 2):
-        part = _block(offset, size)
-        masks += [part & ~(1 << v) for v in range(offset, offset + size)]
-        offset += size
+    # two runs of equal cliques: a of size q + 1, then the rest of size q
+    q, a = divmod(n - big_d - 1, r - 2)
+    start = big_d + 1
+    for size, count in ((q + 1, a), (q, r - 2 - a)):
+        stop = start + size * count
+        parts = map(lshift, repeat(_block(0, size), count), range(start, stop, size))
+        per_vertex = chain.from_iterable(map(repeat, parts, repeat(size, count)))
+        masks += map(xor, per_vertex, _own_bits(start, stop))
+        start = stop
     return Graph._from_masks(masks)
 
 
@@ -101,9 +122,8 @@ def build_packing_exception(n: int, r: int, variant: str, j: int | None = None) 
         if j is not None:
             raise ParameterRangeError("variant 'i' takes no j")
         q = n // r
-        cl = _block(0, q + 1)
-        masks = [cl & ~(1 << v) for v in range(q + 1)] + [0] * (n - q - 1)
-        return Graph._from_masks(masks).complement()
+        full = (1 << n) - 1
+        return Graph._from_masks([full ^ _block(0, q + 1)] * (q + 1) + _less_self(full, q + 1, n))
     if variant != "ii":
         raise ParameterRangeError(f"unknown variant {variant!r}")
     if j is None:
@@ -113,12 +133,11 @@ def build_packing_exception(n: int, r: int, variant: str, j: int | None = None) 
     if n < r + j:
         raise ParameterRangeError("need n >= r + j")
     leaves = n - r - j + 1
-    masks = [_block(1, leaves)] + [1] * leaves
-    for t in range(j):
-        u = leaves + 1 + 2 * t
-        masks.extend((1 << (u + 1), 1 << u))
-    masks.extend([0] * (r - j - 2))
-    return Graph._from_masks(masks).complement()
+    full = (1 << n) - 1
+    masks = [full ^ _block(0, leaves + 1)] + _less_self(full ^ 1, 1, leaves + 1)
+    for u in range(leaves + 1, leaves + 1 + 2 * j, 2):
+        masks += [full ^ (3 << u)] * 2
+    return Graph._from_masks(masks + _less_self(full, leaves + 1 + 2 * j, n))
 
 
 def build_extremal1(n: int, r: int, k: int) -> Graph:
@@ -139,19 +158,12 @@ def build_extremal1(n: int, r: int, k: int) -> Graph:
     full = (1 << n) - 1
     mask_w0 = _block(0, k)
     x_start = k + (r - 2) * q
-    mask_x = _block(x_start, 2 * q - 2 * k + 1)
-    masks = [full & ~mask_w0 & ~mask_x] * k
-    start = k
-    for _ in range(r - 2):
-        part = _block(start, q)
-        masks.extend([full & ~part] * q)
-        start += q
-    for v in range(x_start, x_start + 2 * q - 2 * k + 1):
-        masks.append(full & ~mask_w0 & ~(1 << v))
     y_start = x_start + 2 * q - 2 * k + 1
-    for v in range(y_start, n):
-        masks.append(full & ~(1 << v))
-    return Graph._from_masks(masks)
+    masks = [full ^ mask_w0 ^ _block(x_start, y_start - x_start)] * k
+    for start in range(k, x_start, q):
+        masks += [full ^ _block(start, q)] * q
+    masks += _less_self(full ^ mask_w0, x_start, y_start)
+    return Graph._from_masks(masks + _less_self(full, y_start, n))
 
 
 def build_extremal2(n: int, r: int, k: int) -> Graph:
@@ -171,10 +183,9 @@ def build_extremal2(n: int, r: int, k: int) -> Graph:
     full = (1 << n) - 1
     mask_b = _block(a, b)
     mask_bc = _block(a, n - a)
-    masks = [mask_b] * a
-    masks += [full & ~(1 << v) for v in range(a, a + b)]
-    masks += [mask_bc & ~(1 << v) for v in range(a + b, n)]
-    return Graph._from_masks(masks)
+    return Graph._from_masks(
+        [mask_b] * a + _less_self(full, a, a + b) + _less_self(mask_bc, a + b, n)
+    )
 
 
 def build_square_blocker(n: int, c: int, k: int) -> Graph:
@@ -213,9 +224,7 @@ def build_square_blocker(n: int, c: int, k: int) -> Graph:
         masks.append(1 | leaves_mask | mask_v3)
         masks.extend([1 | (1 << offset) | mask_v3] * (size - 1))
         offset += size
-    v23 = mask_v2 | mask_v3
-    masks.extend(v23 & ~(1 << v) for v in range(m2 + 1, n))
-    return Graph._from_masks(masks)
+    return Graph._from_masks(masks + _less_self(mask_v2 | mask_v3, m2 + 1, n))
 
 
 @dataclass(frozen=True)
@@ -328,9 +337,11 @@ def expected_degree_bands(token: str, **params: int) -> list[tuple[int, int]] | 
     if token == "G2":
         n, r, big_d = params["n"], params["r"], params["D"]
         bands: dict[int, int] = {1: big_d}
-        for size in turan_sizes(n - big_d - 1, r - 2):
-            if size:
-                bands[size - 1] = bands.get(size - 1, 0) + size
+        # the builder's runs: a cliques of size q + 1, then r - 2 - a of size q
+        q, a = divmod(n - big_d - 1, r - 2)
+        for size, count in ((q + 1, a), (q, r - 2 - a)):
+            if count:
+                bands[size - 1] = bands.get(size - 1, 0) + size * count
         bands[big_d] = bands.get(big_d, 0) + 1
         return [(cnt, deg) for deg, cnt in sorted(bands.items())]
     if token == "af_i":

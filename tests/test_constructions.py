@@ -246,3 +246,41 @@ def test_builders_output_pinned():
     for token, params in _audit_grid(60):
         h.update((encode_graph6(FAMILIES[token].build(**params)) + "\n").encode())
     assert h.hexdigest() == "d69bf55881bdb05d0ac90a194a2ef6d864a61f6213580d637754679afdc11d16"
+
+
+def test_builders_masks_pinned_full_grid():
+    """sha256 of every audit-grid instance's neighbour masks, n <= 120, in
+    grid order: each mask as 16 little-endian bytes, vertex by vertex.  This
+    reaches the G2 instances above n = 60 that the graph6 pin leaves out."""
+    h = hashlib.sha256()
+    for token, params in _audit_grid(120):
+        g = FAMILIES[token].build(**params)
+        h.update(b"".join(g.neighbour_mask(v).to_bytes(16, "little") for v in range(g.n)))
+    assert h.hexdigest() == "835abf8d4067dec27a7a0c553b903fe89f26d2a1e58d5a69ae129d97c8cbf2f5"
+
+
+_BAD_PARAMS = [
+    ("H", dict(n=10, d=5), "need 0 <= d <= n/2 - 1"),
+    ("G2", dict(n=13, r=3, D=7), "need r >= 3 and r | n with n >= 2r"),
+    ("G2", dict(n=12, r=3, D=10), "need n/(r-1) <= big_d <= n - r"),
+    ("af_i", dict(n=10, r=3), "need r >= 2 and r | n with n >= r"),
+    ("af_ii", dict(n=10, r=3, j=1), "need r >= 2 and r | n with n >= r"),
+    ("af_ii", dict(n=12, r=4, j=0), "need 1 <= j <= r - 2"),
+    ("af_ii", dict(n=12, r=4, j=3), "need 1 <= j <= r - 2"),
+    ("af_ii", dict(n=4, r=4, j=1), "need n >= r + j"),
+    ("extremal1", dict(n=12, r=3, k=0), "need 1 <= k <= n/r - 1"),
+    ("extremal1", dict(n=12, r=3, k=4), "need 1 <= k <= n/r - 1"),
+    ("extremal2", dict(n=12, r=3, k=0), "need 1 <= k <= n/r"),
+    ("extremal2", dict(n=12, r=3, k=5), "need 1 <= k <= n/r"),
+]
+
+
+@pytest.mark.parametrize(
+    "token, params, message",
+    _BAD_PARAMS,
+    ids=[f"{t}-" + "-".join(map(str, p.values())) for t, p, _ in _BAD_PARAMS],
+)
+def test_builder_parameter_messages(token, params, message):
+    with pytest.raises(ParameterRangeError) as caught:
+        FAMILIES[token].build(**params)
+    assert str(caught.value) == message

@@ -249,6 +249,24 @@ def test_splitmix64_reference_values():
     assert draws == [rng2.next_below(10) for _ in range(50)]
 
 
+
+def test_next_below_and_words_share_one_stream():
+    """``next_below`` at a power-of-two bound never redraws, so calls that
+    alternate it with ``words`` read the words that ``words`` alone gives:
+    the top bits of one word, or of two words joined high word first."""
+    stream = SplitMix64(2024).words(9).tolist()
+    rng = SplitMix64(2024)
+    got = rng.words(2).tolist()
+    got.append(rng.next_below(1 << 64))
+    hi_lo = rng.next_below(1 << 100)
+    got.append(rng.words(1).tolist()[0])
+    top = rng.next_below(2)
+    assert rng.next_below(1) == 0  # a bound of 1 reads no word
+    got += rng.words(2).tolist()
+    assert got == stream[:3] + stream[5:6] + stream[7:9]
+    assert hi_lo == (stream[3] << 64 | stream[4]) >> 28
+    assert top == stream[6] >> 63
+
 def _splitmix64_reference(seed, count):
     """The first ``count`` words of the classic state-stepping splitmix64."""
     mask = (1 << 64) - 1
@@ -319,6 +337,39 @@ def test_audit_catches_bands_with_the_right_degree_sum(monkeypatch):
     assert sum(c * d for c, d in bands) == 2 * V.expected_edges("H", **params)
     assert audit_instance("H", params) == ["degree sequence differs from the claimed bands"]
 
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda bands: bands[::-1],
+        lambda bands: [(bands[0][0] - 1, bands[0][1]), *bands[1:]],
+        lambda bands: [bands[0], (bands[1][0] - 1, bands[1][1]), *bands[2:]],
+        lambda bands: [(bands[0][0] + 1, bands[0][1]), *bands[1:]],
+        lambda bands: [*bands[:-1], (bands[-1][0] + 1, bands[-1][1])],
+        lambda bands: [*bands, (1, bands[-1][1])],
+    ],
+    ids=["reversed", "first-short", "second-short", "first-long", "last-long", "extra-band"],
+)
+def test_audit_catches_misordered_or_miscounted_bands(monkeypatch, edit):
+    claimed = V.expected_degree_bands
+    monkeypatch.setattr(V, "expected_degree_bands", lambda token, **p: edit(claimed(token, **p)))
+    for params in ({"n": 10, "d": 2}, {"n": 10, "d": 0}):
+        assert audit_instance("H", params) == ["degree sequence differs from the claimed bands"]
+
+
+def test_audit_passes_bands_with_a_zero_count_band(monkeypatch):
+    """H at d = 0 claims a zero-count band of degree n - 1; one added
+    between two true bands is passed over too."""
+    assert V.expected_degree_bands("H", n=10, d=0) == [(1, 0), (9, 8), (0, 9)]
+    assert audit_instance("H", {"n": 10, "d": 0}) == []
+    claimed = V.expected_degree_bands
+    monkeypatch.setattr(
+        V, "expected_degree_bands",
+        lambda token, **p: [claimed(token, **p)[0], (0, 5), *claimed(token, **p)[1:]],
+    )
+    assert audit_instance("H", {"n": 10, "d": 2}) == []
+    assert audit_instance("H", {"n": 10, "d": 0}) == []
 
 def test_audit_reports_a_builder_that_drops_one_edge(monkeypatch):
     faulty = {"n": 18, "r": 3, "D": 9}
