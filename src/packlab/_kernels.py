@@ -9,7 +9,7 @@ Graphs are encoded as one neighbour bitmask per vertex (bit ``j`` of
 ``adj[i]`` set iff ``ij`` is an edge); the ``int64`` rows cap kernel inputs
 at ``KERNEL_MAX_N`` = 62 vertices, and the solvers keep that cap.
 Labeled-graph enumeration walks an edge-mask integer whose bit ``s`` is
-edge slot ``s``; slots order pairs ``(i, j)`` with ``i < j`` by
+edge slot ``s``; ``slot_ends`` orders pairs ``(i, j)`` with ``i < j`` by
 ``s = j*(j-1)//2 + i``, the same column-major upper-triangle order graph6
 uses, so witness masks and graph6 strings agree bit for bit.
 
@@ -38,8 +38,7 @@ to edge bits (``_mask_bits``) and packed 64 graphs per ``uint64`` word
 OR decides 64 graphs.  The last word's padding bits never reach a result:
 ``_from_bits`` unpacks only the sub-block's rows.  Sub-blocks are whole
 words, sized (``_sub_block_rows``) so that the unpacked mask bits and the
-widest programme table each stay at 256 KB, as the int64 and bool tables
-they replace did.
+widest programme table each stay at 256 KB.
 """
 
 from __future__ import annotations
@@ -248,17 +247,20 @@ def _has_clique(adj, n, q, node_cap):
         cands[d] = nx
 
 
+@functools.lru_cache(maxsize=None)
+def slot_ends(n):
+    """The ends ``(i, j)``, ``i < j``, of each edge slot, in slot order."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
+
+
 def _slot_adj(words, n):
     """``words_to_adj`` by one vector operation per edge slot, on rows of
     ``int64`` edge words."""
     adjs = np.zeros((len(words), n), np.int64)
-    s = 0
-    for j in range(1, n):
-        for i in range(j):
-            bit = (words[:, s >> 6] >> (s & 63)) & 1
-            adjs[:, i] |= bit << j
-            adjs[:, j] |= bit << i
-            s += 1
+    for s, (i, j) in enumerate(slot_ends(n)):
+        bit = (words[:, s >> 6] >> (s & 63)) & 1
+        adjs[:, i] |= bit << j
+        adjs[:, j] |= bit << i
     return adjs
 
 
@@ -384,8 +386,7 @@ def _pack_programme(n, r):
     starts)``, where ``child`` indexes the layer below (one empty set below
     the first) and ``starts`` is each set's first pair.
     """
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]  # in slot order
-    tail, head = np.array(pairs, np.int64).reshape(-1, 2).T
+    tail, head = np.array(slot_ends(n), np.int64).reshape(-1, 2).T
     blocks = {}  # vertex bits of a block -> its index
     block_slots = []
     layers = []

@@ -300,8 +300,8 @@ FAMILIES: Mapping[str, Family] = {
 
 def expected_edges(token: str, **params: int) -> int | None:
     """Closed-form edge count for a family instance, or None when the family
-    has no independent closed form (the audit then derives one from the
-    expected degree bands)."""
+    has no independent closed form.  The audit derives none: its band check
+    fixes the degree sum of extremal1 and extremal2; square_cx has neither."""
     if token == "H":
         return matching_blocker_edges(params["n"], params["d"])
     if token == "G1":

@@ -32,7 +32,7 @@ from .constructions import (
     expected_degree_bands,
     expected_edges,
 )
-from .errors import ParameterRangeError
+from .errors import CapExceededError, ParameterRangeError
 from .formats import decode_graph6, encode_graph6
 from .graph import Graph
 from .solvers import (
@@ -219,12 +219,9 @@ def _status(aborted: bool, ok: bool) -> str:
 def _incident_slots(n: int) -> list[int]:
     """For each vertex, the bitmask of the edge slots that touch it."""
     out = [0] * n
-    s = 0
-    for j in range(1, n):
-        for i in range(j):
-            out[i] |= 1 << s
-            out[j] |= 1 << s
-            s += 1
+    for s, (i, j) in enumerate(K.slot_ends(n)):
+        out[i] |= 1 << s
+        out[j] |= 1 << s
     return out
 
 
@@ -437,13 +434,24 @@ class ThresholdSpec:
         beyond = any(min(degs) >= dd and e > t for dd, t in self.thresholds.items())
         return beyond and not perfect_kr_packing(g, self.r, cap).decision
 
+    def extremal_holds(self, g: Graph, dd: int, cap: int) -> bool:
+        """Re-solve the extremal ``g`` of family ``dd``: its dual (``g`` for a
+        colouring check, else its complement) has max degree within the bound
+        and no equitable (n/r)-colouring by the direct search, within ``cap``."""
+        dual, bound = (g, dd) if self.complement else (g.complement(), self.n - 1 - dd)
+        return max(dual.degrees()) <= bound and not equitable_colouring(
+            dual, self.n // self.r, cap, method="direct"
+        ).decision
+
 
 def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int | None,
                       n_cap: int, timing: bool) -> VerificationReport:
     """Run ``spec`` in ``task.mode`` and build its report.  Exhaustive mode
-    searches all 2^C(n,2) graphs; sampled mode uniform samples from the
-    single armed family past its threshold.  With ``dual`` every decided
-    graph is cross-checked as ``_search`` describes."""
+    searches all 2^C(n,2) graphs and re-solves each family's extremal; the
+    report's is the widest family's (the families nest), lowest mask on
+    ties.  Sampled mode uniform samples from the single armed family past
+    its threshold.  With ``dual`` every decided graph is cross-checked as
+    ``_search`` describes."""
     n = spec.n
     cap = resolve_node_cap(node_cap)
     t0 = perf_counter()
@@ -476,18 +484,6 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
         n, spec.r, size, rows, lambda degs: degs.min(axis=1) >= d_lo, cap, problems,
         spec.complement, mismatches, bounds,
     )
-    if task.mode == "exhaustive":
-        per_d = {}
-        for dd, threshold in spec.thresholds.items():
-            best = extremum[n - 1 - dd if spec.complement else dd]
-            per_d[dd] = {
-                "found": best is not None,
-                "edges": best and (comb(n, 2) - best[0] if spec.complement else best[0]),
-                "graph6": best and _witness(n, best[1]),
-                "mask": best and best[1],
-                "threshold": threshold,
-            }
-        extremal = _pick_boundary(per_d, prefer_larger=not spec.complement)
     violations = tuple(_witness(n, m) for m in masks)
     _recheck(violations, lambda g: spec.refuted_by(g, cap), problems)
     if mismatches:
@@ -495,21 +491,28 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
             f"packing and colouring searches disagree on {len(mismatches)} of the decided "
             f"graphs; the first is {encode_graph6(Graph._from_masks(mismatches[0]))}"
         )
-    for dd, row in (per_d or {}).items():
-        # a node-cap abort or a violation already explains a missed closed form
-        if row["edges"] != row["threshold"] and not (capped or violations):
-            found = f"{row['edges']} edges" if row["found"] else "none"
-            problems.append(f"{name}={dd}: extremal {found}, threshold {row['threshold']}")
-        if row["found"] and spec.dual:
-            # the duality: the complement of a non-packable extremal has max
-            # degree <= n-1-D and no equitable (n/r)-colouring.  The colouring
-            # search cannot hit the cap here: ``K.colour_rows`` already ran it
-            # on this complement within the cap, with the same node counts.
-            comp = decode_graph6(row["graph6"]).complement()
-            if max(comp.degrees()) > n - 1 - dd or equitable_colouring(
-                comp, n // spec.r, cap, method="direct"
-            ).decision:
-                problems.append(f"{name}={dd}: extremal {row['graph6']} failed the duality")
+    if task.mode == "exhaustive":
+        per_d = {}
+        for dd, threshold in spec.thresholds.items():
+            best = extremum[n - 1 - dd if spec.complement else dd]
+            row = per_d[dd] = {
+                "found": best is not None,
+                "edges": best and (comb(n, 2) - best[0] if spec.complement else best[0]),
+                "graph6": best and _witness(n, best[1]),
+                "mask": best and best[1],
+                "threshold": threshold,
+            }
+            # a node-cap abort or a violation already explains a missed closed form
+            if row["edges"] != threshold and not (capped or violations):
+                found = f"{row['edges']} edges" if best else "none"
+                problems.append(f"{name}={dd}: extremal {found}, threshold {threshold}")
+            try:
+                if best and not spec.extremal_holds(decode_graph6(row["graph6"]), dd, cap):
+                    problems.append(f"{name}={dd}: extremal {row['graph6']} failed the duality")
+            except CapExceededError:
+                capped = True
+        widest = per_d[max(per_d) if spec.complement else min(per_d)]
+        extremal = (widest["edges"], widest["graph6"]) if widest["found"] else None
     if capped:
         problems.append(f"node cap of {cap} reached")
     return VerificationReport(
@@ -517,16 +520,6 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
         _status(capped or starved, not violations and not problems),
         _elapsed_ms(t0, timing), per_d, problems=tuple(problems),
     )
-
-
-def _pick_boundary(per_d, prefer_larger: bool):
-    """(edges, graph6) of the most extreme found row; lowest mask on ties."""
-    rows = [row for row in per_d.values() if row["found"]]
-    if not rows:
-        return None
-    sign = -1 if prefer_larger else 1
-    best = min(rows, key=lambda row: (sign * row["edges"], row["mask"]))
-    return best["edges"], best["graph6"]
 
 
 def _armed(single: int | None, lo: int, hi: int, message: str) -> list[int]:

@@ -414,6 +414,16 @@ def test_words_to_adj_matches_graph():
             assert adjs[b].tolist() == [g.neighbour_mask(v) for v in range(n)]
 
 
+def test_slot_ends_follow_graph6_order():
+    """Slot s joins the ends graph6 gives bit s, and ``s = j*(j-1)//2 + i``."""
+    for n in range(1, 9):
+        ends = K.slot_ends(n)
+        assert len(ends) == n * (n - 1) // 2
+        for s, (i, j) in enumerate(ends):
+            assert i < j and s == j * (j - 1) // 2 + i
+            assert list(Graph.from_edge_mask(n, 1 << s).edges()) == [(i, j)]
+
+
 @pytest.mark.parametrize("n", range(2, 17))
 def test_words_to_adj_byte_tables_match_slot_loop(n):
     """The byte-table expansion against the slot loop on ragged blocks of

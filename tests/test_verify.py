@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from packlab import (
+    CapExceededError,
     Graph,
     ParameterRangeError,
     audit_constructions,
@@ -36,6 +37,7 @@ from packlab import (
 )
 from packlab import _kernels as K
 from packlab import verify as V
+from packlab.cli import main
 from packlab.verify import SplitMix64
 
 SCHEMA_KEYS = {"task", "examined", "violations", "extremal", "status", "elapsed_ms"}
@@ -728,6 +730,57 @@ def test_extremal_duality_runs_colouring_search(monkeypatch):
     rep = verify_mainthm1_threshold(6, 3)
     assert rep.status == "fail" and not rep.violations
     assert rep.problems == tuple(f"D={dd}: extremal E~z_ failed the duality" for dd in (2, 3))
+
+
+def test_matching_extremal_is_re_solved(monkeypatch):
+    """A packing decider that calls every 9-edge 6-vertex graph unpackable
+    moves no total and makes no violation (the threshold at d = 1 is 9), but
+    the extremal it yields, the first 9-edge graph, has a perfect matching."""
+    packable = K.packable_rows
+
+    def no_nine(adjs, n, r):
+        return packable(adjs, n, r) & (np.bitwise_count(adjs).sum(axis=1) != 18)
+
+    monkeypatch.setattr(K, "packable_rows", no_nine)
+    rep = verify_matching_threshold(6)
+    assert (rep.status, rep.violations, rep.extremal) == ("fail", (), (9, "E~q?"))
+    assert rep.problems == ("d=1: extremal E~q? failed the duality",)
+
+
+def test_t1_extremal_is_re_solved(monkeypatch):
+    """A packing decider flipped on the complements of the triangle ``Ew??``
+    (mask 7) and the star ``Es??`` (mask 11) calls the triangle colourable
+    and the star not.  The star then becomes the 3-edge extremal at D = 3,
+    and the direct colouring search colours it."""
+    assert [V._witness(6, m) for m in (7, 11)] == ["Ew??", "Es??"]
+    targets = [Graph.from_edge_mask(6, m).complement().adjacency_array() for m in (7, 11)]
+    packable = K.packable_rows
+
+    def flipped(adjs, n, r):
+        out = packable(adjs, n, r)
+        for target in targets:
+            out ^= (adjs == target).all(axis=1)
+        return out
+
+    monkeypatch.setattr(K, "packable_rows", flipped)
+    rep = verify_t1_threshold(6, 3)
+    assert (rep.status, rep.violations, rep.extremal) == ("fail", (), (3, "Es??"))
+    assert rep.problems == ("D=3: extremal Es?? failed the duality",)
+
+
+def test_extremal_re_solve_cap_aborts_with_report(monkeypatch, capsys):
+    """An extremal re-solve that reaches the node cap aborts the run with a
+    report, from the API and from the command line, never a traceback."""
+    def capped(*args, **kwargs):
+        raise CapExceededError("colouring search exceeded the node cap")
+
+    monkeypatch.setattr(V, "equitable_colouring", capped)
+    rep = verify_mainthm1_threshold(6, 3)
+    assert rep.status == "aborted" and not rep.violations
+    assert rep.problems[-1] == f"node cap of {V.resolve_node_cap(None)} reached"
+    assert json.loads(rep.to_json())["status"] == "aborted"
+    assert main(["verify", "mainthm1", "--n", "6", "--r", "3"]) == 3
+    assert capsys.readouterr().out == rep.to_json() + "\n"
 
 
 def test_missed_closed_form_is_named():
