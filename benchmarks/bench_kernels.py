@@ -3,11 +3,11 @@
 Run:  python benchmarks/bench_kernels.py
 
 Each row times one set of decisions two ways: the plain-numpy block decider
-(``packable_rows``, ``hampath_rows`` or ``colour_rows``) and the per-row
-search it runs across the rows (``_pack_decide``, ``_hampath_decide`` or
-``_colour_decide``, one call per graph).  Both ways must return the same
-decisions (for colourings, the same statuses and node counts); times are the
-best of three runs after a warm-up.
+(``packable_rows``, which also reads back a packing for every graph that
+packs, or ``hampath_rows``) and the per-row search it runs across the rows
+(``_pack_decide`` or ``_hampath_decide``, one call per graph).  Both ways
+must return the same decisions; times are the best of three runs after a
+warm-up.
 """
 
 import time
@@ -51,32 +51,19 @@ def _hampath(adjs, n):
     return lambda: [K._hampath_decide(adj, n)[0] == 1 for adj in adjs.tolist()]
 
 
-def _colouring(adjs, n, k):
-    """The equitable-colouring search ``_colour_decide`` on every row:
-    statuses and node counts."""
-    return lambda: [
-        list(x) for x in zip(*(K._colour_decide(adj, n, k, 10**9)[:2] for adj in adjs.tolist()))
-    ]
-
-
 def main():
     n12, n6, n7 = _random_adjs(12, 256, 1), _all_adjs(6), _random_adjs(7, 4096, 2)
-    c12 = _random_adjs(12, 4096, 3)
     benches = [  # (label, block decider, per-row search)
-        ("packing, 256 random graphs n=12 r=2", lambda: K.packable_rows(n12, 12, 2).tolist(),
+        ("packing, 256 random graphs n=12 r=2", lambda: K.packable_rows(n12, 12, 2)[0].tolist(),
          _packing(n12, 12, 2)),
-        ("packing, 256 random graphs n=12 r=3", lambda: K.packable_rows(n12, 12, 3).tolist(),
+        ("packing, 256 random graphs n=12 r=3", lambda: K.packable_rows(n12, 12, 3)[0].tolist(),
          _packing(n12, 12, 3)),
-        ("packing, all 32768 graphs n=6 r=2", lambda: K.packable_rows(n6, 6, 2).tolist(),
+        ("packing, all 32768 graphs n=6 r=2", lambda: K.packable_rows(n6, 6, 2)[0].tolist(),
          _packing(n6, 6, 2)),
-        ("packing, all 32768 graphs n=6 r=3", lambda: K.packable_rows(n6, 6, 3).tolist(),
+        ("packing, all 32768 graphs n=6 r=3", lambda: K.packable_rows(n6, 6, 3)[0].tolist(),
          _packing(n6, 6, 3)),
         ("Hamilton paths, 4096 random graphs n=7", lambda: K.hampath_rows(n7, 7).tolist(),
          _hampath(n7, 7)),
-        ("colouring, all 32768 graphs n=6 k=2",
-         lambda: [a.tolist() for a in K.colour_rows(n6, 6, 2, 10**9)], _colouring(n6, 6, 2)),
-        ("colouring, 4096 random graphs n=12 k=4",
-         lambda: [a.tolist() for a in K.colour_rows(c12, 12, 4, 10**9)], _colouring(c12, 12, 4)),
     ]
     rows = []
     for label, block, search in benches:

@@ -17,19 +17,17 @@ Every scan, exhaustive or sampled, works on blocks of graphs: it hands a
 block of 64-bit edge words to ``words_to_adj``, plain numpy with one table
 lookup per edge byte (one vector operation per edge slot past n = 16),
 filters the rows by their degrees in numpy, and decides the rows it keeps
-with one of three plain-numpy block deciders, or row by row.
+with one of two plain-numpy block deciders, or row by row.
 ``hampath_rows`` runs the Hamilton-path subset programme across the rows,
 and ``packable_rows`` runs the packing subset programme, over the uncovered
 vertex sets reached by always covering the lowest uncovered vertex with an
-r-clique; neither aborts.  The scans run the packing search
-``_pack_decide`` row by row instead, stopping at the first row that hits
-the node cap, when the cap is below ``pack_node_bound`` (the most nodes the
-search can use, so the programme would hide an abort) and for n above 12,
-where the programme's state tables grow quickly.  The third,
-``colour_rows``, runs the equitable-colouring search ``_colour_decide``
-across the rows, one search node per pass, with its node counts and aborts;
-the mainthm1 check runs it on the complements of the rows it packs, in the
-same block, as a second decider that must agree row by row.
+r-clique, and reads back a packing for every row that has one; neither
+aborts.  The scans run the packing search ``_pack_decide`` row by row
+instead, stopping at the first row that hits the node cap, when the cap is
+below ``pack_node_bound`` (the most nodes the search can use, so the
+programme would hide an abort) and for n above 12, where the programme's
+state tables grow quickly.  Either way every packing found is a
+certificate that the scans check.
 
 The two subset programmes are bit-sliced: a sub-block of rows is unpacked
 to edge bits (``_mask_bits``) and packed 64 graphs per ``uint64`` word
@@ -312,9 +310,9 @@ def _to_bits(mat):
 
 
 def _from_bits(words, rows):
-    """The first ``rows`` bits of one contiguous row of words, as a bool
+    """The first ``rows`` bits of each contiguous row of words, as a bool
     array."""
-    return np.unpackbits(words.view(np.uint8), count=rows, bitorder="little").view(bool)
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=rows, bitorder="little").view(bool)
 
 
 def _mask_width(n):
@@ -337,6 +335,23 @@ def _sub_block_rows(n, row_bytes):
     return max(64, (1 << 18) // max(n * _mask_width(n), row_bytes) // 64 * 64)
 
 
+@functools.lru_cache(maxsize=None)
+def _hampath_programme(n):
+    """The Hamilton-path subset programme for n vertices, as index arrays:
+    for the subsets of each size 1..n-1 in turn, one ``(w, sources,
+    targets)`` per vertex w, where ``sources`` are the subsets without w and
+    ``targets`` the same subsets with w added."""
+    subsets = np.arange(1 << n, dtype=np.int64)
+    programme = []
+    for layer in (subsets[np.bitwise_count(subsets) == k] for k in range(1, n)):
+        for w in range(n):
+            src = layer[(layer >> w) & 1 == 0]
+            programme.append((w, src, src | (1 << w)))
+    for _, src, dst in programme:
+        src.flags.writeable = dst.flags.writeable = False  # cached and shared by every caller
+    return tuple(programme)
+
+
 def hampath_rows(adjs, n):
     """Hamilton-path existence for every row of ``adjs``, as a bool array.
 
@@ -344,19 +359,14 @@ def hampath_rows(adjs, n):
     bit-sliced: graph i of a sub-block is bit ``i % 64`` of word ``i // 64``
     of every table cell.  ``edge[v, w]`` holds the rows' vw edge bits, and
     ``dp[m, v]`` has a row's bit set when some path over subset m ends at v.
-    Subsets are taken layer by layer in order of popcount; for each vertex
-    w, ``dp[m | w, w]`` is the OR over v of ``dp[m, v] & edge[v, w]``.
-    Plain numpy, in sub-blocks of whole words (``_sub_block_rows``) that
-    keep the (2^n, n, words) table and the unpacked mask bits at 256 KB;
-    from n = 12 one word's table is already larger.
+    Subsets are taken layer by layer in order of popcount
+    (``_hampath_programme``); for each vertex w, ``dp[m | w, w]`` is the OR
+    over v of ``dp[m, v] & edge[v, w]``.  Plain numpy, in sub-blocks of
+    whole words (``_sub_block_rows``) that keep the (2^n, n, words) table
+    and the unpacked mask bits at 256 KB; from n = 12 one word's table is
+    already larger.
     """
-    subsets = np.arange(1 << n, dtype=np.int64)
-    sizes = np.bitwise_count(subsets)
-    # (w, sources without w) per layer; the targets m | w lie one layer up
-    layers = [
-        [(w, layer[(layer >> w) & 1 == 0]) for w in range(n)]
-        for layer in (subsets[sizes == k] for k in range(1, n))
-    ]
+    programme = _hampath_programme(n)
     out = np.zeros(len(adjs), bool)
     step = _sub_block_rows(n, n << n >> 3)
     for lo in range(0, len(adjs), step):
@@ -365,9 +375,8 @@ def hampath_rows(adjs, n):
         dp = np.zeros((1 << n, n, edge.shape[2]), np.uint64)
         for v in range(n):
             dp[1 << v, v] = ~np.uint64(0)
-        for layer in layers:
-            for w, src in layer:
-                dp[src | (1 << w), w] = np.bitwise_or.reduce(dp[src] & edge[:, w], axis=1)
+        for w, src, dst in programme:
+            dp[dst, w] = np.bitwise_or.reduce(dp[src] & edge[:, w], axis=1)
         out[lo : lo + len(rows)] = _from_bits(np.bitwise_or.reduce(dp[-1], axis=0), len(rows))
     return out
 
@@ -379,12 +388,15 @@ def _pack_programme(n, r):
     Its states are the uncovered vertex sets reached from all n vertices by
     always covering the lowest uncovered vertex with an r-block, and a set
     is good when it is empty or some such block b is a clique and the set
-    without b is good.  Returns ``(tail, head, block_slots, layers)``: edge
-    slot s joins ``tail[s] < head[s]``; ``block_slots[b]`` lists the slots
-    inside block b; ``layers``, for sets of r, 2r, ..., n vertices, hold
-    each layer's (set, block) pairs grouped by set as ``(block, child,
-    starts)``, where ``child`` indexes the layer below (one empty set below
-    the first) and ``starts`` is each set's first pair.
+    without b is good.  A set of u vertices has C(u-1, r-1) such blocks.
+    Returns ``(tail, head, block_slots, layers)``: edge slot s joins
+    ``tail[s] < head[s]``; ``block_slots[b]`` lists the slots inside block
+    b; ``layers``, for sets of r, 2r, ..., n vertices, hold ``(block,
+    child, holds, by_child, starts)``: the (set, block) pairs as two (sets,
+    C(u-1, r-1)) arrays, where ``child`` indexes the layer below (one empty
+    set below the first); ``holds[v, s]``, all ones where set s holds
+    vertex v; and the pairs in ``by_child`` order, in runs by child that
+    begin at ``starts``.
     """
     tail, head = np.array(slot_ends(n), np.int64).reshape(-1, 2).T
     blocks = {}  # vertex bits of a block -> its index
@@ -392,10 +404,9 @@ def _pack_programme(n, r):
     layers = []
     states = [(1 << n) - 1]
     for _ in range(n // r):
-        block, child, starts = [], [], []
+        block, child = [], []
         below = {}  # the layer below: set -> its index
         for unc in states:
-            starts.append(len(block))
             v = (unc & -unc).bit_length() - 1
             rest = [w for w in range(v + 1, n) if unc >> w & 1]
             for mates in itertools.combinations(rest, r - 1):
@@ -408,7 +419,11 @@ def _pack_programme(n, r):
                     )
                 block.append(blocks[bits])
                 child.append(below.setdefault(unc & ~bits, len(below)))
-        layers.append(tuple(np.array(a, np.int64) for a in (block, child, starts)))
+        by_child = np.argsort(child, kind="stable")
+        starts = np.searchsorted(np.array(child)[by_child], np.arange(len(below)))
+        block, child = (np.array(a, np.int64).reshape(len(states), -1) for a in (block, child))
+        holds = -((np.array(states, np.uint64) >> np.arange(n, dtype=np.uint64)[:, None]) & 1)
+        layers.append((block, child, holds, by_child, starts))
         states = list(below)
     block_slots = np.array(block_slots, np.int64).reshape(len(block_slots), r * (r - 1) // 2)
     for table in (tail, head, block_slots, *(a for layer in layers for a in layer)):
@@ -418,104 +433,71 @@ def _pack_programme(n, r):
 
 def packable_rows(adjs, n, r):
     """Perfect r-clique packing existence for every row of ``adjs`` (r | n),
-    as a bool array.
+    and a packing for every row that has one.
 
     The subset programme of ``_pack_programme`` run across the rows,
     bit-sliced: graph i of a sub-block is bit ``i % 64`` of word ``i // 64``
     of every table cell.  Each edge slot becomes one row of words,
     ``clique[b]`` is the AND of block b's slot rows, and each layer, from
     the smallest sets, ORs ``clique[block] & good[child]`` over each set's
-    pairs with ``np.bitwise_or.reduceat``.  Plain numpy, in sub-blocks of
-    whole words (``_sub_block_rows``) that keep the unpacked mask bits and
-    the widest (set, block) table at 256 KB.
+    pairs; ``_read_packings`` then reads the packings back from the same
+    tables.  Plain numpy, in sub-blocks of whole words (``_sub_block_rows``)
+    that keep the unpacked mask bits and the widest (set, block) table at
+    256 KB.
+
+    Returns ``(ok, blocks)``: ``ok`` as a bool array, and ``blocks`` as
+    (rows, n/r) vertex masks, ``uint16`` up to n = 16: a row's packing where
+    ``ok`` holds, its blocks by their lowest vertex, and zeros elsewhere.
     """
     tail, head, block_slots, layers = _pack_programme(n, r)
-    step = _sub_block_rows(n, max([len(block_slots)] + [len(lay[0]) for lay in layers]) >> 3)
-    out = np.zeros(len(adjs), bool)
+    step = _sub_block_rows(n, max([len(block_slots)] + [lay[0].size for lay in layers]) >> 3)
+    ok = np.zeros(len(adjs), bool)
+    blocks = np.zeros((len(adjs), n // r), np.uint16 if n <= 16 else np.int64)
     for lo in range(0, len(adjs), step):
         rows = adjs[lo : lo + step]
         edge = _to_bits(_mask_bits(rows, n)[:, tail, head])  # (slots, words)
         clique = np.full((len(block_slots), edge.shape[1]), ~np.uint64(0))
         for slots in block_slots.T:
             clique &= edge[slots]
-        good = np.full((1, edge.shape[1]), ~np.uint64(0))  # the empty set
-        for block, child, starts in layers:
-            good = np.bitwise_or.reduceat(clique[block] & good[child], starts, axis=0)
-        out[lo : lo + len(rows)] = _from_bits(good[0], len(rows))
-    return out
+        goods = [np.full((1, edge.shape[1]), ~np.uint64(0))]  # the empty set
+        for block, child, *_ in layers:
+            pairs = clique[block]
+            pairs &= goods[-1][child]
+            goods.append(np.bitwise_or.reduce(pairs, axis=1))
+        ok[lo : lo + len(rows)] = _from_bits(goods[-1][0], len(rows))
+        blocks[lo : lo + len(rows)] = _read_packings(clique, goods, layers, n, len(rows))
+    return ok, blocks
 
 
-def colour_rows(adjs, n, k, node_cap):
-    """``_colour_decide`` on every row of ``adjs``: returns its statuses and
-    node counts as two int64 arrays, so a row stops at the same node.
-
-    The rows run the search in lockstep, one search node per pass, so every
-    live row has made as many nodes as there were passes.  Levels are kept
-    by depth p = n - 1 - level: ``left`` has bit p set while level n - 1 - p
-    still has a class left, and a row's levels above its own have none, so
-    its lowest bit is the deepest level it can go on from.  A pass takes
-    each row there, clears the vertices it steps back over from
-    ``classmask`` with one AND (back steps count no nodes), puts that
-    level's vertex in its lowest class left, and lists the classes open to
-    the next vertex from the class sizes, the popcounts of ``classmask``.  A
-    row finishes when it colours the last vertex or has no level left.
-    Plain numpy over (levels or classes, rows) tables, in sub-blocks of
-    ``2^15 // (n + 1)`` rows so each stays at 256 KB.
-    """
-    status = np.ones(len(adjs), np.int64)  # n = 0 is coloured at once
-    nodes = np.zeros(len(adjs), np.int64)
-    q, s = divmod(n, k)
-    classes = np.arange(k, dtype=np.int64)[:, None]
-    vbits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)  # the vertex at each depth
-    flat = adjs.reshape(-1)
-    step = (1 << 15) // (n + 1)
-    for lo in range(0, len(adjs) if n else 0, step):
-        rows = np.arange(lo, min(lo + step, len(adjs)))  # where each live row reports
-        after = rows * n + n  # in ``flat``, one past each row's last vertex
-        candc = np.zeros((n + 1, len(rows)), np.int64)  # classes left at depth p in p + 1
-        candc[n] = 1
-        classmask = np.zeros((k, len(rows)), np.int64)
-        left = np.full(len(rows), 1 << (n - 1), np.int64)
-        at = np.arange(len(rows))
-        count = 0
-        while len(rows):
-            if count >= node_cap:
-                status[rows], nodes[rows] = -1, count + 1
-                break
-            count += 1
-            low = left & -left
-            p = np.bitwise_count(low - 1)
-            vb = vbits.take(p)
-            classmask &= vb - 1
-            cm = candc[p + 1, at]
-            cb = cm & -cm
-            candc[p + 1, at] = cm ^ cb
-            left ^= low * (cm == cb)
-            classmask[np.bitwise_count(cb - 1), at] |= vb
-            # the classes open to the next vertex: a used class or the first
-            # empty one, below q + 1 vertices (q once s classes have q + 1),
-            # and holding no neighbour of it.  A row that coloured the last
-            # vertex (p = 0) lists garbage in row 0 of ``candc`` and stops.
-            sizes = np.bitwise_count(classmask)
-            most = q + ((sizes > q).sum(axis=0) < s) if s else q
-            open_ = (
-                (classes <= (sizes > 0).sum(axis=0))
-                & (sizes < most)
-                & (flat.take(after - p, mode="clip") & classmask == 0)
-            )
-            cv = (open_ << classes).sum(axis=0)
-            candc[p, at] = cv
-            left |= (low >> 1) * (cv != 0)
-            done = np.minimum(p, left) == 0  # coloured, or no level left
-            if done.any():
-                status[rows[done]] = p[done] == 0
-                nodes[rows[done]] = count
-                keep = ~done  # one table at a time, so each old one is freed at once
-                rows, after, left = rows[keep], after[keep], left[keep]
-                candc = candc[:, keep]
-                classmask = classmask[:, keep]
-                at = np.arange(len(rows))
-    return status, nodes
+def _read_packings(clique, goods, layers, n, rows):
+    """The packings of a sub-block's rows, read back from the tables of
+    ``packable_rows`` from the full set down: ``here[s]`` holds the rows at
+    set s, and each takes the set's first pair whose block is a clique and
+    whose remainder is good, and moves to the remainder.  A row's block is
+    its set less the next; a row that does not pack is in no set."""
+    vbits = (1 << np.arange(n)).astype(np.uint16 if n <= 16 else np.int64)
+    here = goods[-1]
+    left = vbits.sum(dtype=vbits.dtype) * _from_bits(here[0], rows)  # each row's set
+    blocks = np.zeros((rows, len(layers)), vbits.dtype)
+    for depth in range(len(layers) - 1):
+        block, child, _, by_child, starts = layers[-1 - depth]
+        pairs = clique[block]
+        pairs &= goods[-2 - depth][child]
+        pairs &= here[:, None]
+        pairs = np.bitwise_or.accumulate(pairs, axis=1)  # a row's pairs from its first on
+        np.bitwise_xor(pairs[:, 1:], pairs[:, :-1], out=pairs[:, 1:])  # its first pair only
+        here = np.bitwise_or.reduceat(pairs.reshape(-1, pairs.shape[2])[by_child], starts)
+        # vertex by vertex, the rows whose set holds it, in groups of
+        # vertices whose (vertex, set) table stays at 256 KB
+        holds, inside = layers[-2 - depth][2], np.empty((n, here.shape[1]), np.uint64)
+        per = max(1, (1 << 15) // here.size)
+        for v in range(0, n, per):
+            np.bitwise_or.reduce(here & holds[v : v + per, :, None], axis=1, out=inside[v : v + per])
+        below = np.bitwise_or.reduce(_from_bits(inside, rows) * vbits[:, None], axis=0)
+        blocks[:, depth] = left & ~below
+        left = below
+    blocks[:, -1] = left
+    return blocks
 
 
 @functools.lru_cache(maxsize=None)

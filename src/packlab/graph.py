@@ -271,6 +271,25 @@ def validate_packing(graph: Graph, cert: PackingCertificate, r: int) -> bool:
     return seen == set(range(graph.n))
 
 
+def validate_packing_rows(adjs: np.ndarray, blocks: np.ndarray, r: int) -> np.ndarray:
+    """``validate_packing`` on every row of neighbour masks ``adjs``, with
+    row i of ``blocks`` its n/r blocks' vertex masks, as a bool array: each
+    block has r vertices, together they cover all n (so are disjoint), and
+    no vertex misses another of its block."""
+    n = adjs.shape[1]
+    kind = np.min_scalar_type((1 << n) - 1)  # unsigned, n bits wide or more
+    vertex = np.arange(n, dtype=kind)[:, None]
+    blocks = np.ascontiguousarray(blocks.T, kind)  # (n/r, rows)
+    ok = (np.bitwise_count(blocks) == r).all(axis=0) & (len(blocks) * r == n)
+    ok &= np.bitwise_or.reduce(blocks, axis=0) == (1 << n) - 1
+    # (n, rows): the block holding each vertex, and the vertices it misses
+    mine = np.zeros((n, len(ok)), kind)
+    for b in blocks:
+        mine |= b * (b >> vertex & 1)
+    missing = ~(np.ascontiguousarray(adjs.T, kind) | (1 << vertex))
+    return ok & ~(mine & missing).any(axis=0)
+
+
 def validate_colouring(graph: Graph, cert: ColouringCertificate, k: int) -> bool:
     """Check classes form an equitable proper k-colouring (solver-independent)."""
     if len(cert.classes) != k:

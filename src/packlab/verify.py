@@ -4,11 +4,12 @@ counterexample searches for the degree-condition conjectures.
 
 Scans and samplers share one loop, ``_search``: it takes blocks of rows of
 edge words, expands them, filters them by degrees, decides them exactly,
-buffers the first violations, keeps the per-floor extremum and stops at
-the first graph that hits the node cap.  The modes differ only in where
-the rows come from: scans give each ``C(n,2)``-bit edge mask as one word;
-samplers give the words of the explicitly seeded ``splitmix64`` generator,
-or the graphs they accepted from it; all randomness flows from that seed.
+checks the packing behind every "yes", buffers the first violations, keeps
+the per-floor extremum and stops at the first graph that hits the node cap.
+The modes differ only in where the rows come from: scans give each
+``C(n,2)``-bit edge mask as one word; samplers give the words of the
+explicitly seeded ``splitmix64`` generator, or the graphs they accepted from
+it; all randomness flows from that seed.
 Reports serialize to a stable canonical JSON schema with ``elapsed_ms``
 zeroed unless timing is requested, so repeated runs are byte-identical.
 """
@@ -34,7 +35,7 @@ from .constructions import (
 )
 from .errors import CapExceededError, ParameterRangeError
 from .formats import decode_graph6, encode_graph6
-from .graph import Graph
+from .graph import Graph, validate_packing_rows
 from .solvers import (
     _banded_profile,
     _disjunctive_failures,
@@ -291,23 +292,28 @@ def _condition_rows(degs: np.ndarray, clauses) -> np.ndarray:
 def _decide_rows(adjs: np.ndarray, n: int, r: int, node_cap: int):
     """Exact decision for each row of ``adjs``: a perfect r-clique packing,
     or a Hamilton path at r = 0.  Returns (decisions as a bool array,
-    aborted), the decisions stopping at the first row that hit the node cap.
+    packings, aborted), the decisions stopping at the first row that hit the
+    node cap; ``packings`` holds the n/r block masks of each "yes" (None at
+    r = 0).
 
     Hamilton paths are decided across the block in numpy, and so are
     packings when r | n, n <= ``_PACK_ROWS_MAX_N`` and the node cap is one
     the packing search can never reach (``K.pack_node_bound``).  Otherwise
     ``K._pack_decide`` decides one row at a time and may abort on the cap."""
     if r == 0:
-        return K.hampath_rows(adjs, n), False
+        return K.hampath_rows(adjs, n), None, False
     if n <= _PACK_ROWS_MAX_N and n % r == 0 and node_cap >= K.pack_node_bound(n, r):
-        return K.packable_rows(adjs, n, r), False
-    out = []
+        return (*K.packable_rows(adjs, n, r), False)
+    out, packings = [], []
     for adj in adjs.tolist():
-        out.append(K._pack_decide(adj, n, r, node_cap)[0])
-        if out[-1] == -1:
+        status, _, chosen = K._pack_decide(adj, n, r, node_cap)
+        if status == -1:
             break
-    done = (out + [-1]).index(-1)  # the first row on the cap
-    return np.array(out[:done], np.int64) == 1, done < len(adjs)
+        out.append(status == 1)
+        packings.append([sum(1 << v for v in chosen[b : b + r]) * status  # zeros on a "no"
+                         for b in range(0, n, r)])
+    packings = np.array(packings, np.int64).reshape(len(out), n // r)
+    return np.array(out, bool), packings, len(out) < len(adjs)
 
 
 def _mask_rows(start: int, stop: int) -> np.ndarray:
@@ -322,15 +328,15 @@ def _row_mask(n: int, row: list[int]) -> int:
 
 
 def _search(n: int, r: int, size: int, rows, keep, cap: int, problems: list[str],
-            complement: bool = False, mismatches: list | None = None, bounds=None):
+            complement: bool = False, bounds=None):
     """Every scan and sampler: graphs 0..size-1 in blocks of ``SAMPLE_BATCH``.
 
     ``rows(start, stop)`` gives a block's edge words as ``K.words_to_adj``
     takes them.  The rows are expanded, complemented when asked, and those
-    whose degrees ``keep`` accepts are decided with ``_decide_rows``.  With a
-    ``mismatches`` list (r | n) the same rows' complements are also
-    equitably (n/r)-coloured (``K.colour_rows``), and the neighbour masks of
-    every row where the two answers disagree are appended to it.
+    whose degrees ``keep`` accepts are decided with ``_decide_rows``.  Every
+    packing found is checked by ``validate_packing_rows``; the first graph
+    whose packing fails the check is named in ``problems``, with how many
+    do.
 
     ``bounds`` maps degree floors to edge bounds: a decided graph that does
     not pack violates them when its edge count exceeds the lowest bound over
@@ -339,7 +345,7 @@ def _search(n: int, r: int, size: int, rows, keep, cap: int, problems: list[str]
     and ascending, aborted, extremum), where ``extremum[f]`` is (edges, mask)
     of the first graph that does not pack with the most edges among those
     with min degree >= f, or None.  The run stops at the first row on which
-    either search hits the node cap: both counts include that row, which is
+    the search hits the node cap: both counts include that row, which is
     neither a violation nor an extremum.  The first ``VIOLATION_BUFFER``
     violations are kept; past them the count is recorded in ``problems``."""
     bounds = {0: -1} if bounds is None else bounds
@@ -350,6 +356,7 @@ def _search(n: int, r: int, size: int, rows, keep, cap: int, problems: list[str]
     best: list = [None] * len(floors)  # (edges, row) per floor
     examined = kept = nviol = 0
     stored: list = []
+    uncertified: list = []  # rows whose packing failed its check
     aborted = False
     for start in range(0, size, SAMPLE_BATCH):
         block = rows(start, min(start + SAMPLE_BATCH, size))
@@ -358,15 +365,12 @@ def _search(n: int, r: int, size: int, rows, keep, cap: int, problems: list[str]
             adjs = _complement_rows(n, adjs)
         degs = np.bitwise_count(adjs)
         hits = np.flatnonzero(keep(degs))
-        decisions, aborted = _decide_rows(adjs[hits], n, r, cap)
-        if mismatches is not None:
-            colours = K.colour_rows(_complement_rows(n, adjs[hits]), n, n // r, cap)[0]
-            # up to the first row on which either search hit the cap
-            decisions = decisions[: (colours.tolist()[: len(decisions)] + [-1]).index(-1)]
-            aborted = len(decisions) < len(hits)
-            disagree = hits[: len(decisions)][(colours[: len(decisions)] == 1) != decisions]
-            mismatches += adjs[disagree].tolist()
+        decisions, packings, aborted = _decide_rows(adjs[hits], n, r, cap)
         done = hits[: len(decisions)]
+        if packings is not None:  # every "yes" shows its packing
+            packed = done[decisions]
+            valid = validate_packing_rows(adjs[packed], packings[decisions], r)
+            uncertified += block[packed[~valid]].tolist()
         e = degs[done].sum(axis=1, dtype=np.int64) // 2
         mindeg = degs[done].min(axis=1)
         if len(done):
@@ -387,6 +391,9 @@ def _search(n: int, r: int, size: int, rows, keep, cap: int, problems: list[str]
         kept += len(hits)
     if nviol > len(stored):
         problems.append(f"{nviol} violations found; the report keeps the first {len(stored)}")
+    if uncertified:
+        problems.append(f"packing certificate failed validation on {len(uncertified)} of the "
+                        f"decided graphs; the first is {_witness(n, _row_mask(n, uncertified[0]))}")
     extremum = [b and (b[0], _row_mask(n, b[1])) for b in best]
     return examined, kept, sorted({_row_mask(n, row) for row in stored}), aborted, extremum
 
@@ -405,9 +412,7 @@ class ThresholdSpec:
     have a perfect r-clique packing.  With it true the family is "max degree
     <= D" and every member with fewer edges must be equitably
     (n/r)-colourable, which the scan decides as packing on the complement:
-    min degree >= n-1-D and more than C(n,2) - threshold edges.  ``dual``
-    cross-checks every decided graph by an equitable (n/r)-colouring search
-    on its complement.
+    min degree >= n-1-D and more than C(n,2) - threshold edges.
     """
 
     predicate: str
@@ -415,7 +420,6 @@ class ThresholdSpec:
     r: int
     complement: bool
     thresholds: dict
-    dual: bool = False
 
     def packing_bounds(self) -> dict:
         """{degree floor: edge bound} of the packing scan."""
@@ -425,19 +429,17 @@ class ThresholdSpec:
         return {self.n - 1 - dd: half - t for dd, t in self.thresholds.items()}
 
     def refuted_by(self, g: Graph, cap: int) -> bool:
-        """Re-check a witness with the solvers: ``g`` lies in an armed family
-        on the wrong side of its threshold and is not packable (colourable)."""
-        degs, e = g.degrees(), g.edge_count
-        if self.complement:
-            beyond = any(max(degs) <= dd and e < t for dd, t in self.thresholds.items())
-            return beyond and not equitable_colouring(g, self.n // self.r, cap).decision
-        beyond = any(min(degs) >= dd and e > t for dd, t in self.thresholds.items())
-        return beyond and not perfect_kr_packing(g, self.r, cap).decision
+        """Re-check a witness with the solvers: ``g`` is a blocker of an armed
+        family on the wrong side of its threshold."""
+        e = g.edge_count
+        return any((e < t if self.complement else e > t) and self.is_blocker(g, dd, cap)
+                   for dd, t in self.thresholds.items())
 
-    def extremal_holds(self, g: Graph, dd: int, cap: int) -> bool:
-        """Re-solve the extremal ``g`` of family ``dd``: its dual (``g`` for a
-        colouring check, else its complement) has max degree within the bound
-        and no equitable (n/r)-colouring by the direct search, within ``cap``."""
+    def is_blocker(self, g: Graph, dd: int, cap: int) -> bool:
+        """Re-solve ``g`` as a member of family ``dd`` without the property:
+        its dual (``g`` for a colouring check, else its complement) has max
+        degree within the bound and no equitable (n/r)-colouring by the
+        direct search, not the packing search that decided it."""
         dual, bound = (g, dd) if self.complement else (g.complement(), self.n - 1 - dd)
         return max(dual.degrees()) <= bound and not equitable_colouring(
             dual, self.n // self.r, cap, method="direct"
@@ -450,13 +452,11 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
     searches all 2^C(n,2) graphs and re-solves each family's extremal; the
     report's is the widest family's (the families nest), lowest mask on
     ties.  Sampled mode uniform samples from the single armed family past
-    its threshold.  With ``dual`` every decided graph is cross-checked as
-    ``_search`` describes."""
+    its threshold.  A re-solve that reaches the node cap aborts the run."""
     n = spec.n
     cap = resolve_node_cap(node_cap)
     t0 = perf_counter()
     problems: list[str] = []
-    mismatches = [] if spec.dual else None
     per_d = extremal = None
     starved = False
     name = "d" if task.r is None else "D"
@@ -482,15 +482,13 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
     d_lo = min(bounds)
     examined, _, masks, capped, extremum = _search(
         n, spec.r, size, rows, lambda degs: degs.min(axis=1) >= d_lo, cap, problems,
-        spec.complement, mismatches, bounds,
+        spec.complement, bounds,
     )
     violations = tuple(_witness(n, m) for m in masks)
-    _recheck(violations, lambda g: spec.refuted_by(g, cap), problems)
-    if mismatches:
-        problems.append(
-            f"packing and colouring searches disagree on {len(mismatches)} of the decided "
-            f"graphs; the first is {encode_graph6(Graph._from_masks(mismatches[0]))}"
-        )
+    try:
+        _recheck(violations, lambda g: spec.refuted_by(g, cap), problems)
+    except CapExceededError:
+        capped = True
     if task.mode == "exhaustive":
         per_d = {}
         for dd, threshold in spec.thresholds.items():
@@ -507,7 +505,7 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
                 found = f"{row['edges']} edges" if best else "none"
                 problems.append(f"{name}={dd}: extremal {found}, threshold {threshold}")
             try:
-                if best and not spec.extremal_holds(decode_graph6(row["graph6"]), dd, cap):
+                if best and not spec.is_blocker(decode_graph6(row["graph6"]), dd, cap):
                     problems.append(f"{name}={dd}: extremal {row['graph6']} failed the duality")
             except CapExceededError:
                 capped = True
@@ -611,11 +609,11 @@ def verify_mainthm1_threshold(
     Exhaustive mode scans min-degree families directly (for each floor D in
     r-1..n-1-n/r: maximum edge count among non-packable graphs with min degree
     >= D must equal the packing threshold); sampled mode draws uniformly from
-    {min degree >= D, edges > threshold} and re-decides packability.  Both
-    cross-check the duality graph by graph: every decided graph's complement
-    is also searched for an equitable (n/r)-colouring, which must exist
-    exactly when the graph packs, and the complement of each recorded
-    extremal must have max degree <= n-1-D and no such colouring.
+    {min degree >= D, edges > threshold} and re-decides packability.  Every
+    packing found is checked, and so is an equitable (n/r)-colouring of the
+    complement; the complement of each recorded extremal must have max
+    degree <= n-1-D and no such colouring by the direct colouring search,
+    which re-solves each violation too.
     ``workers`` is accepted for compatibility and has no effect.
     """
     if r < 3 or n % r or n < 2 * r:
@@ -623,7 +621,7 @@ def verify_mainthm1_threshold(
     armed = _armed(big_d, r - 1, n - 1 - n // r, "need r - 1 <= D <= n - 1 - n/r")
     spec = ThresholdSpec(
         "mainthm1", n, r, False,
-        {dd: packing_threshold(n, r, dd).value for dd in armed}, dual=True,
+        {dd: packing_threshold(n, r, dd).value for dd in armed},
     )
     task = _task(spec.predicate, n, mode, r=r, d=big_d, seed=seed, samples=samples)
     return _verify_threshold(spec, task, node_cap, n_cap, timing)

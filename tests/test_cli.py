@@ -207,16 +207,14 @@ def test_verify_byte_identical_runs(capsys):
 
 
 def test_verify_sampled_duality_cap_abort(capsys):
-    # the colouring cross-check of a sample reaches the cap before the
-    # packing search does
     code, out, err = run(capsys, "verify", "mainthm1", "--n", "12", "--r", "3", "--D", "4",
                          "--mode", "sampled", "--seed", "1", "--samples", "200",
                          "--node-cap", "30")
     assert code == 3 and err == ""
     blob = json.loads(out)
     assert blob["status"] == "aborted" and blob["violations"] == []
-    # the cross-check capped on sample 86 (0-based), the last one counted
-    assert blob["examined"] == 87
+    # the packing search capped on sample 133 (0-based), the last one counted
+    assert blob["examined"] == 134
 
 
 def test_verify_exhaustive_cap_abort(capsys):

@@ -22,7 +22,7 @@ from packlab import (
     disjunctive_condition_failures,
 )
 from packlab import verify as V
-from packlab.solvers import DEFAULT_NODE_CAP
+from packlab.graph import validate_packing_rows
 from packlab.thresholds import colouring_threshold, packing_threshold
 from packlab.verify import _degree_clauses
 from oracles import (
@@ -148,7 +148,49 @@ def test_packable_rows_matches_brute(n):
     for r in (r for r in range(2, n + 1) if n % r == 0):
         for gs, rows in ((graphs, adjs), (comps, V._complement_rows(n, adjs))):
             want = [has_perfect_packing_brute(g, r) for g in gs]
-            assert K.packable_rows(rows, n, r).tolist() == want, r
+            assert K.packable_rows(rows, n, r)[0].tolist() == want, r
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_packings_validate_exactly_where_brute_packs(n, monkeypatch):
+    """Every labelled graph with n <= 6, at r = 2 and 3 where r | n: the
+    packings the subset programme reads back, and those of the packing
+    search row by row, pass ``validate_packing_rows`` on exactly the graphs
+    the brute-force oracle packs."""
+    graphs, adjs = _all_graphs(n)
+    for r in (r for r in (2, 3) if n % r == 0):
+        want = [has_perfect_packing_brute(g, r) for g in graphs]
+        ok, blocks = K.packable_rows(adjs, n, r)
+        assert validate_packing_rows(adjs, blocks, r).tolist() == want, r
+        with monkeypatch.context() as m:
+            m.setattr(V, "_PACK_ROWS_MAX_N", 0)  # the search, row by row
+            decisions, packings, aborted = V._decide_rows(adjs, n, r, K.pack_node_bound(n, r))
+        assert not aborted and decisions.tolist() == want, r
+        assert validate_packing_rows(adjs, packings, r).tolist() == want, r
+
+
+def test_validate_packing_rows_rejects_bad_partitions():
+    """Two disjoint triangles on six vertices, and packings that are not
+    partitions into triangles: a block short of a vertex, two blocks that
+    share one, the right vertices in the wrong blocks, a vertex past n, and
+    too few blocks."""
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    adjs = np.array([g.adjacency_array()] * 6)
+    blocks = np.array([
+        [0b000111, 0b111000], [0b000110, 0b111000], [0b000111, 0b110001],
+        [0b001011, 0b110100], [0b000111, 0b1110000], [0b000111, 0],
+    ], np.uint16)
+    assert validate_packing_rows(adjs, blocks, 3).tolist() == [True] + [False] * 5
+    assert validate_packing_rows(adjs, blocks[:, :1], 3).tolist() == [False] * 6
+
+
+def test_hampath_programme_is_cached_read_only():
+    """The Hamilton-path layer tables are built once per n and shared."""
+    programme = K._hampath_programme(6)
+    assert K._hampath_programme(6) is programme
+    w, src, dst = programme[0]
+    assert (w, src.tolist(), dst.tolist()) == (0, [2, 4, 8, 16, 32], [3, 5, 9, 17, 33])
+    assert not any(a.flags.writeable for _, src, dst in programme for a in (src, dst))
 
 
 def _drawn_graph(draw, most=10):
@@ -190,66 +232,7 @@ def test_packable_rows_matches_brute_drawn(data):
             st, _, _ = K._pack_decide(adjs[0].tolist(), n, r, 10**7)
             assert st != -1
             want = [st == 1]
-        assert K.packable_rows(adjs, n, r).tolist() == want
-
-
-def _colour_scalar(adjs, n, k, cap):
-    """[statuses, node counts] of ``_colour_decide`` row by row."""
-    runs = [K._colour_decide(adj, n, k, cap)[:2] for adj in adjs.tolist()]
-    return [list(x) for x in zip(*runs)]
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_colour_rows_matches_scalar(n):
-    """Status and node count of every labelled graph with n <= 6, at every
-    k, with node caps that stop the search at once, midway and never.  A
-    search capped at c runs the uncapped search's first c nodes, so the
-    capped results follow from the uncapped ones; below n = 6 the capped
-    search itself is run too."""
-    _, adjs = _all_graphs(n)
-    for k in range(1, n + 1):
-        status, nodes = _colour_scalar(adjs, n, k, DEFAULT_NODE_CAP)
-        for cap in (1, 7, DEFAULT_NODE_CAP):
-            want = [[-1 if m > cap else st for st, m in zip(status, nodes)],
-                    [min(m, cap + 1) for m in nodes]]
-            if n < 6:
-                assert want == _colour_scalar(adjs, n, k, cap), (k, cap)
-            got = [a.tolist() for a in K.colour_rows(adjs, n, k, cap)]
-            assert got == want, (k, cap)
-
-
-@_DRAWN
-@given(strategies.data())
-def test_colour_rows_matches_scalar_drawn(data):
-    """A block of up to six graphs on 7 <= n <= 12 vertices and their
-    complements, so rows finish at different passes."""
-    graphs = [_drawn_graph(data.draw, most=12)]
-    n = graphs[0].n
-    full = (1 << (n * (n - 1) // 2)) - 1
-    graphs += [Graph.from_edge_mask(n, m) for m in data.draw(
-        strategies.lists(strategies.integers(0, full), max_size=5))]
-    adjs = np.array([h.adjacency_array() for g in graphs for h in (g, g.complement())])
-    k = data.draw(strategies.integers(1, n))
-    cap = data.draw(strategies.sampled_from([1, 7, 60, DEFAULT_NODE_CAP]))
-    got = [a.tolist() for a in K.colour_rows(adjs, n, k, cap)]
-    assert got == _colour_scalar(adjs, n, k, cap)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_colour_rows_matches_brute(n):
-    graphs, adjs = _all_graphs(n)
-    for k in range(1, n + 1) if n < 6 else (2, 3):
-        want = [has_equitable_colouring_brute(g, k) for g in graphs]
-        assert (K.colour_rows(adjs, n, k, DEFAULT_NODE_CAP)[0] == 1).tolist() == want, k
-
-
-def test_colour_rows_edge_cases():
-    """No vertices, one vertex, and no rows."""
-    assert [a.tolist() for a in K.colour_rows(np.zeros((2, 0), np.int64), 0, 1, 5)] == [
-        [1, 1], [0, 0]]
-    assert [a.tolist() for a in K.colour_rows(np.zeros((1, 1), np.int64), 1, 1, 5)] == [
-        [1], [1]]
-    assert [a.tolist() for a in K.colour_rows(np.zeros((0, 4), np.int64), 4, 2, 5)] == [[], []]
+        assert K.packable_rows(adjs, n, r)[0].tolist() == want
 
 
 @pytest.mark.parametrize("n, r, bound", [(4, 2, 10), (6, 2, 56), (6, 3, 56)])
@@ -275,8 +258,9 @@ def test_small_cap_takes_backtracking_path(monkeypatch):
         assert len(calls) == 1
         assert K._pack_decide(adjs[0].tolist(), n, r, bound)[0] == 1
         assert V._decide_rows(adjs, n, r, bound - 1)[0].tolist() == [True]
-        decisions, aborted = V._decide_rows(adjs, n, r, 3)
+        decisions, packings, aborted = V._decide_rows(adjs, n, r, 3)
         assert len(calls) == 1 and (decisions.tolist(), aborted) == ([], True)
+        assert packings.shape == (0, n // r)
 
 
 def test_scan_pack_threshold_complement_matches_brute():
@@ -289,7 +273,7 @@ def test_scan_pack_threshold_complement_matches_brute():
     problems = []
     examined, _, viol, aborted, extremum = V._search(
         n, r, 1 << 15, V._mask_rows, lambda degs: degs.min(axis=1) >= min(bounds), 10**7,
-        problems, True, None, bounds,
+        problems, True, bounds,
     )
     want = {dd: None for dd in (2, 3)}
     want_viol = []
@@ -364,8 +348,7 @@ ROW_SOURCE_CASES = {
         ).packing_bounds(),
     ),
     "mainthm1(6,3)": dict(
-        r=3, mismatches=True,
-        bounds={dd: packing_threshold(6, 3, dd).value for dd in (2, 3)},
+        r=3, bounds={dd: packing_threshold(6, 3, dd).value for dd in (2, 3)},
     ),
     "empty table": dict(r=3),
 }
@@ -386,13 +369,13 @@ def test_row_sources_give_same_search(case, monkeypatch):
     junk = RNG.integers(0, 1 << 49, size=1 << 15, dtype=np.uint64) << np.uint64(15)
     runs = []
     for rows in (V._mask_rows, lambda s, e: _junk_rows(s, e, junk)):
-        problems, mismatches = [], [] if kw.get("mismatches") else None
+        problems = []
         out = V._search(6, kw["r"], 1 << 15, rows, keep, 10**7, problems,
-                        kw.get("complement", False), mismatches, bounds)
-        runs.append((out, problems, mismatches))
+                        kw.get("complement", False), bounds)
+        runs.append((out, problems))
     assert runs[0] == runs[1]
-    (examined, kept, viol, aborted, extremum), problems, mismatches = runs[0]
-    assert (examined, aborted, problems, mismatches or []) == (1 << 15, False, [], [])
+    (examined, kept, viol, aborted, extremum), problems = runs[0]
+    assert (examined, aborted, problems) == (1 << 15, False, [])
     assert any(extremum)
     assert bool(viol) == (bounds is None)
 
@@ -464,17 +447,17 @@ def test_batch_kernels_match_scalar(monkeypatch):
     masks = _random_masks(n, 32)
     adjs = np.array([_adj_for(n, mask) for mask in masks])
     want = [K._pack_decide(adj, n, r, 10**7)[0] == 1 for adj in adjs.tolist()]
-    decisions, aborted = V._decide_rows(adjs, n, r, 10**7)
+    decisions, _, aborted = V._decide_rows(adjs, n, r, 10**7)
     assert (decisions.tolist(), aborted) == (want, False)
 
     # equitable (n/r)-colourability is packing on the complemented rows
-    decisions, aborted = V._decide_rows(V._complement_rows(n, adjs), n, r, 10**7)
+    decisions, _, aborted = V._decide_rows(V._complement_rows(n, adjs), n, r, 10**7)
     want = [has_equitable_colouring_brute(Graph.from_edge_mask(n, m), n // r) for m in masks]
     assert (decisions.tolist(), aborted) == (want, False)
 
     graphs, adjs = _all_graphs(4)
     want = [has_perfect_packing_brute(g, 2) for g in graphs]
-    decisions, aborted = V._decide_rows(adjs, 4, 2, 10**7)
+    decisions, _, aborted = V._decide_rows(adjs, 4, 2, 10**7)
     assert (decisions.tolist(), aborted) == (want, False)
 
 
@@ -518,12 +501,15 @@ _RAGGED = settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=strategies.data())
 def test_packable_rows_ragged_blocks(size, data):
     """Drawn blocks on 7 <= n <= 12 vertices and their complements, at
-    every r | n, against the uncapped packing search row by row."""
+    every r | n, against the uncapped packing search row by row; the
+    packings read back validate exactly on the rows that pack."""
     n = data.draw(strategies.integers(7, 12))
     adjs = _drawn_block(data.draw, n, size)
     for r in (r for r in range(2, n + 1) if n % r == 0):
         for rows in (adjs, V._complement_rows(n, adjs)):
-            assert K.packable_rows(rows, n, r).tolist() == _pack_want(rows, n, r), r
+            ok, blocks = K.packable_rows(rows, n, r)
+            assert ok.tolist() == _pack_want(rows, n, r), r
+            assert validate_packing_rows(rows, blocks, r).tolist() == ok.tolist(), r
 
 
 @pytest.mark.parametrize("size", RAGGED_SIZES)
@@ -554,7 +540,9 @@ def test_block_deciders_span_sub_blocks():
     assert K._sub_block_rows(12, 5775 >> 3) == 320  # the widest (12, 4) layer
     for rows in (adjs, V._complement_rows(12, adjs)):
         want = _pack_want(rows, 12, 4)
-        assert K.packable_rows(rows, 12, 4).tolist() == want
+        ok, blocks = K.packable_rows(rows, 12, 4)
+        assert ok.tolist() == want
+        assert validate_packing_rows(rows, blocks, 4).tolist() == want
         assert any(want) and not all(want)
     adjs = _mixed_block(10, 450)
     assert K._sub_block_rows(10, (10 << 10) >> 3) == 192
@@ -566,16 +554,12 @@ def test_block_deciders_span_sub_blocks():
 @pytest.mark.parametrize("decide, n, r", [
     (K.packable_rows, 12, 2), (K.packable_rows, 12, 3), (K.packable_rows, 12, 4),
     (K.hampath_rows, 6, None), (K.hampath_rows, 7, None), (K.hampath_rows, 11, None),
-    (K.colour_rows, 6, 2), (K.colour_rows, 12, 4),
 ])
 def test_block_decider_memory(decide, n, r):
     """A 4,096-row block stays under 1 MB of numpy and Python allocations:
-    every sub-block table is capped at 256 KB.  For ``colour_rows`` r is
-    the number of classes."""
+    every sub-block table is capped at 256 KB."""
     adjs = _mixed_block(n, 4096)
     args = (adjs, n) if r is None else (adjs, n, r)
-    if decide is K.colour_rows:
-        args += (DEFAULT_NODE_CAP,)
     decide(*args)  # warm-up: the cached programme tables
     tracemalloc.start()
     try:
@@ -593,8 +577,8 @@ def test_node_cap_aborts():
     assert st == -1 and nodes >= 3
     # a block stops at its first row that hits the cap, after one decided row
     adjs = np.array([Graph(n).adjacency_array(), adj, adj])
-    decisions, aborted = V._decide_rows(adjs, n, 2, 3)
-    assert (decisions.tolist(), aborted) == ([False], True)
+    decisions, packings, aborted = V._decide_rows(adjs, n, 2, 3)
+    assert (decisions.tolist(), packings.tolist(), aborted) == ([False], [[0] * 4], True)
 
 
 def test_import_is_silent():

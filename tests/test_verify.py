@@ -85,25 +85,6 @@ def test_mainthm1_exhaustive_duality():
     assert rep.extremal[0] == 12
 
 
-def test_mainthm1_duality_compares_two_deciders(monkeypatch):
-    """The packing side is decided by the packing subset programme, the
-    colouring side of the cross-check by the colouring search."""
-    rows = {"packable_rows": 0, "colour_rows": 0}
-    for name in rows:
-        kernel = getattr(K, name)
-
-        def counted(adjs, *args, _kernel=kernel, _name=name):
-            rows[_name] += len(adjs)
-            return _kernel(adjs, *args)
-
-        monkeypatch.setattr(K, name, counted)
-    assert verify_t1_threshold(6, 3).status == "pass"
-    assert rows["packable_rows"] > 0 and rows["colour_rows"] == 0
-    rows.update(packable_rows=0)
-    assert verify_mainthm1_threshold(6, 3).status == "pass"
-    assert rows["packable_rows"] == rows["colour_rows"] == 12068
-
-
 def test_report_schema_and_serialization():
     rep = verify_t1_threshold(6, 3)
     blob = json.loads(rep.to_json())
@@ -632,80 +613,82 @@ def test_node_cap_abort_gives_reason(name):
     assert rep.problems == ("node cap of 8 reached",)
 
 
-def _first_capped_masks(n, r, floor, cap):
+def _first_capped_graph(n, r, floor, cap):
     """The first graph in mask order with min degree >= ``floor`` on which
-    the packing search reaches ``cap``, and the first whose complement the
-    equitable (n/r)-colouring search cannot decide within it; None where no
-    graph does."""
-    first = [None, None]
+    the packing search reaches ``cap``, or None where none does."""
     for mask in range(1 << comb(n, 2)):
         g = Graph.from_edge_mask(n, mask)
-        if min(g.degrees()) < floor:
-            continue
-        searches = (
-            lambda: K._pack_decide(g.adjacency_array().tolist(), n, r, cap),
-            lambda: K._colour_decide(g.complement().adjacency_array().tolist(), n, n // r, cap),
-        )
-        for i, search in enumerate(searches):
-            if first[i] is None and search()[0] == -1:
-                first[i] = mask
-    return tuple(first)
+        if min(g.degrees()) >= floor and K._pack_decide(
+            g.adjacency_array().tolist(), n, r, cap
+        )[0] == -1:
+            return mask
+    return None
 
 
 def test_exhaustive_duality_cap_aborts_on_colouring_nodes():
-    """The duality check's colouring search can need more nodes than the
-    packing search (at most 25 against 15 over all 6-vertex graphs).  The run
-    stops at the first graph on which either search reaches the cap: at a
-    cap of 20 the colouring search's, at 8 the graph where both first do."""
-    assert _first_capped_masks(6, 3, 2, 20) == (None, 7167)
-    rep = verify_mainthm1_threshold(6, 3, node_cap=20)
-    assert (rep.status, rep.examined) == ("aborted", 7168)
-    assert rep.problems == ("node cap of 20 reached",)
-    assert _first_capped_masks(6, 3, 2, 8) == (3295, 3295)
+    """Below ``K.pack_node_bound`` (56 at (6, 3)) the packing search decides
+    row by row and stops the run at the first graph that reaches the cap:
+    at a cap of 8 the graph of mask 3295, at 14 that of mask 18431.  No
+    6-vertex graph takes the packing search past 15 nodes, so at 15 the
+    scan finishes, but the direct colouring search that re-solves the
+    extremals' duality can take 25 and aborts the run; at 25 the run passes
+    with the report of the default cap."""
+    assert _first_capped_graph(6, 3, 2, 8) == 3295
     assert ABORTED_RUNS["mainthm1(6,3)"](node_cap=8).examined == 3296
     assert _aborted_digest("mainthm1(6,3)") == ABORTED_REPORTS["mainthm1(6,3)"]
-    assert verify_mainthm1_threshold(6, 3, node_cap=25).status == "pass"
+    assert _first_capped_graph(6, 3, 2, 14) == 18431
+    rep = verify_mainthm1_threshold(6, 3, node_cap=14)
+    assert (rep.status, rep.examined) == ("aborted", 18432)
+    assert rep.problems == ("node cap of 14 reached",)
+    assert _first_capped_graph(6, 3, 2, 15) is None
+    rep = verify_mainthm1_threshold(6, 3, node_cap=15)
+    assert (rep.status, rep.examined) == ("aborted", 1 << 15)
+    assert rep.problems == ("node cap of 15 reached",)
+    assert verify_mainthm1_threshold(6, 3, node_cap=25) == verify_mainthm1_threshold(6, 3)
+
+
+def _flip_rows(monkeypatch, targets):
+    """Make ``K.packable_rows`` flip its answer on the rows equal to any of
+    ``targets`` (neighbour masks), and keep their packings."""
+    packable = K.packable_rows
+
+    def flipped(adjs, n, r):
+        ok, blocks = packable(adjs, n, r)
+        for target in targets:
+            ok ^= (adjs == target).all(axis=1)
+        return ok, blocks
+
+    monkeypatch.setattr(K, "packable_rows", flipped)
+
+
+def _certificate_problem(g6):
+    return f"packing certificate failed validation on 1 of the decided graphs; the first is {g6}"
 
 
 def test_mainthm1_names_disagreeing_graph(monkeypatch):
     """A packing decider that calls one non-packable 8-edge graph packable
-    (mask 3294; the threshold is 12) moves no total, so only the row-by-row
-    cross-check catches it.  A flipped colouring status in a sampled run
-    is caught the same way, and so is an extremal whose complement the
-    colouring solver colours."""
+    (mask 3294; the threshold is 12) moves no total, but it has no packing
+    to show, so its certificate fails and names the graph.  The row-by-row
+    search is held to the same check.  An extremal whose complement the
+    colouring solver colours fails the report too."""
     g6 = V._witness(6, 3294)
     target = Graph.from_edge_mask(6, 3294).adjacency_array()
-    packable = K.packable_rows
-
-    def flipped(adjs, n, r):
-        out = packable(adjs, n, r)
-        return out ^ (adjs == target).all(axis=1)
-
-    monkeypatch.setattr(K, "packable_rows", flipped)
-    rep = verify_mainthm1_threshold(6, 3)
+    with monkeypatch.context() as m:
+        _flip_rows(m, [target])
+        rep = verify_mainthm1_threshold(6, 3)
     assert rep.status == "fail" and not rep.violations
-    assert rep.problems == (
-        f"packing and colouring searches disagree on 1 of the decided graphs; the first is {g6}",
-    )
-    monkeypatch.setattr(K, "packable_rows", packable)
+    assert rep.problems == (_certificate_problem(g6),)
 
-    colour = K.colour_rows
-    calls = []
+    search = K._pack_decide
 
-    def flip_first(adjs, *args):
-        status, nodes = colour(adjs, *args)
-        if not calls:
-            status[0] = 1 - status[0]
-        calls.append(len(adjs))
-        return status, nodes
+    def says_yes(adj, n, r, cap):  # every vertex in order, as if it packed
+        return (1, 1, list(range(n))) if adj == target.tolist() else search(adj, n, r, cap)
 
-    monkeypatch.setattr(K, "colour_rows", flip_first)
-    rep = GOLDEN_RUNS["mainthm1(12,3,D=4)"]()
-    assert rep.status == "fail" and calls
-    assert [p.split(";")[0] for p in rep.problems] == [
-        "packing and colouring searches disagree on 1 of the decided graphs"
-    ]
-    monkeypatch.setattr(K, "colour_rows", colour)
+    with monkeypatch.context() as m:
+        m.setattr(K, "_pack_decide", says_yes)
+        rep = verify_mainthm1_threshold(6, 3, node_cap=20)  # below the bound: row by row
+    assert rep.status == "fail" and not rep.violations
+    assert rep.problems == (_certificate_problem(g6),)
 
     class Yes:
         decision = True
@@ -719,10 +702,66 @@ def test_mainthm1_names_disagreeing_graph(monkeypatch):
     )
 
 
+def test_t1_uncertified_colouring_is_named(monkeypatch):
+    """t1 has no second decider: a packing decider that calls the
+    complement of mask 15 (a triangle with a pendant edge, 4 edges, above
+    the threshold of 3, so no violation) packable moves no printed number,
+    and only its certificate shows the fault."""
+    g6 = V._witness(6, 15)
+    _flip_rows(monkeypatch, [Graph.from_edge_mask(6, 15).complement().adjacency_array()])
+    rep = verify_t1_threshold(6, 3)
+    assert rep.status == "fail" and not rep.violations
+    assert rep.problems == (_certificate_problem(g6),)
+    assert json.loads(rep.to_json())["status"] == "fail"
+
+
+def _corrupt_packing(monkeypatch, mask, spoil):
+    """Make ``K.packable_rows`` hand back ``spoil(blocks)`` as the packing of
+    the 6-vertex graph of ``mask``, which packs."""
+    packable = K.packable_rows
+    target = Graph.from_edge_mask(6, mask).adjacency_array()
+
+    def corrupted(adjs, n, r):
+        ok, blocks = packable(adjs, n, r)
+        at = (adjs == target).all(axis=1)
+        assert ok[at].all()
+        blocks[at] = spoil(blocks[at])
+        return ok, blocks
+
+    monkeypatch.setattr(K, "packable_rows", corrupted)
+
+
+def test_certificate_missing_a_vertex_fails(monkeypatch):
+    """Two disjoint triangles (mask 25095) pack; a packing whose first block
+    lost its lowest vertex covers five vertices and fails."""
+    def drop_lowest(blocks):
+        blocks[:, 0] &= blocks[:, 0] - 1
+        return blocks
+
+    _corrupt_packing(monkeypatch, 25095, drop_lowest)
+    rep = verify_mainthm1_threshold(6, 3)
+    assert rep.status == "fail" and not rep.violations
+    assert rep.problems == (_certificate_problem(V._witness(6, 25095)),)
+
+
+def test_certificate_block_not_a_clique_fails(monkeypatch):
+    """The same graph's packing with vertices 2 and 3 swapped, {0, 1, 3}
+    and {2, 4, 5}, still partitions the vertices into triples, but neither
+    triple is a triangle of the graph."""
+    assert Graph.from_edge_mask(6, 25095) == Graph(
+        6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    _corrupt_packing(monkeypatch, 25095, lambda blocks: [0b001011, 0b110100])
+    rep = verify_mainthm1_threshold(6, 3)
+    assert rep.status == "fail" and not rep.violations
+    assert rep.problems == (_certificate_problem(V._witness(6, 25095)),)
+    assert main(["verify", "mainthm1", "--n", "6", "--r", "3"]) == 1
+
+
 def test_extremal_duality_runs_colouring_search(monkeypatch):
     """The extremal's duality re-solve runs the direct colouring search, not
     a packing of the complement's complement: a colouring search that
-    colours everything makes it fail, though ``K.colour_rows`` is honest."""
+    colours everything makes it fail, though the packing deciders are
+    honest."""
     def colour_all(adj, n, k, cap):
         return 1, 0, [v % k for v in range(n)]
 
@@ -739,7 +778,8 @@ def test_matching_extremal_is_re_solved(monkeypatch):
     packable = K.packable_rows
 
     def no_nine(adjs, n, r):
-        return packable(adjs, n, r) & (np.bitwise_count(adjs).sum(axis=1) != 18)
+        ok, blocks = packable(adjs, n, r)
+        return ok & (np.bitwise_count(adjs).sum(axis=1) != 18), blocks
 
     monkeypatch.setattr(K, "packable_rows", no_nine)
     rep = verify_matching_threshold(6)
@@ -751,21 +791,15 @@ def test_t1_extremal_is_re_solved(monkeypatch):
     """A packing decider flipped on the complements of the triangle ``Ew??``
     (mask 7) and the star ``Es??`` (mask 11) calls the triangle colourable
     and the star not.  The star then becomes the 3-edge extremal at D = 3,
-    and the direct colouring search colours it."""
+    and the direct colouring search colours it; the triangle has no
+    colouring to show, so its certificate fails."""
     assert [V._witness(6, m) for m in (7, 11)] == ["Ew??", "Es??"]
-    targets = [Graph.from_edge_mask(6, m).complement().adjacency_array() for m in (7, 11)]
-    packable = K.packable_rows
-
-    def flipped(adjs, n, r):
-        out = packable(adjs, n, r)
-        for target in targets:
-            out ^= (adjs == target).all(axis=1)
-        return out
-
-    monkeypatch.setattr(K, "packable_rows", flipped)
+    _flip_rows(monkeypatch, [
+        Graph.from_edge_mask(6, m).complement().adjacency_array() for m in (7, 11)
+    ])
     rep = verify_t1_threshold(6, 3)
     assert (rep.status, rep.violations, rep.extremal) == ("fail", (), (3, "Es??"))
-    assert rep.problems == ("D=3: extremal Es?? failed the duality",)
+    assert rep.problems == (_certificate_problem("Ew??"), "D=3: extremal Es?? failed the duality")
 
 
 def test_extremal_re_solve_cap_aborts_with_report(monkeypatch, capsys):
@@ -795,17 +829,21 @@ def test_missed_closed_form_is_named():
 
 
 def test_sampled_duality_cap_aborts_with_report():
-    """A sample whose colouring cross-check reaches the node cap aborts the
-    run with a report.  At a cap of 50 the packing search would not reach
-    the cap on these samples, but the colouring search does on sample 133
+    """A sample on which the packing search reaches the node cap aborts the
+    run with a report.  At a cap of 30 the search first does on sample 133
     (0-based): the driver decides samples 0-132, and 133 is the last sample
-    counted."""
-    rep = verify_mainthm1_threshold(
-        12, 3, big_d=4, mode="sampled", seed=1, samples=200, node_cap=50
-    )
+    counted.  No sample takes it past 34 nodes, so at 50 the run passes."""
+    def run(cap):
+        return verify_mainthm1_threshold(
+            12, 3, big_d=4, mode="sampled", seed=1, samples=200, node_cap=cap
+        )
+
+    rep = run(30)
     assert (rep.status, rep.examined) == ("aborted", 134)
-    assert rep.problems == ("node cap of 50 reached",)
+    assert rep.problems == ("node cap of 30 reached",)
     assert json.loads(rep.to_json())["status"] == "aborted"
+    rep = run(50)
+    assert (rep.status, rep.examined) == ("pass", 200)
 
 
 def test_sampler_draws_pinned():
@@ -875,11 +913,15 @@ def test_witness_recheck_failure_is_reported(monkeypatch):
     class Yes:
         decision = True
 
-    monkeypatch.setattr(V, "perfect_kr_packing", lambda *args, **kwargs: Yes())
+    # the re-check colours the complement of each witness, as does the
+    # extremal's re-solve
+    monkeypatch.setattr(V, "equitable_colouring", lambda *args, **kwargs: Yes())
     rep = _low_bound_report()
     assert rep.status == "fail"
     assert rep.violations == honest.violations
-    assert rep.problems == tuple(f"witness {g6} failed re-validation" for g6 in rep.violations)
+    assert rep.problems == tuple(
+        f"witness {g6} failed re-validation" for g6 in rep.violations
+    ) + (f"d=1: extremal {rep.extremal[1]} failed the duality",)
 
 
 def test_witness_recheck_reports_under_python_O():
@@ -887,7 +929,7 @@ def test_witness_recheck_reports_under_python_O():
         "from packlab import verify as V\n"
         "class Yes:\n"
         "    decision = True\n"
-        "V.perfect_kr_packing = lambda *args, **kwargs: Yes()\n"
+        "V.equitable_colouring = lambda *args, **kwargs: Yes()\n"
         "spec = V.ThresholdSpec('matching', 4, 2, False, {1: 0})\n"
         "task = V.EnumerationTask('matching', 4, 'exhaustive')\n"
         "rep = V._verify_threshold(spec, task, None, 7, False)\n"
@@ -899,7 +941,7 @@ def test_witness_recheck_reports_under_python_O():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["fail", "4"]
+    assert out.stdout.split() == ["fail", "5"]  # four witnesses and the extremal
 
 
 def test_violation_overflow_keeps_first_witnesses(monkeypatch):
