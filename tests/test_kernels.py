@@ -23,6 +23,7 @@ from packlab import (
 )
 from packlab import verify as V
 from packlab.graph import validate_packing_rows
+from packlab.solvers import DEFAULT_NODE_CAP
 from packlab.thresholds import colouring_threshold, packing_threshold
 from packlab.verify import _degree_clauses
 from oracles import (
@@ -235,7 +236,72 @@ def test_packable_rows_matches_brute_drawn(data):
         assert K.packable_rows(adjs, n, r)[0].tolist() == want
 
 
-@pytest.mark.parametrize("n, r, bound", [(4, 2, 10), (6, 2, 56), (6, 3, 56)])
+def _colour_rows(adjs, n, k, cap):
+    """[statuses, node counts] of the direct colouring search, run row by
+    row as the violation and extremal re-solves run it."""
+    runs = [K._colour_decide(adj, n, k, cap)[:2] for adj in adjs.tolist()]
+    return [[st for st, _ in runs], [m for _, m in runs]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_colour_rows_matches_scalar(n):
+    """Status and node count of every labelled graph with n <= 6, at every
+    k, with node caps that stop the search at once, midway and never.  A
+    search capped at c runs the uncapped search's first c nodes, so the
+    capped results follow from the uncapped ones."""
+    _, adjs = _all_graphs(n)
+    for k in range(1, n + 1):
+        status, nodes = _colour_rows(adjs, n, k, DEFAULT_NODE_CAP)
+        assert -1 not in status
+        for cap in (1, 7):
+            want = [[-1 if m > cap else st for st, m in zip(status, nodes)],
+                    [min(m, cap + 1) for m in nodes]]
+            assert _colour_rows(adjs, n, k, cap) == want, (k, cap)
+
+
+@_DRAWN
+@given(strategies.data())
+def test_colour_rows_matches_scalar_drawn(data):
+    """A block of up to six graphs on 7 <= n <= 12 vertices and their
+    complements: where the colouring search decides, it agrees with the
+    packing programme on the complements, at every k dividing n."""
+    graphs = [_drawn_graph(data.draw, most=12)]
+    n = graphs[0].n
+    full = (1 << (n * (n - 1) // 2)) - 1
+    graphs += [Graph.from_edge_mask(n, m) for m in data.draw(
+        strategies.lists(strategies.integers(0, full), max_size=5))]
+    adjs = np.array([h.adjacency_array() for g in graphs for h in (g, g.complement())])
+    k = data.draw(strategies.sampled_from([k for k in range(1, n) if n % k == 0]))
+    cap = data.draw(strategies.sampled_from([1, 7, 60, DEFAULT_NODE_CAP]))
+    status, _ = _colour_rows(adjs, n, k, cap)
+    packs = K.packable_rows(V._complement_rows(n, adjs), n, n // k)[0].tolist()
+    assert [st == 1 for st, p in zip(status, packs) if st != -1] == [
+        p for st, p in zip(status, packs) if st != -1]
+    if cap == DEFAULT_NODE_CAP:
+        assert -1 not in status
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_colour_rows_matches_brute(n):
+    """The direct colouring search, at every k below n = 6, including the
+    k that do not divide n, which no packing of the complement decides."""
+    graphs, adjs = _all_graphs(n)
+    for k in range(1, n + 1) if n < 6 else (2, 3, 4):
+        want = [has_equitable_colouring_brute(g, k) for g in graphs]
+        assert [st == 1 for st in _colour_rows(adjs, n, k, DEFAULT_NODE_CAP)[0]] == want, k
+
+
+def test_colour_rows_edge_cases():
+    """No vertices, one vertex, more classes than vertices, and a cap that
+    stops the search before its first node."""
+    assert _colour_rows(np.zeros((2, 0), np.int64), 0, 1, 5) == [[1, 1], [0, 0]]
+    assert _colour_rows(np.zeros((1, 1), np.int64), 1, 1, 5) == [[1], [1]]
+    assert _colour_rows(np.zeros((1, 1), np.int64), 1, 2, 5) == [[1], [1]]
+    assert _colour_rows(np.zeros((1, 1), np.int64), 1, 1, 0) == [[-1], [1]]
+    assert _colour_rows(np.zeros((0, 4), np.int64), 4, 2, 5) == [[], []]
+
+
+@pytest.mark.parametrize("n, r, bound",[(4, 2, 10), (6, 2, 56), (6, 3, 56)])
 def test_pack_node_bound_covers_search(n, r, bound):
     """No graph makes the packing search use more nodes than the bound."""
     assert K.pack_node_bound(n, r) == bound

@@ -85,6 +85,33 @@ def test_mainthm1_exhaustive_duality():
     assert rep.extremal[0] == 12
 
 
+def test_mainthm1_duality_compares_two_deciders(monkeypatch):
+    """The packing side is decided by the packing subset programme, and each
+    of its packings is validated; the colouring search re-decides only the
+    per-D extremals, one for each of D = 2 and 3."""
+    counts = {"packable_rows": 0, "validated": 0, "_colour_decide": 0}
+    packable, colour, validate = K.packable_rows, K._colour_decide, V.validate_packing_rows
+
+    def counted_pack(adjs, n, r):
+        counts["packable_rows"] += len(adjs)
+        return packable(adjs, n, r)
+
+    def counted_colour(*args):
+        counts["_colour_decide"] += 1
+        return colour(*args)
+
+    def counted_validate(adjs, blocks, r):
+        counts["validated"] += len(adjs)
+        return validate(adjs, blocks, r)
+
+    monkeypatch.setattr(K, "packable_rows", counted_pack)
+    monkeypatch.setattr(K, "_colour_decide", counted_colour)
+    monkeypatch.setattr(V, "validate_packing_rows", counted_validate)
+    rep = verify_mainthm1_threshold(6, 3)
+    assert rep.status == "pass"
+    assert counts == {"packable_rows": 12068, "validated": 4106, "_colour_decide": 2}
+
+
 def test_report_schema_and_serialization():
     rep = verify_t1_threshold(6, 3)
     blob = json.loads(rep.to_json())
