@@ -133,31 +133,34 @@ def _print_blocks(blocks) -> None:
         print(" ".join(str(v) for v in block))
 
 
+# task: (solver, required options, certificate field printed on a yes);
+# krfree's greedy packer answers yes or raises
+_DECIDERS = {
+    "matching": (perfect_matching, (), "blocks"),
+    "pack": (perfect_kr_packing, ("r",), "blocks"),
+    "colour": (equitable_colouring, ("k",), "classes"),
+    "krfree": (krfree_greedy_packing, ("r",), "blocks"),
+}
+
+# predicate: (verifier, required options, {keyword: degree option})
+_VERIFIERS = {
+    "matching": (verify_matching_threshold, ("n",), {"d": "d"}),
+    "t1": (verify_t1_threshold, ("n", "r"), {"big_d": "D"}),
+    "mainthm1": (verify_mainthm1_threshold, ("n", "r"), {"big_d": "D"}),
+    "conj1": (conjecture1_search, ("n", "r"), {}),
+    "ques1": (question1_search, ("n", "r"), {}),
+}
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     graph = _read_graph(args)
     task = args.task
-    if task == "matching":
-        outcome = perfect_matching(graph, args.node_cap)
+    if task in _DECIDERS:
+        solver, names, field = _DECIDERS[task]
+        outcome = solver(graph, *_require(args, *names), args.node_cap)
         if outcome.decision:
-            _print_blocks(outcome.certificate.blocks)
+            _print_blocks(getattr(outcome.certificate, field))
         return EXIT_YES if outcome.decision else EXIT_NO
-    if task == "pack":
-        (r,) = _require(args, "r")
-        outcome = perfect_kr_packing(graph, r, args.node_cap)
-        if outcome.decision:
-            _print_blocks(outcome.certificate.blocks)
-        return EXIT_YES if outcome.decision else EXIT_NO
-    if task == "colour":
-        (k,) = _require(args, "k")
-        outcome = equitable_colouring(graph, k, args.node_cap)
-        if outcome.decision:
-            _print_blocks(outcome.certificate.classes)
-        return EXIT_YES if outcome.decision else EXIT_NO
-    if task == "krfree":
-        (r,) = _require(args, "r")
-        outcome = krfree_greedy_packing(graph, r, args.node_cap)
-        _print_blocks(outcome.certificate.blocks)
-        return EXIT_YES
     if task == "turan-partition":
         (r,) = _require(args, "r")
         classes = turan_partition(graph, r, args.node_cap)
@@ -177,37 +180,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    predicate = args.predicate
-    extra = {} if args.n_cap is None else {"n_cap": args.n_cap}
-    common = dict(
-        mode=args.mode,
-        seed=args.seed,
-        samples=args.samples,
-        node_cap=args.node_cap,
-        timing=args.timing,
-        **extra,
-    )
-    if predicate == "matching":
-        (n,) = _require(args, "n")
-        report = verify_matching_threshold(n, d=args.d, **common)
-    elif predicate == "t1":
-        n, r = _require(args, "n", "r")
-        report = verify_t1_threshold(n, r, big_d=args.D, **common)
-    elif predicate == "mainthm1":
-        n, r = _require(args, "n", "r")
-        report = verify_mainthm1_threshold(n, r, big_d=args.D, **common)
-    elif predicate == "conj1":
-        n, r = _require(args, "n", "r")
-        report = conjecture1_search(n, r, **common)
-    elif predicate == "ques1":
-        n, r = _require(args, "n", "r")
-        report = question1_search(n, r, **common)
-    else:  # audit
+    if args.predicate == "audit":
         report = audit_constructions(
             max_n=args.max_n,
             node_cap=args.node_cap,
             solver_cap=args.solver_cap,
             timing=args.timing,
+        )
+    else:
+        verifier, names, degree = _VERIFIERS[args.predicate]
+        extra = {keyword: getattr(args, option) for keyword, option in degree.items()}
+        if args.n_cap is not None:
+            extra["n_cap"] = args.n_cap
+        report = verifier(
+            *_require(args, *names),
+            mode=args.mode,
+            seed=args.seed,
+            samples=args.samples,
+            node_cap=args.node_cap,
+            timing=args.timing,
+            **extra,
         )
     print(report.to_json())
     return {"pass": EXIT_YES, "fail": EXIT_NO, "aborted": EXIT_ABORT}[report.status]
@@ -246,13 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(func=_cmd_construct)
 
     p_sol = sub.add_parser("solve", help="decide a property of an input graph")
-    p_sol.add_argument(
-        "task",
-        choices=(
-            "matching", "pack", "colour", "krfree", "turan-partition",
-            "chvatal", "square-check",
-        ),
-    )
+    p_sol.add_argument("task", choices=(*_DECIDERS, "turan-partition", "chvatal",
+                                        "square-check"))
     p_sol.add_argument("graph", nargs="?", default="-",
                        help="input file, or - for stdin (default)")
     p_sol.add_argument("--r", type=int)
@@ -263,10 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sol.set_defaults(func=_cmd_solve)
 
     p_ver = sub.add_parser("verify", help="run an enumeration or audit task")
-    p_ver.add_argument(
-        "predicate",
-        choices=("matching", "t1", "mainthm1", "conj1", "ques1", "audit"),
-    )
+    p_ver.add_argument("predicate", choices=(*_VERIFIERS, "audit"))
     p_ver.add_argument("--n", type=int)
     p_ver.add_argument("--r", type=int)
     p_ver.add_argument("--d", type=int)
@@ -293,15 +277,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterRangeError, HypothesisError, Graph6Error) as exc:
+    except (ParameterRangeError, HypothesisError, Graph6Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ class Graph:
 
     @classmethod
     def _from_masks(cls, masks: Sequence[int]) -> "Graph":
+        _check_vertex_cap(len(masks))
         g = cls.__new__(cls)
         g.n = len(masks)
         g._adj = tuple(masks)
@@ -73,6 +74,7 @@ class Graph:
         binary string, cut into one column of lower neighbours per vertex,
         and the upper neighbours are that triangle transposed by ``zip``.
         """
+        _check_vertex_cap(n)
         nslots = n * (n - 1) // 2
         if mask < 0 or mask >> nslots:
             raise ParameterRangeError("edge mask has bits beyond the slot count")
@@ -185,7 +187,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
     for g in graphs:
         masks.extend(a << offset for a in g._adj)
         offset += g.n
-    _check_vertex_cap(offset)
     return Graph._from_masks(masks)
 
 

@@ -2,12 +2,24 @@
 constructions into solvers, and byte-identical verify reruns."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from packlab import Graph, encode_graph6, turan_graph
+import packlab
+from packlab import Graph, encode_graph6, format_edge_list, turan_graph
 from packlab.cli import main
+from packlab.verify import (
+    conjecture1_search,
+    question1_search,
+    verify_mainthm1_threshold,
+    verify_matching_threshold,
+    verify_t1_threshold,
+)
 
 
 def run(capsys, *argv):
@@ -262,3 +274,77 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "bogus-kind", "--n", "6"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("task, option", [
+    ("pack", "--r"), ("colour", "--k"), ("krfree", "--r"), ("turan-partition", "--r"),
+])
+def test_solve_missing_option(tmp_path, capsys, task, option):
+    t63 = tmp_path / "t63.g6"
+    t63.write_text(encode_graph6(turan_graph(6, 3)) + "\n")
+    code, out, err = run(capsys, "solve", task, str(t63))
+    assert (code, out, err) == (2, "", f"error: missing required option {option}\n")
+
+
+@pytest.mark.parametrize("predicate, option", [
+    ("matching", "--n"),
+    ("t1", "--n"), ("t1", "--r"),
+    ("mainthm1", "--n"), ("mainthm1", "--r"),
+    ("conj1", "--n"), ("conj1", "--r"),
+    ("ques1", "--n"), ("ques1", "--r"),
+])
+def test_verify_missing_option(capsys, predicate, option):
+    given = [x for name, value in (("--n", "6"), ("--r", "3")) if name != option
+             for x in (name, value)]
+    code, out, err = run(capsys, "verify", predicate, *given)
+    assert (code, out, err) == (2, "", f"error: missing required option {option}\n")
+
+
+@pytest.mark.parametrize("argv, call", [
+    (("matching", "--n", "6", "--d", "1"), lambda: verify_matching_threshold(6, d=1)),
+    (("t1", "--n", "6", "--r", "3", "--D", "3"), lambda: verify_t1_threshold(6, 3, big_d=3)),
+    (("mainthm1", "--n", "6", "--r", "3", "--D", "2"),
+     lambda: verify_mainthm1_threshold(6, 3, big_d=2)),
+    (("conj1", "--n", "6", "--r", "3"), lambda: conjecture1_search(6, 3)),
+    (("ques1", "--n", "6", "--r", "3"), lambda: question1_search(6, 3)),
+])
+def test_verify_prints_the_library_report(capsys, argv, call):
+    code, out, err = run(capsys, "verify", *argv)
+    report = call()
+    assert (code, out, err) == (0, report.to_json() + "\n", "")
+
+
+def test_vertex_cap_applies_to_both_input_formats(tmp_path, capsys, monkeypatch):
+    import packlab.graph
+    from packlab.constructions import FAMILIES
+
+    h60 = FAMILIES["H"].build(n=60, d=2)
+    (tmp_path / "h60.g6").write_text(encode_graph6(h60) + "\n")
+    (tmp_path / "h60.edges").write_text(format_edge_list(h60))
+    monkeypatch.setattr(packlab.graph, "MAX_VERTICES", 50)
+    for name in ("h60.g6", "h60.edges"):
+        code, out, err = run(capsys, "solve", "chvatal", str(tmp_path / name))
+        assert (code, out) == (2, "")
+        assert err == "error: n=60 exceeds the configured vertex cap 50\n"
+
+
+def test_exit_codes_through_the_module_entry_point():
+    """``python -m packlab.cli`` makes ``main``'s return value the exit status."""
+    src = str(Path(packlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    c6 = encode_graph6(Graph(6, [(i, (i + 1) % 6) for i in range(6)])) + "\n"
+    k12 = encode_graph6(Graph.complete(12)) + "\n"
+    cases = [
+        (["threshold", "f2", "--n", "6", "--d", "1"], "", 0, "value=9 branch=second\n"),
+        (["solve", "chvatal"], c6, 1, "condition=false\n"),
+        (["threshold", "f", "--n", "12", "--r", "3"], "", 2, ""),
+        (["solve", "pack", "--r", "3", "--node-cap", "2"], k12, 3, ""),
+    ]
+    for argv, stdin, code, out in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "packlab.cli", *argv], input=stdin, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (code, out), argv
+        assert done.stderr.startswith("error: ") == (code >= 2), argv

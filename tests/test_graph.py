@@ -249,3 +249,27 @@ def test_adjacency_cap():
     g = Graph.from_edge_mask(63, 0)
     with pytest.raises(CapExceededError):
         g.adjacency_array()
+
+
+def test_vertex_cap_binds_every_graph_builder(monkeypatch):
+    """``PACKLAB_MAX_N`` refuses n above the cap on every path that makes a
+    ``Graph``: the constructions, graph6 decoding and the edge-list parser."""
+    import packlab.graph
+    from packlab.constructions import FAMILIES
+
+    h60 = FAMILIES["H"].build(n=60, d=2)
+    graph6, edges = encode_graph6(h60), format_edge_list(h60)
+    monkeypatch.setattr(packlab.graph, "MAX_VERTICES", 50)
+    for make in (
+        lambda: FAMILIES["H"].build(n=60, d=2),
+        lambda: FAMILIES["G1"].build(n=60, r=3),
+        lambda: Graph.from_edge_mask(60, 0),
+        lambda: decode_graph6(graph6),
+        lambda: parse_edge_list(edges),
+        lambda: disjoint_union(complete(30), complete(30)),
+        lambda: complete_multipartite([20, 20, 20]),
+        lambda: complete(60),
+    ):
+        with pytest.raises(ParameterRangeError, match="n=60 exceeds the configured vertex cap 50"):
+            make()
+    assert FAMILIES["H"].build(n=50, d=2).n == 50
