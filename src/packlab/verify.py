@@ -20,7 +20,7 @@ import json
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from math import comb
 from time import perf_counter
 
@@ -152,11 +152,7 @@ class VerificationReport:
     problems: tuple[str, ...] = field(default=(), compare=False)
 
     def to_json(self) -> str:
-        extremal = (
-            None
-            if self.extremal is None
-            else {"edges": self.extremal[0], "graph6": self.extremal[1]}
-        )
+        extremal = self.extremal and {"edges": self.extremal[0], "graph6": self.extremal[1]}
         payload = {
             "task": self.task.echo(),
             "examined": self.examined,
@@ -174,6 +170,8 @@ def _task(predicate, n, mode, r=None, d=None, seed=None, samples=None) -> Enumer
     sampled = mode == "sampled"
     if sampled and n > K.KERNEL_MAX_N:  # the int64 neighbour masks would overflow
         raise ParameterRangeError(f"sampled mode is limited to n <= {K.KERNEL_MAX_N}")
+    if sampled and seed is not None and not 0 <= seed <= _WORD:  # splitmix64 reads 64 bits
+        raise ParameterRangeError("seed must be in [0, 2^64)")
     return EnumerationTask(
         predicate, n, mode, r=r, d=d, samples=samples if sampled else None,
         seed=seed if sampled else None, generator=GENERATOR_ID if sampled else None,
@@ -217,32 +215,24 @@ def _status(aborted: bool, ok: bool) -> str:
 # sampling plumbing
 
 
-def _incident_slots(n: int) -> list[int]:
-    """For each vertex, the bitmask of the edge slots that touch it."""
-    out = [0] * n
-    for s, (i, j) in enumerate(K.slot_ends(n)):
-        out[i] |= 1 << s
-        out[j] |= 1 << s
-    return out
-
-
 def _sample_filtered_window(n: int, rng: SplitMix64, samples: int, m_lo: int, m_hi: int,
-                            degree_filter):
+                            keep):
     """First-`samples`-accepted uniform draws from the graphs with edge count
-    in [m_lo, m_hi] passing ``degree_filter`` (a predicate on the degree
-    list).  Returns (masks, proposals, starved); starved means the proposal
-    budget ran out before `samples` draws were accepted.
+    in [m_lo, m_hi] that ``keep`` accepts, as in ``_search``.  Returns
+    (masks, proposals, starved); starved means the proposal budget ran out
+    before `samples` draws were accepted.
 
     A draw reads the words ``rng.next_below`` would: the edge count m, then
     m slots by Floyd's algorithm, each by bit-rejection on the top bits of
-    whole words.  The words come from ``rng.words`` lists, read ahead."""
+    whole words.  The words come from ``rng.words`` lists, read ahead.
+    Degrees are tested in batches of at most ``SAMPLE_BATCH`` proposals and
+    the samples still needed, never past the one that completes the sample."""
     e_total = comb(n, 2)
     # edge counts m in [m_lo, m_hi] are drawn with probability proportional
     # to the number of labeled graphs with m edges
     cum = list(accumulate(comb(e_total, m) for m in range(m_lo, m_hi + 1)))
     if not cum:
         return [], 0, False
-    incident = _incident_slots(n)
     limit = PROPOSAL_LIMIT_FACTOR * samples + 1000
     bits = (cum[-1] - 1).bit_length()
     draw = range(-(-bits // 64))  # the edge count's words, as in ``next_below``
@@ -251,22 +241,25 @@ def _sample_filtered_window(n: int, rng: SplitMix64, samples: int, m_lo: int, m_
     out = []
     proposals = 0
     while len(out) < samples and proposals < limit:
-        proposals += 1
-        x = cum[-1]
-        while x >= cum[-1]:
-            x = 0
-            for _ in draw:
-                x = x << 64 | word()
-            x >>= -bits % 64
-        m = m_lo + bisect_right(cum, x)
-        mask = 0
-        for t, sh in steps[e_total - m :]:  # Floyd's algorithm
-            x = word() >> sh if t else 0
-            while x > t:
-                x = word() >> sh
-            mask |= 1 << (t if mask >> x & 1 else x)
-        if degree_filter([(mask & slots).bit_count() for slots in incident]):
-            out.append(mask)
+        batch = []
+        for _ in range(min(SAMPLE_BATCH, samples - len(out), limit - proposals)):
+            x = cum[-1]
+            while x >= cum[-1]:
+                x = 0
+                for _ in draw:
+                    x = x << 64 | word()
+                x >>= -bits % 64
+            m = m_lo + bisect_right(cum, x)
+            mask = 0
+            for t, sh in steps[e_total - m :]:  # Floyd's algorithm
+                x = word() >> sh if t else 0
+                while x > t:
+                    x = word() >> sh
+                mask |= 1 << (t if mask >> x & 1 else x)
+            batch.append(mask)
+        proposals += len(batch)
+        degs = _vertex_degrees(K.words_to_adj(_word_rows(n, batch), n))
+        out += compress(batch, keep(degs).tolist())
     return out, proposals, len(out) < samples
 
 
@@ -281,12 +274,23 @@ def _complement_rows(n: int, adjs: np.ndarray) -> np.ndarray:
     return ((1 << n) - 1) & ~adjs & ~(1 << np.arange(n, dtype=np.int64))
 
 
+def _vertex_degrees(adjs: np.ndarray) -> np.ndarray:
+    """Each row's degrees, vertex-major: a C-contiguous (n, rows) array, so
+    per-graph reductions run over axis 0 at full width."""
+    return np.ascontiguousarray(np.bitwise_count(adjs).T)
+
+
 def _condition_rows(degs: np.ndarray, clauses) -> np.ndarray:
-    """Which rows of vertex degrees meet every clause (a, b, c, e) of
-    ``clauses``: d[a] >= b or d[c] >= e over the row sorted ascending."""
-    table = np.array(clauses, np.int64).reshape(-1, 4)
-    d = np.sort(degs, axis=1)
-    return ((d[:, table[:, 0]] >= table[:, 1]) | (d[:, table[:, 2]] >= table[:, 3])).all(axis=1)
+    """Which graphs (columns of vertex-major ``degs``) meet every clause
+    (a, b, c, e): d[a] >= b or d[c] >= e over ascending degrees d.  That is
+    d[a] >= b exactly when at most a vertices have degree below b, so the
+    clauses compare counts, one per distinct bound, and nothing is sorted."""
+    below = {b: np.add.reduce(degs < b, axis=0, dtype=np.uint8)
+             for b in {x for _, b, _, e in clauses for x in (b, e)}}
+    ok = np.ones(degs.shape[1], bool)
+    for a, b, c, e in clauses:
+        ok &= (below[b] <= a) | (below[e] <= c)
+    return ok
 
 
 def _decide_rows(adjs: np.ndarray, n: int, r: int, node_cap: int):
@@ -332,11 +336,12 @@ def _search(n: int, r: int, size: int, rows, keep, cap: int, problems: list[str]
     """Every scan and sampler: graphs 0..size-1 in blocks of ``SAMPLE_BATCH``.
 
     ``rows(start, stop)`` gives a block's edge words as ``K.words_to_adj``
-    takes them.  The rows are expanded, complemented when asked, and those
-    whose degrees ``keep`` accepts are decided with ``_decide_rows``.  Every
-    packing found is checked by ``validate_packing_rows``; the first graph
-    whose packing fails the check is named in ``problems``, with how many
-    do.
+    takes them.  The rows are expanded, complemented when asked, and their
+    degrees taken by ``_vertex_degrees``: edge counts, min degrees and
+    ``keep`` (one bool per graph) reduce over axis 0.  The graphs ``keep``
+    accepts are decided with ``_decide_rows``.  Every packing found is
+    checked by ``validate_packing_rows``; the first graph whose packing
+    fails the check is named in ``problems``, with how many do.
 
     ``bounds`` maps degree floors to edge bounds: a decided graph that does
     not pack violates them when its edge count exceeds the lowest bound over
@@ -363,7 +368,7 @@ def _search(n: int, r: int, size: int, rows, keep, cap: int, problems: list[str]
         adjs = K.words_to_adj(block, n)
         if complement:
             adjs = _complement_rows(n, adjs)
-        degs = np.bitwise_count(adjs)
+        degs = _vertex_degrees(adjs)
         hits = np.flatnonzero(keep(degs))
         decisions, packings, aborted = _decide_rows(adjs[hits], n, r, cap)
         done = hits[: len(decisions)]
@@ -371,8 +376,9 @@ def _search(n: int, r: int, size: int, rows, keep, cap: int, problems: list[str]
             packed = done[decisions]
             valid = validate_packing_rows(adjs[packed], packings[decisions], r)
             uncertified += block[packed[~valid]].tolist()
-        e = degs[done].sum(axis=1, dtype=np.int64) // 2
-        mindeg = degs[done].min(axis=1)
+        # degree sums reach at most 62 * 61, which int16 holds
+        e = np.add.reduce(degs, axis=0, dtype=np.int16)[done] // 2
+        mindeg = np.minimum.reduce(degs, axis=0)[done]
         if len(done):
             # member[b, f]: row b does not pack and has min degree >= f
             member = ~decisions[:, None] & (mindeg[:, None] >= floors)
@@ -468,9 +474,9 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
             raise ParameterRangeError(f"sampled mode needs {name}, seed and samples >= 1")
         ((dd, threshold),) = spec.thresholds.items()
         if spec.complement:
-            window, fits = (0, threshold - 1), lambda degs: max(degs, default=0) <= dd
+            window, fits = (0, threshold - 1), lambda degs: np.maximum.reduce(degs) <= dd
         else:
-            window, fits = (threshold + 1, comb(n, 2)), lambda degs: min(degs) >= dd
+            window, fits = (threshold + 1, comb(n, 2)), lambda degs: np.minimum.reduce(degs) >= dd
         drawn, proposals, starved = _sample_filtered_window(
             n, SplitMix64(task.seed), task.samples, *window, fits
         )
@@ -481,7 +487,7 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
     bounds = spec.packing_bounds()
     d_lo = min(bounds)
     examined, _, masks, capped, extremum = _search(
-        n, spec.r, size, rows, lambda degs: degs.min(axis=1) >= d_lo, cap, problems,
+        n, spec.r, size, rows, lambda degs: np.minimum.reduce(degs) >= d_lo, cap, problems,
         spec.complement, bounds,
     )
     violations = tuple(_witness(n, m) for m in masks)
@@ -609,11 +615,11 @@ def verify_mainthm1_threshold(
     Exhaustive mode scans min-degree families directly (for each floor D in
     r-1..n-1-n/r: maximum edge count among non-packable graphs with min degree
     >= D must equal the packing threshold); sampled mode draws uniformly from
-    {min degree >= D, edges > threshold} and re-decides packability.  Every
-    packing found is checked, and so is an equitable (n/r)-colouring of the
-    complement; the complement of each recorded extremal must have max
-    degree <= n-1-D and no such colouring by the direct colouring search,
-    which re-solves each violation too.
+    {min degree >= D, edges > threshold} and re-decides packability.  Only
+    the packing found is checked; its blocks are the colour classes of an
+    equitable (n/r)-colouring of the complement.  The complement of each
+    recorded extremal must have max degree <= n-1-D and no such colouring
+    by the direct colouring search, which re-solves each violation too.
     ``workers`` is accepted for compatibility and has no effect.
     """
     if r < 3 or n % r or n < 2 * r:
@@ -645,17 +651,9 @@ def _degree_clauses(predicate: str, n: int, r: int = 0) -> tuple:
     return tuple((i - 1, (r - 2) * q + i, n - i * (r - 1), n - i) for i in range(1, q + 1))
 
 
-def _condition_search(
-    predicate: str,
-    n: int,
-    r: int,
-    mode: str,
-    seed: int | None,
-    samples: int | None,
-    node_cap: int | None,
-    n_cap: int,
-    timing: bool,
-) -> VerificationReport:
+def _condition_search(predicate: str, n: int, r: int, mode: str, seed: int | None,
+                      samples: int | None, node_cap: int | None, n_cap: int,
+                      timing: bool) -> VerificationReport:
     """Counterexample search for the degree condition of ``predicate``
     ("conj1": banded; "ques1": disjunctive, with its sharpness check, both
     for perfect r-clique packings; "hampath": for Hamilton paths, at r = 0)

@@ -270,6 +270,16 @@ def test_verify_sampled_n_beyond_kernels_rejected(capsys, args):
     assert out == ""
 
 
+@pytest.mark.parametrize("seed", ["-5", "-1", str(1 << 64), str((1 << 64) + 1)])
+def test_verify_sampled_seed_beyond_64_bits_rejected(capsys, seed):
+    # splitmix64 reads 64 seed bits, so these would repeat the draws of a
+    # seed in range while the report echoes another one
+    code, out, err = run(capsys, "verify", "conj1", "--n", "6", "--r", "3", "--mode",
+                         "sampled", "--seed", seed, "--samples", "10")
+    assert code == 2 and "seed" in err
+    assert out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "bogus-kind", "--n", "6"])

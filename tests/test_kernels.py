@@ -338,7 +338,7 @@ def test_scan_pack_threshold_complement_matches_brute():
     bounds = V.ThresholdSpec("t1", n, r, True, {2: 4, 3: 4}).packing_bounds()
     problems = []
     examined, _, viol, aborted, extremum = V._search(
-        n, r, 1 << 15, V._mask_rows, lambda degs: degs.min(axis=1) >= min(bounds), 10**7,
+        n, r, 1 << 15, V._mask_rows, lambda degs: degs.min(axis=0) >= min(bounds), 10**7,
         problems, True, bounds,
     )
     want = {dd: None for dd in (2, 3)}
@@ -431,7 +431,7 @@ def test_row_sources_give_same_search(case, monkeypatch):
         keep = lambda degs: V._condition_rows(degs, ())  # noqa: E731
         monkeypatch.setattr(V, "VIOLATION_BUFFER", 1 << 15)
     else:
-        keep = lambda degs: degs.min(axis=1) >= min(bounds)  # noqa: E731
+        keep = lambda degs: degs.min(axis=0) >= min(bounds)  # noqa: E731
     junk = RNG.integers(0, 1 << 49, size=1 << 15, dtype=np.uint64) << np.uint64(15)
     runs = []
     for rows in (V._mask_rows, lambda s, e: _junk_rows(s, e, junk)):

@@ -9,7 +9,8 @@ import subprocess
 import sys
 from bisect import bisect_right
 from itertools import accumulate
-from math import comb
+from collections import Counter
+from math import comb, erfc, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,19 @@ def test_sampled_requires_seed_and_samples():
         verify_matching_threshold(8, d=1, mode="sampled", seed=5)
     with pytest.raises(ParameterRangeError):
         verify_t1_threshold(12, 3, mode="sampled", seed=5, samples=50)  # needs D
+
+
+def test_sampled_seed_must_fit_64_bits():
+    """Seeds outside [0, 2^64) would alias seeds inside it, since splitmix64
+    reads 64 bits; they are refused and both ends of the range run."""
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ParameterRangeError, match="seed"):
+            conjecture1_search(6, 3, mode="sampled", seed=seed, samples=10)
+        with pytest.raises(ParameterRangeError, match="seed"):
+            verify_t1_threshold(6, 3, big_d=2, mode="sampled", seed=seed, samples=10)
+    for seed in (0, (1 << 64) - 1):
+        rep = conjecture1_search(6, 3, mode="sampled", seed=seed, samples=10)
+        assert json.loads(rep.to_json())["task"]["seed"] == seed
 
 
 def test_sampled_reproducible_and_seed_sensitive():
@@ -873,19 +887,69 @@ def test_sampled_duality_cap_aborts_with_report():
     assert (rep.status, rep.examined) == ("pass", 200)
 
 
-def test_sampler_draws_pinned():
+def test_sampler_draws_pinned(monkeypatch):
     """Accepted masks and proposal counts of the rejection sampler, as drawn
-    before it counted degrees from the slots instead of building a Graph."""
-    draws = []
-    for seed, (m_lo, m_hi, keep) in enumerate([
-        (32, 66, lambda degs: min(degs) >= 3),
-        (0, 19, lambda degs: max(degs) <= 5),
-        (23, 66, lambda degs: min(degs) >= 4),
-    ]):
-        draws.append(V._sample_filtered_window(12, SplitMix64(seed), 300, m_lo, m_hi, keep))
-    assert [proposals for _, proposals, _ in draws] == [365, 528, 987]
-    digest = hashlib.sha256(repr(draws).encode()).hexdigest()
-    assert digest == "2c065a770b0e468bd48ba50c3b9aacb93dca86f6907120d5e0a117ec0d83ee80"
+    before it counted degrees from the slots instead of building a Graph,
+    with degrees tested in batches of 4,096 proposals and of 7."""
+    for batch in (4096, 7):
+        monkeypatch.setattr(V, "SAMPLE_BATCH", batch)
+        draws = []
+        for seed, (m_lo, m_hi, keep) in enumerate([
+            (32, 66, lambda degs: degs.min(axis=0) >= 3),
+            (0, 19, lambda degs: degs.max(axis=0) <= 5),
+            (23, 66, lambda degs: degs.min(axis=0) >= 4),
+        ]):
+            draws.append(V._sample_filtered_window(12, SplitMix64(seed), 300, m_lo, m_hi, keep))
+        assert [proposals for _, proposals, _ in draws] == [365, 528, 987], batch
+        digest = hashlib.sha256(repr(draws).encode()).hexdigest()
+        assert digest == "2c065a770b0e468bd48ba50c3b9aacb93dca86f6907120d5e0a117ec0d83ee80", batch
+
+
+def _chi2_sf(x, dof):
+    """Upper tail of the chi-square distribution, by the Wilson-Hilferty
+    cube-root normal approximation (close at hundreds of degrees of freedom)."""
+    z = ((x / dof) ** (1 / 3) - 1 + 2 / (9 * dof)) / sqrt(2 / (9 * dof))
+    return erfc(z / sqrt(2)) / 2
+
+
+def test_sampler_is_uniform_over_window():
+    """Chi-square of the threshold sampler's draws against uniform over the
+    window's graphs that pass the filter, 200 expected draws per graph at
+    n = 5.  At seed 7 the statistic sits near its degrees of freedom; a
+    sampler that weighs every edge count alike, or whose Floyd step keeps a
+    repeated slot, reads far past the 10^-6 tail."""
+    for m_lo, m_hi, floor in [(0, 10, 0), (6, 10, 2), (0, 4, 0)]:
+        members = [m for m in range(1 << 10) if m_lo <= m.bit_count() <= m_hi
+                   and min(Graph.from_edge_mask(5, m).degrees()) >= floor]
+        masks, _, starved = V._sample_filtered_window(
+            5, SplitMix64(7), 200 * len(members), m_lo, m_hi,
+            lambda degs: degs.min(axis=0) >= floor,
+        )
+        counts = Counter(masks)
+        assert not starved and set(counts) <= set(members), (m_lo, m_hi)
+        chi2 = sum((counts[m] - 200) ** 2 for m in members) / 200
+        assert _chi2_sf(chi2, len(members) - 1) > 1e-6, (m_lo, m_hi, chi2)
+
+
+def test_keep_gets_vertex_major_degrees(monkeypatch):
+    """``keep`` gets each block's degrees as a C-contiguous (n, rows) array,
+    so its reductions run over axis 0 at full width: in ``_search`` over
+    exhaustive rows and sampler rows, and in the threshold sampler."""
+    monkeypatch.setattr(V, "SAMPLE_BATCH", 100)
+    seen = []
+
+    def keep(degs):
+        seen.append((degs.shape, degs.flags.c_contiguous))
+        return degs.min(axis=0) >= 2
+
+    V._search(5, 0, 1 << 10, V._mask_rows, keep, 10**7, [])
+    rng = SplitMix64(3)  # two 64-bit words per 66-slot row
+    V._search(12, 3, 150, lambda s, e: rng.words(2 * (e - s)).reshape(-1, 2), keep, 10**7, [])
+    V._sample_filtered_window(12, SplitMix64(3), 150, 40, 66, keep)
+    shapes = [(5, 100)] * 10 + [(5, 24), (12, 100), (12, 50)]
+    assert [shape for shape, _ in seen[: len(shapes)]] == shapes
+    assert {shape[0] for shape, _ in seen[len(shapes):]} == {12}
+    assert all(contiguous for _, contiguous in seen)
 
 
 def _reference_window(n, rng, samples, m_lo, m_hi, keep):
@@ -908,11 +972,12 @@ def _reference_window(n, rng, samples, m_lo, m_hi, keep):
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 12, 30])
-def test_sampler_reads_next_below_words(n):
+def test_sampler_reads_next_below_words(n, monkeypatch):
     """The sampler reads ahead from the stream and consumes exactly the
     words ``next_below`` would: with no edges and with every edge (one edge
     count, so the count takes no word), over every edge count (a bound of
-    2^C(n,2), above 2^64 from n = 12) and over a middle window."""
+    2^C(n,2), above 2^64 from n = 12) and over a middle window.  Degree
+    batches of 7 change nothing, also where the proposal limit ends one."""
     e = comb(n, 2)
 
     def keep(degs):  # vertex 0 is no leaf, so at n = 2 every edge starves
@@ -920,8 +985,10 @@ def test_sampler_reads_next_below_words(n):
 
     for seed, (m_lo, m_hi) in enumerate([(0, 0), (e, e), (0, e), (e // 3, e // 2)]):
         want = _reference_window(n, SplitMix64(seed), 40, m_lo, m_hi, keep)
-        got = V._sample_filtered_window(n, SplitMix64(seed), 40, m_lo, m_hi, keep)
-        assert got == want, (m_lo, m_hi)
+        for batch in (4096, 7):
+            monkeypatch.setattr(V, "SAMPLE_BATCH", batch)
+            got = V._sample_filtered_window(n, SplitMix64(seed), 40, m_lo, m_hi, keep)
+            assert got == want, (m_lo, m_hi, batch)
 
 
 def _low_bound_report(n=4):
