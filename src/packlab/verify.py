@@ -8,8 +8,8 @@ checks the packing behind every "yes", buffers the first violations, keeps
 the per-floor extremum and stops at the first graph that hits the node cap.
 The modes differ only in where the rows come from: scans give each
 ``C(n,2)``-bit edge mask as one word; samplers give the words of the
-explicitly seeded ``splitmix64`` generator, or the graphs they accepted from
-it; all randomness flows from that seed.
+explicitly seeded ``splitmix64`` generator, or the edge words of the graphs
+they draw from a window with it; all randomness flows from that seed.
 Reports serialize to a stable canonical JSON schema with ``elapsed_ms``
 zeroed unless timing is requested, so repeated runs are byte-identical.
 """
@@ -20,7 +20,7 @@ import json
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from math import comb
 from time import perf_counter
 
@@ -215,34 +215,28 @@ def _status(aborted: bool, ok: bool) -> str:
 # sampling plumbing
 
 
-def _sample_filtered_window(n: int, rng: SplitMix64, samples: int, m_lo: int, m_hi: int,
-                            keep):
-    """First-`samples`-accepted uniform draws from the graphs with edge count
-    in [m_lo, m_hi] that ``keep`` accepts, as in ``_search``.  Returns
-    (masks, proposals, starved); starved means the proposal budget ran out
-    before `samples` draws were accepted.
+def _window_rows(n: int, rng: SplitMix64, m_lo: int, m_hi: int):
+    """Sampled threshold mode's rows: ``rows(start, stop)`` draws the next
+    stop - start graphs uniformly from those with edge count in [m_lo, m_hi]
+    and gives their edge words.  ``_search`` filters them by degrees, so the
+    graphs it keeps are uniform over the window's graphs that pass.
 
     A draw reads the words ``rng.next_below`` would: the edge count m, then
     m slots by Floyd's algorithm, each by bit-rejection on the top bits of
-    whole words.  The words come from ``rng.words`` lists, read ahead.
-    Degrees are tested in batches of at most ``SAMPLE_BATCH`` proposals and
-    the samples still needed, never past the one that completes the sample."""
+    whole words.  The words come from ``rng.words`` lists, read ahead."""
     e_total = comb(n, 2)
     # edge counts m in [m_lo, m_hi] are drawn with probability proportional
     # to the number of labeled graphs with m edges
     cum = list(accumulate(comb(e_total, m) for m in range(m_lo, m_hi + 1)))
-    if not cum:
-        return [], 0, False
-    limit = PROPOSAL_LIMIT_FACTOR * samples + 1000
     bits = (cum[-1] - 1).bit_length()
     draw = range(-(-bits // 64))  # the edge count's words, as in ``next_below``
     steps = [(t, 64 - t.bit_length()) for t in range(e_total)]  # a slot below t + 1
     word = chain.from_iterable(iter(lambda: rng.words(4096).tolist(), None)).__next__
-    out = []
-    proposals = 0
-    while len(out) < samples and proposals < limit:
+    words = range((e_total + 63) // 64)  # a row's edge words
+
+    def rows(start: int, stop: int) -> np.ndarray:
         batch = []
-        for _ in range(min(SAMPLE_BATCH, samples - len(out), limit - proposals)):
+        for _ in range(stop - start):
             x = cum[-1]
             while x >= cum[-1]:
                 x = 0
@@ -257,16 +251,9 @@ def _sample_filtered_window(n: int, rng: SplitMix64, samples: int, m_lo: int, m_
                     x = word() >> sh
                 mask |= 1 << (t if mask >> x & 1 else x)
             batch.append(mask)
-        proposals += len(batch)
-        degs = _vertex_degrees(K.words_to_adj(_word_rows(n, batch), n))
-        out += compress(batch, keep(degs).tolist())
-    return out, proposals, len(out) < samples
+        return np.array([[(m >> (64 * w)) & _WORD for w in words] for m in batch], np.uint64)
 
-
-def _word_rows(n: int, masks) -> np.ndarray:
-    """Edge masks as rows of unsigned 64-bit edge words."""
-    words = range((comb(n, 2) + 63) // 64)
-    return np.array([[(m >> (64 * w)) & _WORD for w in words] for m in masks], np.uint64)
+    return rows
 
 
 def _complement_rows(n: int, adjs: np.ndarray) -> np.ndarray:
@@ -332,8 +319,11 @@ def _row_mask(n: int, row: list[int]) -> int:
 
 
 def _search(n: int, r: int, size: int, rows, keep, cap: int, problems: list[str],
-            complement: bool = False, bounds=None):
-    """Every scan and sampler: graphs 0..size-1 in blocks of ``SAMPLE_BATCH``.
+            complement: bool = False, bounds=None, want: int | None = None):
+    """Every scan and sampler: graphs 0..size-1 in blocks, until ``want``
+    (default ``size``) of them are kept.  A block holds at most
+    ``SAMPLE_BATCH`` graphs and never more than are still wanted, so no
+    block takes a graph past the one that completes the ``want``.
 
     ``rows(start, stop)`` gives a block's edge words as ``K.words_to_adj``
     takes them.  The rows are expanded, complemented when asked, and their
@@ -363,8 +353,9 @@ def _search(n: int, r: int, size: int, rows, keep, cap: int, problems: list[str]
     stored: list = []
     uncertified: list = []  # rows whose packing failed its check
     aborted = False
-    for start in range(0, size, SAMPLE_BATCH):
-        block = rows(start, min(start + SAMPLE_BATCH, size))
+    want = size if want is None else want
+    while examined < size and kept < want:
+        block = rows(examined, examined + min(SAMPLE_BATCH, size - examined, want - kept))
         adjs = K.words_to_adj(block, n)
         if complement:
             adjs = _complement_rows(n, adjs)
@@ -457,14 +448,16 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
     """Run ``spec`` in ``task.mode`` and build its report.  Exhaustive mode
     searches all 2^C(n,2) graphs and re-solves each family's extremal; the
     report's is the widest family's (the families nest), lowest mask on
-    ties.  Sampled mode uniform samples from the single armed family past
-    its threshold.  A re-solve that reaches the node cap aborts the run."""
+    ties.  Sampled mode searches uniform draws from the window past the
+    single armed family's threshold, as ``_window_rows`` gives them, until
+    ``task.samples`` pass the family's degree filter; ``examined`` counts
+    those, and a run that spends its proposal limit first starves.  A search
+    or re-solve that reaches the node cap aborts the run."""
     n = spec.n
     cap = resolve_node_cap(node_cap)
     t0 = perf_counter()
     problems: list[str] = []
     per_d = extremal = None
-    starved = False
     name = "d" if task.r is None else "D"
     if task.mode == "exhaustive":
         _check_exhaustive(n, n_cap)
@@ -472,24 +465,24 @@ def _verify_threshold(spec: ThresholdSpec, task: EnumerationTask, node_cap: int 
     else:
         if task.d is None or task.seed is None or task.samples is None or task.samples < 1:
             raise ParameterRangeError(f"sampled mode needs {name}, seed and samples >= 1")
-        ((dd, threshold),) = spec.thresholds.items()
-        if spec.complement:
-            window, fits = (0, threshold - 1), lambda degs: np.maximum.reduce(degs) <= dd
-        else:
-            window, fits = (threshold + 1, comb(n, 2)), lambda degs: np.minimum.reduce(degs) >= dd
-        drawn, proposals, starved = _sample_filtered_window(
-            n, SplitMix64(task.seed), task.samples, *window, fits
-        )
-        if starved:
-            problems.append(f"sampler starved: {len(drawn)} of {task.samples} samples "
-                            f"after {proposals} proposals")
-        size, rows = len(drawn), lambda s, e: _word_rows(n, drawn[s:e])
+        (threshold,) = spec.thresholds.values()
+        window = (0, threshold - 1) if spec.complement else (threshold + 1, comb(n, 2))
+        size = PROPOSAL_LIMIT_FACTOR * task.samples + 1000  # proposals
+        rows = _window_rows(n, SplitMix64(task.seed), *window)
     bounds = spec.packing_bounds()
-    d_lo = min(bounds)
-    examined, _, masks, capped, extremum = _search(
+    d_lo = min(bounds)  # the family's degree filter, on the complement for a colouring
+    examined, kept, masks, capped, extremum = _search(
         n, spec.r, size, rows, lambda degs: np.minimum.reduce(degs) >= d_lo, cap, problems,
-        spec.complement, bounds,
+        spec.complement, bounds, task.samples,
     )
+    starved = False
+    if task.mode == "sampled":
+        # a capped run stops drawing, so it cannot tell whether it would starve
+        starved = kept < task.samples and not capped
+        if starved:  # named before the search's problems
+            problems.insert(0, f"sampler starved: {kept} of {task.samples} samples "
+                               f"after {examined} proposals")
+        examined = kept
     violations = tuple(_witness(n, m) for m in masks)
     try:
         _recheck(violations, lambda g: spec.refuted_by(g, cap), problems)

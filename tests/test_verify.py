@@ -887,10 +887,72 @@ def test_sampled_duality_cap_aborts_with_report():
     assert (rep.status, rep.examined) == ("pass", 200)
 
 
+def test_capped_sampled_run_stops_drawing(monkeypatch):
+    """A sampled run stops drawing at the sample that hits the node cap, as
+    a scan stops at the first capped graph, so it reports the cap and not
+    whether the draws it never made would have starved."""
+    monkeypatch.setattr(V, "PROPOSAL_LIMIT_FACTOR", 0)  # 1000 proposals in all
+    rep = verify_mainthm1_threshold(
+        12, 3, big_d=4, mode="sampled", seed=1, samples=2000, node_cap=30
+    )
+    assert (rep.status, rep.examined) == ("aborted", 134)
+    assert rep.problems == ("node cap of 30 reached",)
+
+
+def test_each_proposal_is_expanded_once(monkeypatch):
+    """Every proposal of the threshold sampler is expanded to neighbour
+    masks once, in the search that filters and decides it."""
+    expanded, drawn = [], []
+    words_to_adj, window_rows = K.words_to_adj, V._window_rows
+
+    def counting_expand(block, n):
+        expanded.append(len(block))
+        return words_to_adj(block, n)
+
+    def counting_window(*args):
+        rows = window_rows(*args)
+
+        def counted(start, stop):
+            drawn.append(stop - start)
+            return rows(start, stop)
+
+        return counted
+
+    monkeypatch.setattr(K, "words_to_adj", counting_expand)
+    monkeypatch.setattr(V, "_window_rows", counting_window)
+    rep = verify_t1_threshold(12, 3, big_d=5, mode="sampled", seed=1, samples=300)
+    assert (rep.status, rep.examined) == ("pass", 300)
+    assert sum(expanded) == sum(drawn) == 302
+
+
+def _window_draws(n, seed, samples, m_lo, m_hi, keep):
+    """The threshold sampler's draws as ``_search`` takes them: (accepted
+    masks, proposals, starved).  At r = 1 every graph packs, so the search
+    keeps what ``keep`` accepts and finds no violation."""
+    source, accepted = V._window_rows(n, SplitMix64(seed), m_lo, m_hi), []
+
+    def rows(start, stop):
+        accepted.append(source(start, stop))
+        return accepted[-1]
+
+    def recording_keep(degs):
+        ok = keep(degs)
+        accepted[-1] = accepted[-1][ok]
+        return ok
+
+    size = V.PROPOSAL_LIMIT_FACTOR * samples + 1000
+    proposals, kept, violations, aborted, _ = V._search(
+        n, 1, size, rows, recording_keep, 10**7, [], want=samples
+    )
+    assert not violations and not aborted
+    masks = [V._row_mask(n, row) for block in accepted for row in block.tolist()]
+    return masks, proposals, kept < samples
+
+
 def test_sampler_draws_pinned(monkeypatch):
     """Accepted masks and proposal counts of the rejection sampler, as drawn
     before it counted degrees from the slots instead of building a Graph,
-    with degrees tested in batches of 4,096 proposals and of 7."""
+    with blocks of 4,096 proposals and of 7."""
     for batch in (4096, 7):
         monkeypatch.setattr(V, "SAMPLE_BATCH", batch)
         draws = []
@@ -899,7 +961,7 @@ def test_sampler_draws_pinned(monkeypatch):
             (0, 19, lambda degs: degs.max(axis=0) <= 5),
             (23, 66, lambda degs: degs.min(axis=0) >= 4),
         ]):
-            draws.append(V._sample_filtered_window(12, SplitMix64(seed), 300, m_lo, m_hi, keep))
+            draws.append(_window_draws(12, seed, 300, m_lo, m_hi, keep))
         assert [proposals for _, proposals, _ in draws] == [365, 528, 987], batch
         digest = hashlib.sha256(repr(draws).encode()).hexdigest()
         assert digest == "2c065a770b0e468bd48ba50c3b9aacb93dca86f6907120d5e0a117ec0d83ee80", batch
@@ -921,9 +983,8 @@ def test_sampler_is_uniform_over_window():
     for m_lo, m_hi, floor in [(0, 10, 0), (6, 10, 2), (0, 4, 0)]:
         members = [m for m in range(1 << 10) if m_lo <= m.bit_count() <= m_hi
                    and min(Graph.from_edge_mask(5, m).degrees()) >= floor]
-        masks, _, starved = V._sample_filtered_window(
-            5, SplitMix64(7), 200 * len(members), m_lo, m_hi,
-            lambda degs: degs.min(axis=0) >= floor,
+        masks, _, starved = _window_draws(
+            5, 7, 200 * len(members), m_lo, m_hi, lambda degs: degs.min(axis=0) >= floor
         )
         counts = Counter(masks)
         assert not starved and set(counts) <= set(members), (m_lo, m_hi)
@@ -934,7 +995,7 @@ def test_sampler_is_uniform_over_window():
 def test_keep_gets_vertex_major_degrees(monkeypatch):
     """``keep`` gets each block's degrees as a C-contiguous (n, rows) array,
     so its reductions run over axis 0 at full width: in ``_search`` over
-    exhaustive rows and sampler rows, and in the threshold sampler."""
+    exhaustive rows, raw sampler words and the threshold sampler's draws."""
     monkeypatch.setattr(V, "SAMPLE_BATCH", 100)
     seen = []
 
@@ -945,7 +1006,7 @@ def test_keep_gets_vertex_major_degrees(monkeypatch):
     V._search(5, 0, 1 << 10, V._mask_rows, keep, 10**7, [])
     rng = SplitMix64(3)  # two 64-bit words per 66-slot row
     V._search(12, 3, 150, lambda s, e: rng.words(2 * (e - s)).reshape(-1, 2), keep, 10**7, [])
-    V._sample_filtered_window(12, SplitMix64(3), 150, 40, 66, keep)
+    V._search(12, 1, 10**6, V._window_rows(12, SplitMix64(3), 40, 66), keep, 10**7, [], want=150)
     shapes = [(5, 100)] * 10 + [(5, 24), (12, 100), (12, 50)]
     assert [shape for shape, _ in seen[: len(shapes)]] == shapes
     assert {shape[0] for shape, _ in seen[len(shapes):]} == {12}
@@ -976,8 +1037,8 @@ def test_sampler_reads_next_below_words(n, monkeypatch):
     """The sampler reads ahead from the stream and consumes exactly the
     words ``next_below`` would: with no edges and with every edge (one edge
     count, so the count takes no word), over every edge count (a bound of
-    2^C(n,2), above 2^64 from n = 12) and over a middle window.  Degree
-    batches of 7 change nothing, also where the proposal limit ends one."""
+    2^C(n,2), above 2^64 from n = 12) and over a middle window.  Blocks
+    of 7 change nothing, also where the proposal limit ends one."""
     e = comb(n, 2)
 
     def keep(degs):  # vertex 0 is no leaf, so at n = 2 every edge starves
@@ -987,7 +1048,7 @@ def test_sampler_reads_next_below_words(n, monkeypatch):
         want = _reference_window(n, SplitMix64(seed), 40, m_lo, m_hi, keep)
         for batch in (4096, 7):
             monkeypatch.setattr(V, "SAMPLE_BATCH", batch)
-            got = V._sample_filtered_window(n, SplitMix64(seed), 40, m_lo, m_hi, keep)
+            got = _window_draws(n, seed, 40, m_lo, m_hi, keep)
             assert got == want, (m_lo, m_hi, batch)
 
 
