@@ -214,11 +214,7 @@ def _hampath_extract(adj, n, dp):
 
 
 def _has_clique(adj, n, q, node_cap):
-    """Exact test for a clique on q vertices; returns (status, nodes)."""
-    if q <= 0:
-        return 1, 0
-    if q == 1:
-        return (1 if n >= 1 else 0), 0
+    """Exact test for a clique on q >= 2 vertices; returns (status, nodes)."""
     cands = [0] * q
     cands[0] = (1 << n) - 1
     d = 0
@@ -465,20 +461,19 @@ def packable_rows(adjs, n, r):
             pairs &= goods[-1][child]
             goods.append(np.bitwise_or.reduce(pairs, axis=1))
         ok[lo : lo + len(rows)] = _from_bits(goods[-1][0], len(rows))
-        blocks[lo : lo + len(rows)] = _read_packings(clique, goods, layers, n, len(rows))
+        _read_packings(clique, goods, layers, n, blocks[lo : lo + len(rows)])
     return ok, blocks
 
 
-def _read_packings(clique, goods, layers, n, rows):
-    """The packings of a sub-block's rows, read back from the tables of
-    ``packable_rows`` from the full set down: ``here[s]`` holds the rows at
-    set s, and each takes the set's first pair whose block is a clique and
-    whose remainder is good, and moves to the remainder.  A row's block is
-    its set less the next; a row that does not pack is in no set."""
-    vbits = (1 << np.arange(n)).astype(np.uint16 if n <= 16 else np.int64)
+def _read_packings(clique, goods, layers, n, blocks):
+    """Fill ``blocks`` with a sub-block's packings, read back from the
+    tables of ``packable_rows`` from the full set down: ``here[s]`` holds
+    the rows at set s, and each takes the set's first pair whose block is a
+    clique and whose remainder is good, and moves to the remainder.  A row's
+    block is its set less the next; a row that does not pack is in no set."""
+    rows, vbits = len(blocks), (1 << np.arange(n)).astype(blocks.dtype)
     here = goods[-1]
     left = vbits.sum(dtype=vbits.dtype) * _from_bits(here[0], rows)  # each row's set
-    blocks = np.zeros((rows, len(layers)), vbits.dtype)
     for depth in range(len(layers) - 1):
         block, child, _, by_child, starts = layers[-1 - depth]
         pairs = clique[block]
@@ -497,7 +492,6 @@ def _read_packings(clique, goods, layers, n, rows):
         blocks[:, depth] = left & ~below
         left = below
     blocks[:, -1] = left
-    return blocks
 
 
 @functools.lru_cache(maxsize=None)

@@ -336,26 +336,17 @@ def expected_degree_bands(token: str, **params: int) -> list[tuple[int, int]] | 
         return [(n - q - 1, 0), (q + 1, q)]
     if token == "G2":
         n, r, big_d = params["n"], params["r"], params["D"]
-        bands: dict[int, int] = {1: big_d}
         # the builder's runs: a cliques of size q + 1, then r - 2 - a of size q
         q, a = divmod(n - big_d - 1, r - 2)
-        for size, count in ((q + 1, a), (q, r - 2 - a)):
-            if count:
-                bands[size - 1] = bands.get(size - 1, 0) + size * count
-        bands[big_d] = bands.get(big_d, 0) + 1
-        return [(cnt, deg) for deg, cnt in sorted(bands.items())]
+        return _merged([(big_d, 1), ((q + 1) * a, q), (q * (r - 2 - a), q - 1), (1, big_d)])
     if token == "af_i":
         n, r = params["n"], params["r"]
         q = n // r
         return [(q + 1, n - 1 - q), (n - q - 1, n - 1)]
     if token == "af_ii":
         n, r, j = params["n"], params["r"], params["j"]
-        leaves = n - r - j + 1
-        bands = {r + j - 2: 1}
-        bands[n - 2] = bands.get(n - 2, 0) + leaves + 2 * j
-        if r - j - 2:
-            bands[n - 1] = bands.get(n - 1, 0) + (r - j - 2)
-        return [(cnt, deg) for deg, cnt in sorted(bands.items())]
+        # in the complement: the star centre, its leaves with the j edges' ends, the isolates
+        return _merged([(1, r + j - 2), (n - r + j + 1, n - 2), (r - j - 2, n - 1)])
     if token == "extremal1":
         n, r, k = params["n"], params["r"], params["k"]
         q = n // r
@@ -375,9 +366,14 @@ def expected_degree_bands(token: str, **params: int) -> list[tuple[int, int]] | 
     if token == "t_star":
         n, r = params["n"], params["r"]
         q = n // r
-        bands = {}
-        for size in [q] * (r - 2) + [q - 1, q + 1]:
-            if size:
-                bands[n - size] = bands.get(n - size, 0) + size
-        return [(cnt, deg) for deg, cnt in sorted(bands.items())]
+        return _merged([(size, n - size) for size in [q] * (r - 2) + [q - 1, q + 1]])
     return None
+
+
+def _merged(bands: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(count, degree) bands with equal degrees merged, in ascending degree
+    order, empty bands left out."""
+    merged: dict[int, int] = {}
+    for cnt, deg in bands:
+        merged[deg] = merged.get(deg, 0) + cnt
+    return [(cnt, deg) for deg, cnt in sorted(merged.items()) if cnt]

@@ -89,22 +89,18 @@ def equitable_colouring(
 
     ``method="auto"`` reduces to a perfect clique packing of the complement
     when k divides n and otherwise runs the direct class-assignment search;
-    ``"direct"`` and ``"complement-packing"`` force a route (the two searches
-    are independent implementations, which the tests exploit).
+    ``"direct"`` always runs the direct search, which is independent of the
+    packing search (the duality re-checks rely on this).
     """
     if k < 1:
         raise ParameterRangeError("need k >= 1")
-    if method not in ("auto", "direct", "complement-packing"):
+    if method not in ("auto", "direct"):
         raise ParameterRangeError(f"unknown colouring method {method!r}")
     n = graph.n
     if k >= n:
         classes = tuple((v,) for v in range(n)) + ((),) * (k - n)
         return SolveOutcome(True, ColouringCertificate(classes), 0)
-    if method == "auto":
-        method = "complement-packing" if n % k == 0 else "direct"
-    if method == "complement-packing":
-        if n % k:
-            raise ParameterRangeError("the complement-packing route needs k | n")
+    if method == "auto" and n % k == 0:
         out = perfect_kr_packing(graph.complement(), n // k, node_cap)
         if not out.decision:
             return SolveOutcome(False, None, out.nodes_explored)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, chain
 from math import comb
 from time import perf_counter
@@ -85,26 +85,6 @@ class SplitMix64:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
 
-    def next_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by bit-rejection: the top bits of
-        as many whole words as it needs, redrawn until below the bound.
-        Each word is the same splitmix64 step as ``words``, on Python ints."""
-        if bound <= 0:
-            raise ParameterRangeError("bound must be positive")
-        bits = (bound - 1).bit_length()
-        seed = int(self._seed)
-        x = bound
-        while x >= bound:
-            x = 0
-            for _ in range(-(-bits // 64)):  # none for a bound of 1
-                self._made += 1
-                z = (seed + self._made * 0x9E3779B97F4A7C15) & _WORD
-                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _WORD
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _WORD
-                x = x << 64 | z ^ (z >> 31)
-            x >>= -bits % 64
-        return x
-
 
 @dataclass(frozen=True)
 class EnumerationTask:
@@ -120,12 +100,7 @@ class EnumerationTask:
     generator: str | None = None
 
     def echo(self) -> dict:
-        out = {"predicate": self.predicate, "n": self.n, "mode": self.mode}
-        for key in ("r", "d", "samples", "seed", "generator"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+        return {key: val for key, val in asdict(self).items() if val is not None}
 
 
 @dataclass(frozen=True)
@@ -221,15 +196,15 @@ def _window_rows(n: int, rng: SplitMix64, m_lo: int, m_hi: int):
     and gives their edge words.  ``_search`` filters them by degrees, so the
     graphs it keeps are uniform over the window's graphs that pass.
 
-    A draw reads the words ``rng.next_below`` would: the edge count m, then
-    m slots by Floyd's algorithm, each by bit-rejection on the top bits of
-    whole words.  The words come from ``rng.words`` lists, read ahead."""
+    A draw takes the edge count m, then m slots by Floyd's algorithm, each
+    by bit-rejection: the top bits of whole words, redrawn until below its
+    bound.  The words come from ``rng.words`` lists, read ahead."""
     e_total = comb(n, 2)
     # edge counts m in [m_lo, m_hi] are drawn with probability proportional
     # to the number of labeled graphs with m edges
     cum = list(accumulate(comb(e_total, m) for m in range(m_lo, m_hi + 1)))
     bits = (cum[-1] - 1).bit_length()
-    draw = range(-(-bits // 64))  # the edge count's words, as in ``next_below``
+    draw = range(-(-bits // 64))  # the edge count's words
     steps = [(t, 64 - t.bit_length()) for t in range(e_total)]  # a slot below t + 1
     word = chain.from_iterable(iter(lambda: rng.words(4096).tolist(), None)).__next__
     words = range((e_total + 63) // 64)  # a row's edge words
@@ -281,19 +256,19 @@ def _condition_rows(degs: np.ndarray, clauses) -> np.ndarray:
 
 
 def _decide_rows(adjs: np.ndarray, n: int, r: int, node_cap: int):
-    """Exact decision for each row of ``adjs``: a perfect r-clique packing,
-    or a Hamilton path at r = 0.  Returns (decisions as a bool array,
+    """Exact decision for each row of ``adjs``: a perfect r-clique packing
+    (r | n), or a Hamilton path at r = 0.  Returns (decisions as a bool array,
     packings, aborted), the decisions stopping at the first row that hit the
     node cap; ``packings`` holds the n/r block masks of each "yes" (None at
     r = 0).
 
     Hamilton paths are decided across the block in numpy, and so are
-    packings when r | n, n <= ``_PACK_ROWS_MAX_N`` and the node cap is one
+    packings when n <= ``_PACK_ROWS_MAX_N`` and the node cap is one
     the packing search can never reach (``K.pack_node_bound``).  Otherwise
     ``K._pack_decide`` decides one row at a time and may abort on the cap."""
     if r == 0:
         return K.hampath_rows(adjs, n), None, False
-    if n <= _PACK_ROWS_MAX_N and n % r == 0 and node_cap >= K.pack_node_bound(n, r):
+    if n <= _PACK_ROWS_MAX_N and node_cap >= K.pack_node_bound(n, r):
         return (*K.packable_rows(adjs, n, r), False)
     out, packings = [], []
     for adj in adjs.tolist():

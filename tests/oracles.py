@@ -7,10 +7,6 @@ Graph accessors.
 from itertools import combinations, permutations
 
 
-def edges_of(graph):
-    return {frozenset(e) for e in graph.edges()}
-
-
 def is_clique_brute(graph, vertices) -> bool:
     return all(graph.has_edge(u, v) for u, v in combinations(vertices, 2))
 
@@ -129,23 +125,6 @@ def turan_edges_brute(m: int, s: int) -> int:
     return sum(
         1 for u, v in combinations(range(m), 2) if labels[u] != labels[v]
     )
-
-
-def max_edges_no_matching_brute(n: int, d: int) -> int:
-    """max{e(G) : min degree >= d, no perfect matching} over all labeled
-    n-vertex graphs, by full enumeration (n <= 6)."""
-    from packlab import Graph
-
-    e_total = n * (n - 1) // 2
-    best = -1
-    for mask in range(1 << e_total):
-        g = Graph.from_edge_mask(n, mask)
-        if min(g.degrees(), default=0) < d:
-            continue
-        if has_perfect_matching_brute(g):
-            continue
-        best = max(best, g.edge_count)
-    return best
 
 
 def chvatal_condition_brute(graph) -> bool:

@@ -1,6 +1,7 @@
 """Command-line interface: exit-code contract, output formats, pipelines from
 constructions into solvers, and byte-identical verify reruns."""
 
+import dataclasses
 import json
 import os
 import re
@@ -93,6 +94,21 @@ def test_construct_audit_pass_and_reject(capsys):
         "--audit",
     )
     assert code == 0 and "audit: ok" in out
+
+
+def test_construct_audit_reports_a_faulty_builder(capsys, monkeypatch):
+    """H's builder with one edge dropped: each problem on its own line, then
+    ``audit: fail`` and exit code 1."""
+    real = packlab.FAMILIES["H"]
+    monkeypatch.setitem(packlab.FAMILIES, "H", dataclasses.replace(
+        real, build=lambda **p: Graph(p["n"], list(real.build(**p).edges())[1:])))
+    code, out, _ = run(capsys, "construct", "H", "--n", "6", "--d", "2", "--audit")
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "problem: edge count 8 != 9",
+        "problem: degree sequence differs from the claimed bands",
+        "audit: fail",
+    ]
 
 
 def test_construct_takes_every_family_parameter(capsys):
@@ -241,6 +257,12 @@ def test_verify_audit_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "audit", "--max-n", "16")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+
+
+def test_verify_n_cap_is_passed_through(capsys):
+    code, out, err = run(capsys, "verify", "matching", "--n", "6", "--n-cap", "5")
+    assert code == 2 and "capped at n <= 5" in err
+    assert out == ""
 
 
 def test_verify_bad_params(capsys):

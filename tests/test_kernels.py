@@ -99,8 +99,9 @@ def test_pack_and_clique_searches_pinned():
     """What ``_pack_decide`` returns at r = 2 and 3, status, node count and
     chosen vertices, and ``_has_clique`` at q = 3 and 4, status and node
     count, over every labelled 6-vertex graph in mask order, as computed
-    while the searches counted and found bits with loop helpers.  ``solve
-    --stats`` prints these node counts."""
+    while the searches counted and found bits with loop helpers.  The
+    solvers hand these node counts back as ``SolveOutcome.nodes_explored``;
+    the CLI prints none of them."""
     n = 6
     adjs = K.words_to_adj(np.arange(1 << 15), n).tolist()
     digests = []

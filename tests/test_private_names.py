@@ -1,13 +1,15 @@
 """Every module-level private function, class and constant in packlab is
 referenced by packlab's own code.  Tests may call private helpers, but a
 helper that only tests call, or one left behind when its caller went, is
-dead code."""
+dead code.  Likewise every oracle in ``oracles.py`` is called by a test
+module or by another oracle."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 MODULES = sorted((Path(__file__).parent.parent / "src" / "packlab").glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _private(name: str) -> bool:
@@ -62,3 +64,27 @@ def test_an_unreferenced_private_name_is_caught():
                 "\nX = _used()\n",
     }
     assert _unreferenced(sources) == ["a.py:2: _SPARE", "a.py:4: _pick", "b.py:6: _Gone"]
+
+
+def _uncalled(sources: dict[str, str], module: str) -> list[str]:
+    """The module-level functions of ``sources[module]`` that no source
+    references outside their own body."""
+    used = sum((_references(ast.parse(text)) for text in sources.values()), Counter())
+    return [
+        node.name
+        for node in ast.parse(sources[module]).body
+        if isinstance(node, ast.FunctionDef) and used[node.name] <= _references(node)[node.name]
+    ]
+
+
+def test_every_oracle_is_called():
+    assert _uncalled({p.name: p.read_text() for p in TESTS}, "oracles.py") == []
+
+
+def test_an_uncalled_oracle_is_caught():
+    sources = {
+        "oracles.py": "def a(n):\n    return a(n - 1)\n\ndef b():\n    return 1\n\n"
+                      "def c():\n    return b()\n",
+        "test_x.py": "from oracles import a, c\n\ndef test_c():\n    assert c()\n",
+    }
+    assert _uncalled(sources, "oracles.py") == ["a"]

@@ -77,27 +77,27 @@ def test_colouring_against_brute(n, k):
 
 
 def test_colouring_methods_agree():
-    """Direct class-building search and complement-packing search are
-    independent routes; they must decide identically whenever both apply."""
+    """The direct class-building search and the packing search on the
+    complement are independent; they must decide identically whenever k | n.
+    No other route can be forced."""
     for _ in range(60):
         g = _random_graph(6, bias=1)
         direct = equitable_colouring(g, 3, method="direct").decision
-        via_pack = equitable_colouring(g, 3, method="complement-packing").decision
-        assert direct == via_pack
+        assert direct == perfect_kr_packing(g.complement(), 2).decision
     with pytest.raises(ParameterRangeError):
-        equitable_colouring(_random_graph(7), 3, method="complement-packing")
+        equitable_colouring(_random_graph(6), 3, method="complement-packing")
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_direct_colouring_certificates_all_graphs(k):
     """Every labelled 6-vertex graph: each certificate of the direct search
-    is an equitable k-colouring, and each decision equals the
-    complement-packing route's."""
+    is an equitable k-colouring, and each decision equals that of the
+    packing search on the complement."""
     for mask in range(1 << 15):
         g = Graph.from_edge_mask(6, mask)
         out = equitable_colouring(g, k, method="direct")
         assert not out.decision or validate_colouring(g, out.certificate, k), mask
-        via_pack = equitable_colouring(g, k, method="complement-packing").decision
+        via_pack = perfect_kr_packing(g.complement(), 6 // k).decision
         assert out.decision == via_pack, mask
 
 

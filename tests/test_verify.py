@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, islice
 from collections import Counter
 from math import comb, erfc, sqrt
 from pathlib import Path
@@ -265,44 +265,44 @@ def test_splitmix64_reference_values():
     assert SplitMix64(1234567).words(3).tolist()[:2] == [
         6457827717110365317, 3203168211198807973]
     assert SplitMix64(0).words(3)[0] == 16294208416658607535
-    # bounded draws stay in range and are deterministic
-    rng = SplitMix64(99)
-    draws = [rng.next_below(10) for _ in range(50)]
-    assert all(0 <= x < 10 for x in draws)
-    rng2 = SplitMix64(99)
-    assert draws == [rng2.next_below(10) for _ in range(50)]
+    # the reference's bounded draws: a bound of 1 reads no word, one of
+    # 2^64 a whole word, one of 2 its top bit; draws stay in range
+    stream = _splitmix64_stream(99)
+    first, second = _splitmix64_reference(99, 2)
+    assert [_next_below(stream, 1), _next_below(stream, 1 << 64), _next_below(stream, 2)] == [
+        0, first, second >> 63]
+    assert all(0 <= _next_below(stream, 10) < 10 for _ in range(50))
 
 
-
-def test_next_below_and_words_share_one_stream():
-    """``next_below`` at a power-of-two bound never redraws, so calls that
-    alternate it with ``words`` read the words that ``words`` alone gives:
-    the top bits of one word, or of two words joined high word first."""
-    stream = SplitMix64(2024).words(9).tolist()
-    rng = SplitMix64(2024)
-    got = rng.words(2).tolist()
-    got.append(rng.next_below(1 << 64))
-    hi_lo = rng.next_below(1 << 100)
-    got.append(rng.words(1).tolist()[0])
-    top = rng.next_below(2)
-    assert rng.next_below(1) == 0  # a bound of 1 reads no word
-    got += rng.words(2).tolist()
-    assert got == stream[:3] + stream[5:6] + stream[7:9]
-    assert hi_lo == (stream[3] << 64 | stream[4]) >> 28
-    assert top == stream[6] >> 63
-
-def _splitmix64_reference(seed, count):
-    """The first ``count`` words of the classic state-stepping splitmix64."""
+def _splitmix64_stream(seed):
+    """The classic state-stepping splitmix64, one word at a time."""
     mask = (1 << 64) - 1
     state = seed
-    out = []
-    for _ in range(count):
+    while True:
         state = (state + 0x9E3779B97F4A7C15) & mask
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31))
-    return out
+        yield z ^ (z >> 31)
+
+
+def _splitmix64_reference(seed, count):
+    """The first ``count`` words of the classic state-stepping splitmix64."""
+    return list(islice(_splitmix64_stream(seed), count))
+
+
+def _next_below(stream, bound):
+    """Uniform integer in [0, bound) by bit-rejection, the sampler's draw
+    rule: the top bits of as many whole words of ``stream`` as the bound
+    needs, high word first, redrawn until below the bound."""
+    bits = (bound - 1).bit_length()
+    x = bound
+    while x >= bound:
+        x = 0
+        for _ in range(-(-bits // 64)):  # none for a bound of 1
+            x = x << 64 | next(stream)
+        x >>= -bits % 64
+    return x
 
 
 @pytest.mark.parametrize("seed", [0, 1, 34, (1 << 63) + 5])
@@ -432,6 +432,31 @@ def test_audit_catches_a_wrong_extremal2_boundary_degree(monkeypatch):
     found = audit_instance("extremal2", {"n": 12, "r": 3, "k": 2})
     assert "boundary degree differs from the claimed value" in found
     assert "degree sequence differs from the claimed bands" not in found
+
+
+def _swap_0_8(g):
+    swap = {0: 8, 8: 0}
+    return Graph(g.n, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("token, params, edit, problems", [
+    # the degree multiset is unchanged, so no other check sees the swap
+    ("af_i", {"n": 9, "r": 3}, _swap_0_8,
+     ["complement is not the clique-plus-isolates graph"]),
+    ("extremal1", {"n": 12, "r": 3, "k": 2}, lambda g: Graph(g.n, [*g.edges(), (0, 6)]),
+     ["degree sequence differs from the claimed bands", "banded condition fails at () (beta True)",
+      "unexpected perfect packing"]),
+    ("square_cx", {"n": 69, "C": 1, "K": 5},
+     lambda g: Graph(g.n, [e for e in g.edges() if e != (0, 1)]),
+     ["centre degree differs from n/3 + C + 1", "degree band fails at indices [1]"]),
+], ids=["af_i", "extremal1", "square_cx"])
+def test_audit_family_checks_fire(monkeypatch, token, params, edit, problems):
+    """A builder edited by one swap, added edge or dropped edge trips the
+    family's own structural checks."""
+    real = V.FAMILIES[token]
+    monkeypatch.setitem(V.FAMILIES, token,
+                        dataclasses.replace(real, build=lambda **p: edit(real.build(**p))))
+    assert audit_instance(token, params) == problems
 
 
 @pytest.mark.parametrize("token, params, graph, problem", [
@@ -686,6 +711,18 @@ def test_exhaustive_duality_cap_aborts_on_colouring_nodes():
     assert (rep.status, rep.examined) == ("aborted", 1 << 15)
     assert rep.problems == ("node cap of 15 reached",)
     assert verify_mainthm1_threshold(6, 3, node_cap=25) == verify_mainthm1_threshold(6, 3)
+
+
+def test_violation_recheck_cap_aborts(monkeypatch):
+    """A threshold one too low makes violations of the densest graphs that
+    do not pack; re-solving them with the direct colouring search at a cap
+    of 15, which the scan itself never reaches, aborts the run."""
+    real = V.packing_threshold
+    monkeypatch.setattr(V, "packing_threshold",
+                        lambda *a: dataclasses.replace(real(*a), value=real(*a).value - 1))
+    rep = verify_mainthm1_threshold(6, 3, node_cap=15)
+    assert (rep.status, rep.examined, len(rep.violations)) == ("aborted", 1 << 15, 20)
+    assert rep.problems == ("node cap of 15 reached",)
 
 
 def _flip_rows(monkeypatch, targets):
@@ -1013,18 +1050,19 @@ def test_keep_gets_vertex_major_degrees(monkeypatch):
     assert all(contiguous for _, contiguous in seen)
 
 
-def _reference_window(n, rng, samples, m_lo, m_hi, keep):
-    """The threshold sampler drawn with ``next_below`` for the edge count
-    and for each step of Floyd's algorithm, which collects a set of slots."""
+def _reference_window(n, stream, samples, m_lo, m_hi, keep):
+    """The threshold sampler drawn with ``_next_below`` on the reference
+    ``stream`` for the edge count and for each step of Floyd's algorithm,
+    which collects a set of slots."""
     e_total = comb(n, 2)
     cum = list(accumulate(comb(e_total, m) for m in range(m_lo, m_hi + 1)))
     masks, proposals = [], 0
     while len(masks) < samples and proposals < V.PROPOSAL_LIMIT_FACTOR * samples + 1000:
         proposals += 1
-        m = m_lo + bisect_right(cum, rng.next_below(cum[-1]))
+        m = m_lo + bisect_right(cum, _next_below(stream, cum[-1]))
         chosen = set()
         for t in range(e_total - m, e_total):
-            x = rng.next_below(t + 1)
+            x = _next_below(stream, t + 1)
             chosen.add(t if x in chosen else x)
         mask = sum(1 << s for s in chosen)
         if keep(Graph.from_edge_mask(n, mask).degrees()):
@@ -1035,7 +1073,7 @@ def _reference_window(n, rng, samples, m_lo, m_hi, keep):
 @pytest.mark.parametrize("n", [2, 4, 7, 12, 30])
 def test_sampler_reads_next_below_words(n, monkeypatch):
     """The sampler reads ahead from the stream and consumes exactly the
-    words ``next_below`` would: with no edges and with every edge (one edge
+    words ``_next_below`` would: with no edges and with every edge (one edge
     count, so the count takes no word), over every edge count (a bound of
     2^C(n,2), above 2^64 from n = 12) and over a middle window.  Blocks
     of 7 change nothing, also where the proposal limit ends one."""
@@ -1045,7 +1083,7 @@ def test_sampler_reads_next_below_words(n, monkeypatch):
         return degs[0] != 1
 
     for seed, (m_lo, m_hi) in enumerate([(0, 0), (e, e), (0, e), (e // 3, e // 2)]):
-        want = _reference_window(n, SplitMix64(seed), 40, m_lo, m_hi, keep)
+        want = _reference_window(n, _splitmix64_stream(seed), 40, m_lo, m_hi, keep)
         for batch in (4096, 7):
             monkeypatch.setattr(V, "SAMPLE_BATCH", batch)
             got = _window_draws(n, seed, 40, m_lo, m_hi, keep)
